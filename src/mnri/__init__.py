@@ -35,16 +35,13 @@ from .inference import (
 )
 from .numerics import MixtureSpec, mixture_tail
 from .reclass import (
+    HalfNRIs,
     ReclassReport,
     TrainTestPair,
     build_report,
     extended_indicator,
+    half_nris,
     mad_probabilities,
-    mnri_hard,
-    mnri_smooth,
-    mnri_train_test,
-    nri_hard,
-    nri_smooth,
     sign_decomposition,
 )
 from .sim import SimConfig, SimTableRow, gen_replicate, run_cell, run_grid
@@ -60,9 +57,8 @@ __all__ = [
     "TestResult", "k_constant", "mixture_weights", "test_mnri_single",
     "test_mnri_train_test", "test_nri_normal_legacy",
     "MixtureSpec", "mixture_tail",
-    "ReclassReport", "TrainTestPair", "build_report", "extended_indicator",
-    "mad_probabilities", "mnri_hard", "mnri_smooth", "mnri_train_test",
-    "nri_hard", "nri_smooth", "sign_decomposition",
+    "HalfNRIs", "ReclassReport", "TrainTestPair", "build_report",
+    "extended_indicator", "half_nris", "mad_probabilities", "sign_decomposition",
     "SimConfig", "SimTableRow", "gen_replicate", "run_cell", "run_grid",
     "SplineBasis", "default_knots", "rcs_basis",
 ]

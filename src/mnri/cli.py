@@ -27,7 +27,7 @@ from .errors import (
     NoConvergence,
     TooFewDistinctValues,
 )
-from .glm import Dataset, link_from_name
+from .glm import Dataset, Link
 from .reclass import TrainTestPair
 from .spline import SplineBasis
 
@@ -227,7 +227,7 @@ def cmd_compare(args) -> int:
     spec = _column_spec(args)
     if not spec.new:
         raise DataError("compare needs at least one --new column")
-    link = link_from_name(args.link)
+    link = Link(args.link)
     header, columns = _read_table(args.input)
     bases = _fit_spline_bases(columns, spec, args.input)
     train_data = _build_dataset(columns, spec, bases, args.input)
@@ -287,7 +287,7 @@ def cmd_compare(args) -> int:
 
 def cmd_plotdata(args) -> int:
     spec = _column_spec(args)
-    link = link_from_name(args.link)
+    link = Link(args.link)
     _, columns = _read_table(args.input)
     bases = _fit_spline_bases(columns, spec, args.input)
     data = _build_dataset(columns, spec, bases, args.input)

@@ -54,13 +54,6 @@ class Link:
             return expit(eta)
         return numerics.norm_cdf(eta)
 
-    def density(self, eta):
-        """G'(eta)."""
-        if self.kind == "logit":
-            p = expit(eta)
-            return p * (1.0 - p)
-        return numerics.norm_pdf(eta)
-
     def score_residual(self, eta, y):
         """r = [G'/(G(1-G))] (y - G); reduces to y - G for the logit."""
         eta = np.asarray(eta, dtype=float)
@@ -83,10 +76,6 @@ class Link:
 
 LOGIT = Link("logit")
 PROBIT = Link("probit")
-
-
-def link_from_name(name: str) -> Link:
-    return Link(name)
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,6 @@ class FittedModel:
     fitted_probs: np.ndarray
     loglik: float
     expected_information: np.ndarray  # summed over observations, at the MLE
-    converged: bool
     iterations: int
 
     @property
@@ -268,7 +256,6 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
         fitted_probs=np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS),
         loglik=loglik,
         expected_information=info,
-        converged=True,
         iterations=iterations,
     )
 

@@ -38,7 +38,7 @@ class ScaledChisqRef:
     q: int
 
     def p_value(self, statistic: float) -> float:
-        return 1.0 - numerics.chisq_cdf(max(float(statistic), 0.0) / self.k, self.q)
+        return numerics.chisq_sf(max(float(statistic), 0.0) / self.k, self.q)
 
     def to_dict(self) -> dict:
         return {"kind": "scaled_chisq", "k": self.k, "q": self.q}
@@ -66,7 +66,7 @@ class NormalRef:
 
     def p_value(self, statistic: float) -> float:
         z = abs(float(statistic)) / np.sqrt(self.variance)
-        return 2.0 * (1.0 - numerics.norm_cdf(z))
+        return 2.0 * numerics.norm_cdf(-z)
 
     def to_dict(self) -> dict:
         return {"kind": "normal", "variance": self.variance}
@@ -131,7 +131,7 @@ def test_mnri_single(fits: NestedFits) -> TestResult:
     """One-sided test of the smooth mNRI against its scaled chi-square
     null reference; only large positive statistics are meaningful."""
     n = fits.data.n
-    statistic = n * reclass.mnri_smooth(fits)
+    statistic = n * reclass.half_nris(fits).mnri_smooth
     reference = ScaledChisqRef(k=k_constant(fits.data.ybar), q=fits.data.q)
     return _result(statistic, reference)
 
@@ -173,7 +173,7 @@ def test_mnri_train_test(pair: TrainTestPair) -> TestResult:
     chi-square mixture reference."""
     test_data = pair.test_data
     p, q = test_data.p, test_data.q
-    statistic = test_data.n * reclass.mnri_train_test(pair)
+    statistic = test_data.n * reclass.half_nris(pair).mnri_smooth
     var_train = information_blocks(pair.train_fits.expanded, p).gamma_cov
     var_test = information_blocks(pair.test_fits.expanded, p).gamma_cov
     weights = mixture_weights(var_train, var_test)
@@ -192,63 +192,12 @@ def test_nri_normal_legacy(fits_or_pair: NestedFits | TrainTestPair) -> TestResu
     """Two-sided normal test of the hard NRI with the classical variance
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
     be wrong; the result is labeled accordingly."""
-    if isinstance(fits_or_pair, TrainTestPair):
-        statistic = reclass.nri_hard_train_test(fits_or_pair)
-        y = fits_or_pair.test_data.y
-    else:
-        statistic = reclass.nri_hard(fits_or_pair)
-        y = fits_or_pair.data.y
+    statistic = reclass.half_nris(fits_or_pair).nri_hard
+    pair = isinstance(fits_or_pair, TrainTestPair)
+    y = fits_or_pair.test_data.y if pair else fits_or_pair.data.y
     n1 = int(np.count_nonzero(y == 1.0))
     n0 = int(np.count_nonzero(y == 0.0))
     if n1 < 1 or n0 < 1:
         raise DegenerateOutcome("need at least one event and one non-event")
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
     return _result(statistic, NormalRef(variance=variance), notes=_LEGACY_NOTE)
-
-
-@dataclass(frozen=True)
-class NullDiagnostic:
-    """Monte Carlo summary of the smooth NRI's null distribution.
-
-    Confirms empirically that n R (the scaled smooth NRI) has a positive
-    mean and a skewed, non-normal null distribution, which is why the
-    legacy normal test over-rejects.
-    """
-
-    replicates: int
-    mean: float
-    variance: float
-    skewness: float
-    se_mean: float
-    se_skewness: float
-    moment_normality_stat: float
-    moment_normality_pvalue: float
-
-
-def null_distribution_diagnostic(config) -> NullDiagnostic:
-    """Summarize the null distribution of n * smooth-NRI under a null
-    simulation configuration (gamma = 0)."""
-    from . import sim  # local import; sim depends on this module
-
-    draws = sim.collect_null_statistics(config)
-    values = draws.nri_scaled
-    m = values.shape[0]
-    mean = float(values.mean())
-    centered = values - mean
-    variance = float(np.mean(centered**2))
-    sd = np.sqrt(variance)
-    skewness = float(np.mean(centered**3) / sd**3)
-    kurtosis = float(np.mean(centered**4) / sd**4)
-    # Moment-based normality check (skewness/kurtosis chi-square, 2 df).
-    jb = m / 6.0 * (skewness**2 + (kurtosis - 3.0) ** 2 / 4.0)
-    jb_p = 1.0 - numerics.chisq_cdf(jb, 2)
-    return NullDiagnostic(
-        replicates=m,
-        mean=mean,
-        variance=variance,
-        skewness=skewness,
-        se_mean=float(sd / np.sqrt(m)),
-        se_skewness=float(np.sqrt(6.0 / m)),
-        moment_normality_stat=float(jb),
-        moment_normality_pvalue=float(jb_p),
-    )

@@ -10,11 +10,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import solve_triangular
-from scipy.special import gammainc, ndtr
+from scipy.special import gammainc, gammaincc, ndtr
 
-from .errors import IntegrationFailure, NoConvergence, NotPositiveDefinite
+from .errors import IntegrationFailure, NotPositiveDefinite
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -94,18 +93,6 @@ def inv_spd(a) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-def eig_sym(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric
-    matrix, so that ``a ~= vectors @ diag(values) @ vectors.T``."""
-    a = _as_symmetric(a)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigendecomposition failed: {exc}") from exc
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]
-
-
 def norm_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)
@@ -119,15 +106,27 @@ def norm_cdf(x):
     return out if out.ndim else float(out)
 
 
-def chisq_cdf(x, q: int):
-    """Chi-square distribution function with ``q`` degrees of freedom,
-    i.e. the regularized lower incomplete gamma P(q/2, x/2)."""
+def _chisq_args(x, q: int) -> tuple[float, np.ndarray]:
     if q < 1 or int(q) != q:
         raise ValueError(f"degrees of freedom must be a positive integer, got {q}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("chi-square argument must be nonnegative")
-    out = gammainc(q / 2.0, x / 2.0)
+    return q / 2.0, x / 2.0
+
+
+def chisq_cdf(x, q: int):
+    """Chi-square distribution function with ``q`` degrees of freedom,
+    i.e. the regularized lower incomplete gamma P(q/2, x/2)."""
+    out = gammainc(*_chisq_args(x, q))
+    return out if out.ndim else float(out)
+
+
+def chisq_sf(x, q: int):
+    """Chi-square upper tail with ``q`` degrees of freedom, the regularized
+    upper incomplete gamma Q(q/2, x/2); unlike ``1 - chisq_cdf`` it keeps
+    full relative precision far into the tail."""
+    out = gammaincc(*_chisq_args(x, q))
     return out if out.ndim else float(out)
 
 
@@ -158,10 +157,14 @@ def mixture_tail(t: float, spec: MixtureSpec, *, tol: float = 1e-8) -> float:
     oscillation, is integrated directly in log u, where the power-law
     envelope is smooth.
     """
+    from scipy import integrate  # deferred: a heavy import few callers need
+
     t = float(t)
+    if np.isnan(t):
+        raise ValueError("mixture tail threshold is NaN")
     weights = np.asarray(spec.weights, dtype=float) * spec.scale
     weights = weights[weights != 0.0]
-    if weights.size == 0:
+    if weights.size == 0 or np.isinf(t):
         return float(t < 0.0)
     # P(Q > t) is unchanged by dividing Q and t by one positive constant;
     # unit largest |weight| puts the integrand's scale at u ~ 1.

@@ -24,13 +24,21 @@ from .glm import Dataset, NestedFits, score_residuals
 
 
 @dataclass(frozen=True)
-class ReclassReport:
-    """All reclassification statistics for one nested comparison."""
+class HalfNRIs:
+    """The four half-scale statistics of one comparison: the classical NRI
+    (constant-model residuals) and the modified NRI (base-model score
+    residuals), each with the hard indicator and with its smooth form."""
 
     nri_hard: float
     nri_smooth: float
     mnri_hard: float
     mnri_smooth: float
+
+
+@dataclass(frozen=True)
+class ReclassReport(HalfNRIs):
+    """All reclassification statistics for one nested comparison."""
+
     mad: float
     scaled_mad: float
     sign_inner: float
@@ -103,57 +111,39 @@ def half_nri_from_parts(residuals, delta, ybar: float, *, smooth: bool) -> float
     return float(residuals @ (ind - 0.5)) / (n * ybar * (1.0 - ybar))
 
 
-def nri_hard(fits: NestedFits) -> float:
-    """Half-scale NRI: constant-model residuals against the sign of the
-    score change."""
-    y = fits.data.y
-    ybar = fits.data.ybar
-    return half_nri_from_parts(y - ybar, score_difference(fits), ybar, smooth=False)
+def _parts(fits_or_pair: NestedFits | TrainTestPair) -> tuple[np.ndarray, np.ndarray, Dataset]:
+    """Score change, base-model score residuals and the data they are
+    evaluated on. A train/test pair takes the score change from the
+    training coefficients and everything else from the test fits."""
+    if isinstance(fits_or_pair, TrainTestPair):
+        fits = fits_or_pair.test_fits
+        delta = cross_score_difference(fits_or_pair.train_fits, fits.data)
+    else:
+        fits = fits_or_pair
+        delta = score_difference(fits)
+    return delta, score_residuals(fits.base, fits.link, fits.data.y), fits.data
 
 
-def nri_smooth(fits: NestedFits) -> float:
-    """Smooth half-scale NRI with the normal distribution function in place
-    of the indicator."""
-    y = fits.data.y
-    ybar = fits.data.ybar
-    return half_nri_from_parts(y - ybar, score_difference(fits), ybar, smooth=True)
-
-
-def _base_residuals(fits: NestedFits) -> np.ndarray:
-    return score_residuals(fits.base, fits.link, fits.data.y)
-
-
-def mnri_hard(fits: NestedFits) -> float:
-    """Modified NRI: base-model score residuals against the sign of the
-    score change."""
-    return half_nri_from_parts(
-        _base_residuals(fits), score_difference(fits), fits.data.ybar, smooth=False
+def _half_nris(delta: np.ndarray, residuals: np.ndarray, data: Dataset) -> HalfNRIs:
+    # The half_nri_from_parts arithmetic, with each indicator formed once.
+    ybar = _check_ybar(data.ybar)
+    scale = data.n * ybar * (1.0 - ybar)
+    hard = extended_indicator(delta) - 0.5
+    smooth = numerics.norm_cdf(delta) - 0.5
+    constant = data.y - ybar
+    return HalfNRIs(
+        nri_hard=float(constant @ hard) / scale,
+        nri_smooth=float(constant @ smooth) / scale,
+        mnri_hard=float(residuals @ hard) / scale,
+        mnri_smooth=float(residuals @ smooth) / scale,
     )
 
 
-def mnri_smooth(fits: NestedFits) -> float:
-    """Smooth modified NRI (the test statistic's core)."""
-    return half_nri_from_parts(
-        _base_residuals(fits), score_difference(fits), fits.data.ybar, smooth=True
-    )
-
-
-def mnri_train_test(pair: TrainTestPair) -> float:
-    """Smooth modified NRI across independent samples: test-data base-model
-    residuals against the training-data score change, evaluated on and
-    normalized by the test data."""
-    residuals = _base_residuals(pair.test_fits)
-    delta = cross_score_difference(pair.train_fits, pair.test_data)
-    return half_nri_from_parts(residuals, delta, pair.test_data.ybar, smooth=True)
-
-
-def nri_hard_train_test(pair: TrainTestPair) -> float:
-    """Half-scale NRI with training-data coefficients evaluated on test data
-    (the form whose normal test is studied in the train/test size tables)."""
-    y = pair.test_data.y
-    ybar = pair.test_data.ybar
-    delta = cross_score_difference(pair.train_fits, pair.test_data)
-    return half_nri_from_parts(y - ybar, delta, ybar, smooth=False)
+def half_nris(fits_or_pair: NestedFits | TrainTestPair) -> HalfNRIs:
+    """The four half-scale statistics of a nested comparison. For a
+    train/test pair they take the score change from the training
+    coefficients and are evaluated on, and normalized by, the test data."""
+    return _half_nris(*_parts(fits_or_pair))
 
 
 def mad_probabilities(fits: NestedFits) -> tuple[float, float]:
@@ -164,6 +154,11 @@ def mad_probabilities(fits: NestedFits) -> tuple[float, float]:
     return mad, mad / (2.0 * ybar * (1.0 - ybar))
 
 
+def _sign_parts(delta: np.ndarray, residuals: np.ndarray) -> tuple[float, int]:
+    s = np.sign(delta)
+    return float(s @ residuals), int(np.count_nonzero(s))
+
+
 def sign_decomposition(fits: NestedFits) -> tuple[float, int, float]:
     """Rewrite of the hard mNRI as a regression coefficient.
 
@@ -171,37 +166,26 @@ def sign_decomposition(fits: NestedFits) -> tuple[float, int, float]:
     s_i = 2 ind(delta_i) - 1 (zero on exact ties) and the base-model
     residual vector r, where the regression form is
     [2 ybar (1-ybar)]^-1 (s'r)/(s's). With no ties s's = n and the
-    regression form equals mnri_hard exactly.
+    regression form equals the hard mNRI exactly.
     """
     ybar = _check_ybar(fits.data.ybar)
-    delta = score_difference(fits)
-    s = np.sign(delta)
-    sign_norm = int(np.count_nonzero(s))
+    delta, residuals, _ = _parts(fits)
+    sign_inner, sign_norm = _sign_parts(delta, residuals)
     if sign_norm == 0:
         raise AllTies("every score difference is exactly zero")
-    sign_inner = float(s @ _base_residuals(fits))
     regression_form = sign_inner / (2.0 * ybar * (1.0 - ybar) * sign_norm)
     return sign_inner, sign_norm, regression_form
 
 
-def count_ties(fits: NestedFits) -> int:
-    """Subjects whose expanded and base risk scores agree exactly."""
-    return int(np.count_nonzero(score_difference(fits) == 0.0))
-
-
 def build_report(fits: NestedFits) -> ReclassReport:
-    """Assemble every reclassification statistic for one nested comparison."""
+    """Assemble every reclassification statistic for one nested comparison;
+    ties are subjects whose expanded and base risk scores agree exactly."""
     mad, scaled_mad = mad_probabilities(fits)
-    ties = count_ties(fits)
-    if ties < fits.data.n:
-        sign_inner, sign_norm, _ = sign_decomposition(fits)
-    else:
-        sign_inner, sign_norm = 0.0, 0
+    delta, residuals, data = _parts(fits)
+    ties = int(np.count_nonzero(delta == 0.0))
+    sign_inner, sign_norm = _sign_parts(delta, residuals) if ties < data.n else (0.0, 0)
     return ReclassReport(
-        nri_hard=nri_hard(fits),
-        nri_smooth=nri_smooth(fits),
-        mnri_hard=mnri_hard(fits),
-        mnri_smooth=mnri_smooth(fits),
+        **vars(_half_nris(delta, residuals, data)),
         mad=mad,
         scaled_mad=scaled_mad,
         sign_inner=sign_inner,

@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
 from scipy.special import expit, logit
 
-from . import glm, inference
+from . import glm, inference, numerics, reclass
 from .errors import DegenerateOutcome, ExcessiveFitFailures, FitError, NoConvergence
-from .glm import Dataset, LOGIT
+from .glm import LOGIT, Dataset, NestedFits
 from .reclass import TrainTestPair
 
 DEFAULT_SEED = 1729
@@ -103,30 +104,41 @@ def gen_replicate(config: SimConfig, stream: np.random.Generator) -> Dataset:
     return Dataset(y=y, x=np.column_stack([np.ones(n), x]), z=z[:, None])
 
 
-def _replicate_pvalues(config: SimConfig, cell: int, rep: int) -> tuple[float, float, int]:
-    """P-values (mnri test, legacy nri test) for one replicate, redrawing on
-    fit failure. Returns the number of redraws used as the third element."""
+def _fitted(config: SimConfig, cell: int, rep: int, attempt: int, part: int = 0) -> NestedFits:
+    """Draw one dataset under its stream key and fit the nested models."""
+    data = gen_replicate(config, replicate_stream(config.seed, cell, rep, attempt, part))
+    return glm.fit_nested(data, LOGIT)
+
+
+def _pvalues(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, float]:
+    """P-values of the mNRI test and the legacy NRI test for one attempt."""
+    if config.mode == "single":
+        fits = _fitted(config, cell, rep, attempt)
+        p_mnri = inference.test_mnri_single(fits).p_value
+    else:
+        fits = TrainTestPair(
+            train_fits=_fitted(config, cell, rep, attempt, part=0),
+            test_fits=_fitted(config, cell, rep, attempt, part=1),
+        )
+        p_mnri = inference.test_mnri_train_test(fits).p_value
+    return p_mnri, inference.test_nri_normal_legacy(fits).p_value
+
+
+def _null_statistics(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, float]:
+    """n * smooth mNRI / k-hat and n * smooth NRI for one attempt."""
+    fits = _fitted(config, cell, rep, attempt)
+    stats = reclass.half_nris(fits)
+    k = inference.k_constant(fits.data.ybar)
+    return fits.data.n * stats.mnri_smooth / k, fits.data.n * stats.nri_smooth
+
+
+def _replicated(trial, args) -> tuple:
+    """``trial(config, cell, rep, attempt)`` for attempt 0, 1, ... until its
+    fits succeed, followed by the number of redraws used."""
+    config, cell, rep = args
     for attempt in range(_MAX_ATTEMPTS):
         try:
-            if config.mode == "single":
-                data = gen_replicate(config, replicate_stream(config.seed, cell, rep, attempt))
-                fits = glm.fit_nested(data, LOGIT)
-                p_mnri = inference.test_mnri_single(fits).p_value
-                p_nri = inference.test_nri_normal_legacy(fits).p_value
-            else:
-                train = gen_replicate(
-                    config, replicate_stream(config.seed, cell, rep, attempt, part=0)
-                )
-                test = gen_replicate(
-                    config, replicate_stream(config.seed, cell, rep, attempt, part=1)
-                )
-                pair = TrainTestPair(
-                    train_fits=glm.fit_nested(train, LOGIT),
-                    test_fits=glm.fit_nested(test, LOGIT),
-                )
-                p_mnri = inference.test_mnri_train_test(pair).p_value
-                p_nri = inference.test_nri_normal_legacy(pair).p_value
-            return p_mnri, p_nri, attempt
+            return (*trial(config, cell, rep, attempt), attempt)
         except (FitError, NoConvergence, DegenerateOutcome):
             continue
     raise ExcessiveFitFailures(
@@ -135,31 +147,39 @@ def _replicate_pvalues(config: SimConfig, cell: int, rep: int) -> tuple[float, f
 
 
 def _replicate_rejections(args) -> tuple[bool, bool, int]:
-    config, cell, rep = args
-    p_mnri, p_nri, redraws = _replicate_pvalues(config, cell, rep)
-    return p_mnri <= config.alpha, p_nri <= config.alpha, redraws
+    """Whether the mNRI and legacy NRI tests reject for one replicate, and
+    the number of redraws used."""
+    p_mnri, p_nri, redraws = _replicated(_pvalues, args)
+    alpha = args[0].alpha
+    return p_mnri <= alpha, p_nri <= alpha, redraws
 
 
-def _map_replicates(worker, args_list, workers: int):
-    if workers <= 1:
-        return [worker(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args_list) // (8 * workers))
-        return list(pool.map(worker, args_list, chunksize=chunk))
-
-
-def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1) -> SimTableRow:
-    """Estimate rejection rates for one cell at the configured alpha."""
+def _run_replicates(worker, config: SimConfig, cell: int, workers: int):
+    """Map ``worker`` over the cell's replicates, in replicate order, and
+    enforce the failure budget. Each worker result ends with its redraw
+    count; returns the other results column by column, and the redraws."""
     args_list = [(config, cell, rep) for rep in range(config.replicates)]
-    results = _map_replicates(_replicate_rejections, args_list, workers)
-    reject_mnri = np.array([r[0] for r in results])
-    reject_nri = np.array([r[1] for r in results])
-    redraws = int(sum(r[2] for r in results))
+    if workers <= 1:
+        results = [worker(args) for args in args_list]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(args_list) // (8 * workers))
+            results = list(pool.map(worker, args_list, chunksize=chunk))
+    *columns, redraws = (np.array(column) for column in zip(*results))
+    redraws = int(redraws.sum())
     if redraws > _FAILURE_BUDGET * config.replicates:
         raise ExcessiveFitFailures(
             f"{redraws} failed fits over {config.replicates} replicates "
             f"exceeds the {_FAILURE_BUDGET:.0%} budget"
         )
+    return columns, redraws
+
+
+def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1) -> SimTableRow:
+    """Estimate rejection rates for one cell at the configured alpha."""
+    (reject_mnri, reject_nri), redraws = _run_replicates(
+        _replicate_rejections, config, cell, workers
+    )
     rate_mnri = float(reject_mnri.mean())
     rate_nri = float(reject_nri.mean())
 
@@ -200,27 +220,6 @@ class NullStatistics:
     redraws: int
 
 
-def _replicate_statistics(args) -> tuple[float, float, int]:
-    from . import reclass
-
-    config, cell, rep = args
-    for attempt in range(_MAX_ATTEMPTS):
-        try:
-            data = gen_replicate(config, replicate_stream(config.seed, cell, rep, attempt))
-            fits = glm.fit_nested(data, LOGIT)
-            k = inference.k_constant(data.ybar)
-            return (
-                data.n * reclass.mnri_smooth(fits) / k,
-                data.n * reclass.nri_smooth(fits),
-                attempt,
-            )
-        except (FitError, NoConvergence, DegenerateOutcome):
-            continue
-    raise ExcessiveFitFailures(
-        f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row"
-    )
-
-
 def collect_null_statistics(
     config: SimConfig, *, cell: int = 0, workers: int = 1
 ) -> NullStatistics:
@@ -230,19 +229,55 @@ def collect_null_statistics(
     either style at rho = 0."""
     if config.mode != "single":
         raise ValueError("null statistics are collected from single-sample runs")
-    args_list = [(config, cell, rep) for rep in range(config.replicates)]
-    results = _map_replicates(_replicate_statistics, args_list, workers)
-    redraws = int(sum(r[2] for r in results))
-    if redraws > _FAILURE_BUDGET * config.replicates:
-        raise ExcessiveFitFailures(
-            f"{redraws} failed fits over {config.replicates} replicates "
-            f"exceeds the {_FAILURE_BUDGET:.0%} budget"
-        )
+    (mnri_scaled, nri_scaled), redraws = _run_replicates(
+        partial(_replicated, _null_statistics), config, cell, workers
+    )
     return NullStatistics(
-        config=config,
-        mnri_scaled=np.array([r[0] for r in results]),
-        nri_scaled=np.array([r[1] for r in results]),
-        redraws=redraws,
+        config=config, mnri_scaled=mnri_scaled, nri_scaled=nri_scaled, redraws=redraws
+    )
+
+
+@dataclass(frozen=True)
+class NullDiagnostic:
+    """Monte Carlo summary of the smooth NRI's null distribution.
+
+    Confirms empirically that n R (the scaled smooth NRI) has a positive
+    mean and a skewed, non-normal null distribution, which is why the
+    legacy normal test over-rejects.
+    """
+
+    replicates: int
+    mean: float
+    variance: float
+    skewness: float
+    se_mean: float
+    se_skewness: float
+    moment_normality_stat: float
+    moment_normality_pvalue: float
+
+
+def null_distribution_diagnostic(draws: NullStatistics) -> NullDiagnostic:
+    """Summarize the null distribution of n * smooth-NRI from the
+    statistics of a null run (gamma = 0)."""
+    values = draws.nri_scaled
+    m = values.shape[0]
+    mean = float(values.mean())
+    centered = values - mean
+    variance = float(np.mean(centered**2))
+    sd = np.sqrt(variance)
+    skewness = float(np.mean(centered**3) / sd**3)
+    kurtosis = float(np.mean(centered**4) / sd**4)
+    # Moment-based normality check (skewness/kurtosis chi-square, 2 df).
+    jb = m / 6.0 * (skewness**2 + (kurtosis - 3.0) ** 2 / 4.0)
+    return NullDiagnostic(
+        replicates=m,
+        mean=mean,
+        variance=variance,
+        skewness=skewness,
+        se_mean=float(sd / np.sqrt(m)),
+        se_skewness=float(np.sqrt(6.0 / m)),
+        moment_normality_stat=float(jb),
+        moment_normality_pvalue=float(numerics.chisq_sf(jb, 2)),
     )
 
 

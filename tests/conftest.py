@@ -24,7 +24,6 @@ def build_manual_fits(y, xv, zv, base_coef, expanded_coef, link=LOGIT):
             fitted_probs=probs,
             loglik=loglik,
             expected_information=np.eye(coefficients.shape[0]),
-            converged=True,
             iterations=0,
         )
 

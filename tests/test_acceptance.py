@@ -210,8 +210,8 @@ def test_criterion_4_mixture_machinery():
     assert all_ok
 
 
-def test_criterion_5_null_nonnormality(null_config):
-    diag = inference.null_distribution_diagnostic(null_config)
+def test_criterion_5_null_nonnormality(null_draws):
+    diag = sim.null_distribution_diagnostic(null_draws)
     mean_ok = diag.mean > 3.0 * diag.se_mean
     skew_ok = abs(diag.skewness) > 3.0 * diag.se_skewness
     announce(
@@ -302,7 +302,7 @@ def test_criterion_8_exact_identities():
 
         # sign decomposition equals the hard mNRI without ties
         _, _, regression = reclass.sign_decomposition(fits)
-        checks.append(abs(regression - reclass.mnri_hard(fits)) <= 1e-12)
+        checks.append(abs(regression - reclass.half_nris(fits).mnri_hard) <= 1e-12)
 
         # logit decomposition: mnri = cross term + scaled L1 term
         ind = extended_indicator(reclass.score_difference(fits))
@@ -310,7 +310,7 @@ def test_criterion_8_exact_identities():
             n * ybar * (1 - ybar)
         )
         _, scaled_mad = reclass.mad_probabilities(fits)
-        checks.append(abs(reclass.mnri_hard(fits) - (cross + scaled_mad)) <= 1e-10)
+        checks.append(abs(reclass.half_nris(fits).mnri_hard - (cross + scaled_mad)) <= 1e-10)
 
         # smooth statistics converge to the hard ones under delta-scaling
         delta = reclass.score_difference(fits)

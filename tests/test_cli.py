@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -342,3 +345,18 @@ def test_out_flag_writes_file(demo_csv, tmp_path, capsys):
     assert out == ""
     report = CompareReport.from_json(target.read_text())
     assert report.version == json.loads(target.read_text())["version"]
+
+
+def test_import_defers_quadrature():
+    # scipy.integrate is only needed by the train/test mixture tail, so
+    # starting the CLI must not pay for importing it.
+    import mnri
+
+    src = os.path.dirname(os.path.dirname(mnri.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, mnri.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -69,7 +69,6 @@ class TestFit:
     def test_intercept_only_closed_form(self):
         y = np.array([1.0] * 5 + [0.0] * 15)
         model = fit(y, np.ones((20, 1)), LOGIT)
-        assert model.converged
         assert abs(model.coefficients[0] - math.log(0.25 / 0.75)) <= 1e-8
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
@@ -203,7 +202,6 @@ class TestScoreResiduals:
             fitted_probs=np.array([0.5]),
             loglik=0.0,
             expected_information=np.eye(1),
-            converged=True,
             iterations=0,
         )
         r = score_residuals(model, PROBIT, np.array([1.0]))
@@ -254,7 +252,6 @@ class TestInformationBlocks:
             fitted_probs=probs,
             loglik=0.0,
             expected_information=design.T @ (design * w[:, None]),
-            converged=True,
             iterations=0,
         )
         blocks = information_blocks(model, 2)

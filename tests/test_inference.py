@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mnri import inference, numerics, reclass
 from mnri.errors import DegenerateOutcome, NotPositiveDefinite
@@ -14,7 +15,6 @@ from mnri.inference import (
     ScaledChisqRef,
     k_constant,
     mixture_weights,
-    null_distribution_diagnostic,
     reference_from_dict,
 )
 from mnri.inference import test_mnri_single as mnri_single_test
@@ -72,6 +72,14 @@ class TestReferences:
         ref = NormalRef(variance=0.005)
         assert abs(ref.p_value(0.1386) - 0.05) <= 1e-3
         assert ref.p_value(0.0) == 1.0
+
+    def test_far_tail_pvalues_keep_precision(self):
+        # 1 - cdf rounds both of these to exactly 0.
+        chisq = ScaledChisqRef(k=1.6, q=1).p_value(200.0)
+        normal = NormalRef(variance=1.0).p_value(9.0)
+        assert chisq > 0.0 and normal > 0.0
+        assert chisq == pytest.approx(stats.chi2.sf(125.0, 1), rel=1e-10)
+        assert normal == pytest.approx(2.0 * stats.norm.sf(9.0), rel=1e-10)
 
     def test_mixture_ref_symmetric(self):
         ref = ChisqMixtureRef(scale=0.8, weights=(1.0, -1.0))
@@ -153,7 +161,7 @@ class TestSingleSampleTest:
     def test_statistic_and_reference(self):
         fits = fitted(seed=5)
         result = mnri_single_test(fits)
-        assert abs(result.statistic - fits.data.n * reclass.mnri_smooth(fits)) <= 1e-12
+        assert abs(result.statistic - fits.data.n * reclass.half_nris(fits).mnri_smooth) <= 1e-12
         assert result.reference == ScaledChisqRef(k=k_constant(fits.data.ybar), q=1)
         assert result.p_value == result.reference.p_value(result.statistic)
 
@@ -183,7 +191,7 @@ class TestTrainTestTest:
         test = fitted(seed=10)
         pair = TrainTestPair(train_fits=train, test_fits=test)
         result = mnri_train_test_test(pair)
-        expected = test.data.n * reclass.mnri_train_test(pair)
+        expected = test.data.n * reclass.half_nris(pair).mnri_smooth
         assert abs(result.statistic - expected) <= 1e-12
         assert result.p_value == result.reference.p_value(result.statistic)
 
@@ -227,7 +235,7 @@ class TestLegacyNormalTest:
         test = fitted(seed=14)
         pair = TrainTestPair(train_fits=train, test_fits=test)
         result = nri_legacy_test(pair)
-        assert abs(result.statistic - reclass.nri_hard_train_test(pair)) <= 1e-15
+        assert abs(result.statistic - reclass.half_nris(pair).nri_hard) <= 1e-15
 
     def test_pvalue_recomputation_exact(self):
         for seed in (15, 16):
@@ -237,12 +245,12 @@ class TestLegacyNormalTest:
 
 class TestNullDiagnostic:
     def test_positive_mean_and_skew(self):
-        from mnri.sim import SimConfig
+        from mnri.sim import SimConfig, collect_null_statistics, null_distribution_diagnostic
 
         config = SimConfig(
             n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=300, seed=303
         )
-        diag = null_distribution_diagnostic(config)
+        diag = null_distribution_diagnostic(collect_null_statistics(config))
         assert diag.replicates == 300
         assert diag.mean > 3.0 * diag.se_mean
         assert abs(diag.skewness) > 3.0 * diag.se_skewness

@@ -13,8 +13,8 @@ from mnri.errors import NotPositiveDefinite
 from mnri.numerics import (
     MixtureSpec,
     chisq_cdf,
+    chisq_sf,
     cholesky_spd,
-    eig_sym,
     inv_spd,
     mixture_tail,
     norm_cdf,
@@ -69,38 +69,6 @@ class TestSolveSpd:
             cholesky_spd(a)
 
 
-class TestEigSym:
-    def test_identity(self):
-        values, _ = eig_sym(np.eye(4))
-        np.testing.assert_allclose(values, np.ones(4))
-
-    def test_two_by_two_hand(self):
-        # det([[2-l,1],[1,2-l]]) = (2-l)^2 - 1 -> roots 3 and 1
-        values, vectors = eig_sym([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(vectors @ np.diag(values) @ vectors.T, a, atol=1e-12)
-
-    def test_diagonal_ordering(self):
-        values, _ = eig_sym(np.diag([5.0, -2.0, 0.0]))
-        np.testing.assert_allclose(values, [5.0, 0.0, -2.0], atol=1e-14)
-
-    def test_reconstruction_and_trace(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((6, 6))
-        a = m + m.T
-        values, vectors = eig_sym(a)
-        scale = np.abs(a).max()
-        assert np.abs(vectors @ np.diag(values) @ vectors.T - a).max() <= 1e-9 * scale
-        assert abs(values.sum() - np.trace(a)) <= 1e-9 * abs(np.trace(a))
-
-    def test_orthonormal_vectors(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((5, 5))
-        _, vectors = eig_sym(m + m.T)
-        np.testing.assert_allclose(vectors.T @ vectors, np.eye(5), atol=1e-12)
-
-
 class TestNormalFunctions:
     def test_cdf_center(self):
         assert norm_cdf(0.0) == 0.5
@@ -149,6 +117,23 @@ class TestChisqCdf:
             chisq_cdf(-0.1, 1)
         with pytest.raises(ValueError):
             chisq_cdf(1.0, 0)
+
+
+class TestChisqSf:
+    def test_complements_cdf(self):
+        grid = np.linspace(0.0, 30.0, 61)
+        for q in (1, 2, 5):
+            np.testing.assert_allclose(chisq_sf(grid, q), 1.0 - chisq_cdf(grid, q), atol=1e-15)
+
+    def test_two_df_far_tail_relative(self):
+        for x in [50.0, 200.0, 1000.0]:
+            assert chisq_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-12)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            chisq_sf(-0.1, 1)
+        with pytest.raises(ValueError):
+            chisq_sf(1.0, 0)
 
 
 class TestMixtureTail:
@@ -238,6 +223,15 @@ class TestMixtureTail:
         lo, hi = sorted((t1, t2))
         assert mixture_tail(lo, spec) >= mixture_tail(hi, spec) - 1e-9
 
+    def test_infinite_thresholds(self):
+        spec = MixtureSpec((1.3, -0.7), 0.8)
+        assert mixture_tail(math.inf, spec) == 0.0
+        assert mixture_tail(-math.inf, spec) == 1.0
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold is NaN"):
+            mixture_tail(math.nan, MixtureSpec((1.3, -0.7), 0.8))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MixtureSpec((), 1.0)
@@ -251,8 +245,3 @@ def test_module_functions_are_pure():
     # Same inputs, same outputs (no hidden state).
     spec = MixtureSpec((1.0, -2.0), 0.7)
     assert mixture_tail(1.3, spec) == mixture_tail(1.3, spec)
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    v1, _ = eig_sym(a)
-    v2, _ = eig_sym(a)
-    np.testing.assert_array_equal(v1, v2)
-    np.testing.assert_array_equal(a, np.array([[2.0, 1.0], [1.0, 2.0]]))

@@ -11,16 +11,10 @@ from mnri.glm import LOGIT, PROBIT, Dataset, fit_nested
 from mnri.reclass import (
     TrainTestPair,
     build_report,
-    count_ties,
     extended_indicator,
     half_nri_from_parts,
+    half_nris,
     mad_probabilities,
-    mnri_hard,
-    mnri_smooth,
-    mnri_train_test,
-    nri_hard,
-    nri_hard_train_test,
-    nri_smooth,
     score_difference,
     sign_decomposition,
 )
@@ -88,10 +82,10 @@ class TestWorkedExample:
             WORKED["base_coef"], WORKED["expanded_coef"],
         )
         np.testing.assert_allclose(score_difference(fits), WORKED_EXPECT["delta"], atol=1e-12)
-        assert abs(nri_hard(fits) - WORKED_EXPECT["nri_hard"]) <= 1e-12
-        assert abs(nri_smooth(fits) - WORKED_EXPECT["nri_smooth"]) <= 1e-12
-        assert abs(mnri_hard(fits) - WORKED_EXPECT["mnri_hard"]) <= 1e-12
-        assert abs(mnri_smooth(fits) - WORKED_EXPECT["mnri_smooth"]) <= 1e-12
+        assert abs(half_nris(fits).nri_hard - WORKED_EXPECT["nri_hard"]) <= 1e-12
+        assert abs(half_nris(fits).nri_smooth - WORKED_EXPECT["nri_smooth"]) <= 1e-12
+        assert abs(half_nris(fits).mnri_hard - WORKED_EXPECT["mnri_hard"]) <= 1e-12
+        assert abs(half_nris(fits).mnri_smooth - WORKED_EXPECT["mnri_smooth"]) <= 1e-12
         mad, scaled = mad_probabilities(fits)
         assert abs(mad - WORKED_EXPECT["mad"]) <= 1e-12
         assert abs(scaled - WORKED_EXPECT["scaled_mad"]) <= 1e-12
@@ -121,7 +115,7 @@ class TestHardNri:
             base_coef=[0.0, 0.0], expanded_coef=[0.0, 1.0, 0.0],
         )
         np.testing.assert_array_equal(np.sign(score_difference(fits)), [1, -1, -1, 1])
-        assert nri_hard(fits) == 0.0
+        assert half_nris(fits).nri_hard == 0.0
 
     def test_hand_enumeration_maximal(self, manual_fits):
         # signs (+,+,-,-) perfectly concordant with y = (1,1,0,0).
@@ -129,7 +123,7 @@ class TestHardNri:
             [1.0, 1.0, 0.0, 0.0], [1.0, 0.5, -0.5, -1.0], [0.0, 0.0, 0.0, 0.0],
             base_coef=[0.0, 0.0], expanded_coef=[0.0, 1.0, 0.0],
         )
-        assert nri_hard(fits) == 1.0
+        assert half_nris(fits).nri_hard == 1.0
 
     def test_all_ties_give_zero(self, manual_fits):
         fits = manual_fits(
@@ -137,11 +131,11 @@ class TestHardNri:
             [1.0, -0.5, 0.5, 2.0, -1.5, 0.0],
             base_coef=[-0.2, 0.6], expanded_coef=[-0.2, 0.6, 0.0],
         )
-        assert count_ties(fits) == 6
-        assert nri_hard(fits) == 0.0
-        assert nri_smooth(fits) == 0.0
-        assert mnri_hard(fits) == 0.0
-        assert mnri_smooth(fits) == 0.0
+        assert build_report(fits).ties == 6
+        assert half_nris(fits).nri_hard == 0.0
+        assert half_nris(fits).nri_smooth == 0.0
+        assert half_nris(fits).mnri_hard == 0.0
+        assert half_nris(fits).mnri_smooth == 0.0
         with pytest.raises(AllTies):
             sign_decomposition(fits)
 
@@ -201,7 +195,7 @@ class TestLogitDecomposition:
             (y - fits.expanded.fitted_probs) @ (ind - 0.5)
         ) / (n * ybar * (1 - ybar))
         _, scaled_mad = mad_probabilities(fits)
-        assert abs(mnri_hard(fits) - (cross + scaled_mad)) <= 1e-10
+        assert abs(half_nris(fits).mnri_hard - (cross + scaled_mad)) <= 1e-10
 
     def test_report_cross_term_matches(self):
         fits = random_fits(seed=13)
@@ -213,10 +207,10 @@ class TestSignDecomposition:
     def test_equals_mnri_hard_without_ties(self):
         for seed in (0, 7, 9):
             fits = random_fits(seed=seed)
-            assert count_ties(fits) == 0
+            assert build_report(fits).ties == 0
             _, norm, regression = sign_decomposition(fits)
             assert norm == fits.data.n
-            assert abs(regression - mnri_hard(fits)) <= 1e-12
+            assert abs(regression - half_nris(fits).mnri_hard) <= 1e-12
 
     def test_one_tie_among_five(self, manual_fits):
         fits = manual_fits(
@@ -224,7 +218,7 @@ class TestSignDecomposition:
             [0.0, 0.0, 0.0, 0.0, 0.0],
             base_coef=[0.0, 0.5], expanded_coef=[0.0, 1.0, 0.0],
         )
-        assert count_ties(fits) == 1
+        assert build_report(fits).ties == 1
         _, norm, _ = sign_decomposition(fits)
         assert norm == 4
 
@@ -233,16 +227,16 @@ class TestProbitPath:
     def test_identities_hold_with_weighted_residuals(self):
         # Probit exercises the nonunit residual weight h(eta).
         fits = random_fits(n=180, seed=31, link=PROBIT)
-        assert count_ties(fits) == 0
+        assert build_report(fits).ties == 0
         _, norm, regression = sign_decomposition(fits)
         assert norm == fits.data.n
-        assert abs(regression - mnri_hard(fits)) <= 1e-12
+        assert abs(regression - half_nris(fits).mnri_hard) <= 1e-12
         delta = score_difference(fits)
         from mnri.glm import score_residuals
 
         r = score_residuals(fits.base, PROBIT, fits.data.y)
         hard = half_nri_from_parts(r, delta, fits.data.ybar, smooth=False)
-        assert abs(hard - mnri_hard(fits)) <= 1e-15
+        assert abs(hard - half_nris(fits).mnri_hard) <= 1e-15
         smooth_scaled = half_nri_from_parts(r, 1e6 * delta, fits.data.ybar, smooth=True)
         assert abs(smooth_scaled - hard) <= 1e-6
 
@@ -284,12 +278,12 @@ class TestTrainTest:
         null_train = build_null_train(train)
         test = random_fits(seed=23)
         pair = TrainTestPair(train_fits=null_train, test_fits=test)
-        assert mnri_train_test(pair) == 0.0
+        assert half_nris(pair).mnri_smooth == 0.0
 
     def test_collapses_to_single_sample(self):
         fits = random_fits(seed=29)
         pair = TrainTestPair(train_fits=fits, test_fits=fits)
-        assert abs(mnri_train_test(pair) - mnri_smooth(fits)) <= 1e-15
+        assert abs(half_nris(pair).mnri_smooth - half_nris(fits).mnri_smooth) <= 1e-15
 
     def test_worked_values(self, manual_fits):
         test_fits = manual_fits(
@@ -301,8 +295,8 @@ class TestTrainTest:
             base_coef=[-0.15, 0.55], expanded_coef=[-0.1, 0.7, 0.3],
         )
         pair = TrainTestPair(train_fits=train_fits, test_fits=test_fits)
-        assert abs(mnri_train_test(pair) - (-0.06825386140883567)) <= 1e-12
-        assert nri_hard_train_test(pair) == 0.0
+        assert abs(half_nris(pair).mnri_smooth - (-0.06825386140883567)) <= 1e-12
+        assert half_nris(pair).nri_hard == 0.0
 
     def test_link_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -325,7 +319,6 @@ def build_null_train(fits):
         fitted_probs=base.fitted_probs.copy(),
         loglik=base.loglik,
         expected_information=np.eye(coef.shape[0]),
-        converged=True,
         iterations=0,
     )
     return NestedFits(
