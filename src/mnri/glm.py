@@ -179,12 +179,12 @@ def _bernoulli_loglik(y, probs) -> float:
 def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
     """Fisher-scoring maximum likelihood for one binary-response model.
 
-    Convergence requires both the largest score component and the last
-    step norm to fall below 1e-8. Steps are halved while they would
-    decrease the log-likelihood. Raises Separation when the coefficients
-    diverge (norm above 1e3 with the likelihood still improving),
-    RankDeficient for collinear designs, and NoConvergence at the
-    iteration cap.
+    Convergence requires at least one step, with the largest score
+    component and the last step norm below 1e-8. Steps are halved while
+    they would decrease the log-likelihood. Raises ValueError for a
+    non-finite design, Separation when the coefficients diverge (norm
+    above 1e3 with the likelihood still improving), RankDeficient for
+    collinear designs, and NoConvergence at the iteration cap.
     """
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -195,15 +195,13 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
         raise ValueError("y must be coded 0/1")
     if y.min() == y.max():
         raise DegenerateOutcome("outcome is constant; need both events and non-events")
-    if np.linalg.matrix_rank(design) < m:
-        raise RankDeficient("design matrix is rank deficient (collinear columns)")
+    if not np.all(np.isfinite(design)):
+        raise ValueError("design matrix must be finite")
 
     beta = np.zeros(m)
     eta = design @ beta
-    probs = link.prob(eta)
-    loglik = _bernoulli_loglik(y, probs)
-    last_step_norm = 0.0
-    iterations = 0
+    loglik = _bernoulli_loglik(y, link.prob(eta))
+    last_step_norm = np.inf  # no fit ends before the first solve checks X'X
 
     for iteration in range(max_iter + 1):
         score = design.T @ link.score_residual(eta, y)
@@ -218,6 +216,8 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
         try:
             step = numerics.solve_spd(info, score)
         except NotPositiveDefinite as exc:
+            if iteration == 0:  # equal weights at beta = 0: info is a multiple of X'X
+                raise RankDeficient("design matrix is rank deficient (collinear columns)") from exc
             raise RankDeficient(f"singular information matrix: {exc}") from exc
 
         # Step-halving: never accept a likelihood decrease. The slack keeps
@@ -238,7 +238,6 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
         improved = new_loglik > loglik
         beta = new_beta
         eta = new_eta
-        probs = link.prob(eta)
         loglik = new_loglik
         last_step_norm = float(np.linalg.norm(step))
 
@@ -253,7 +252,7 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
     return FittedModel(
         coefficients=beta,
         linear_predictor=eta,
-        fitted_probs=np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS),
+        fitted_probs=np.clip(link.prob(eta), _PROB_EPS, 1.0 - _PROB_EPS),
         loglik=loglik,
         expected_information=info,
         iterations=iterations,

@@ -1,8 +1,9 @@
 """Deterministic numerical kernels.
 
-Dense symmetric linear algebra, normal/chi-square distribution functions,
-and tail probabilities of weighted chi-square mixtures. Everything here is
-a pure function of its inputs and safe to call concurrently.
+Symmetric positive definite solves (LAPACK Cholesky with a relative pivot
+check), normal/chi-square distribution functions, and tail probabilities
+of weighted chi-square mixtures. Everything here is a pure function of its
+inputs and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 from scipy.special import gammainc, gammaincc, ndtr
 
 from .errors import IntegrationFailure, NotPositiveDefinite
@@ -58,32 +59,29 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
 def cholesky_spd(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Raises NotPositiveDefinite when a pivot falls at or below
-    ``1e-12 * max(diag)``, which for regression information matrices
-    signals collinear covariates.
+    Factored by LAPACK ``dpotrf``. Raises NotPositiveDefinite when a pivot
+    falls at or below ``1e-12 * max(diag)``, which for regression
+    information matrices signals collinear covariates.
     """
     a = _as_symmetric(a)
-    n = a.shape[0]
     tol = _SPD_PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefinite(
-                f"Cholesky pivot {pivot:.3e} at index {j} is below tolerance {tol:.3e}"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
+    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    pivots = np.diag(lower) ** 2
+    if info > 0:  # dpotrf stopped at info - 1, leaving that pivot itself there
+        pivots[info - 1] = lower[info - 1, info - 1]
+    ok = pivots > tol  # dpotrf passes positive pivots below tol; NaN fails here
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise NotPositiveDefinite(
+            f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}"
+        )
     return lower
 
 
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``."""
-    lower = cholesky_spd(a)
-    b = np.asarray(b, dtype=float)
-    y = solve_triangular(lower, b, lower=True)
-    return solve_triangular(lower.T, y, lower=False)
+    x, _ = lapack.dpotrs(cholesky_spd(a), np.asarray(b, dtype=float), lower=1)
+    return x
 
 
 def inv_spd(a) -> np.ndarray:

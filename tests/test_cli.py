@@ -163,6 +163,7 @@ class TestCompare:
         )
         assert code == 3
         assert "expanded" in err
+        assert "design matrix is rank deficient (collinear columns)" in err
 
     def test_degenerate_outcome_exit_code(self, tmp_path, capsys):
         path = tmp_path / "allones.csv"

@@ -146,7 +146,24 @@ class TestFit:
     def test_rank_deficient(self):
         data = make_data(n=100)
         design = np.column_stack([data.x, data.x[:, 1]])
-        with pytest.raises(RankDeficient):
+        message = r"design matrix is rank deficient \(collinear columns\)"
+        with pytest.raises(RankDeficient, match=message):
+            fit(data.y, design, LOGIT)
+
+    def test_rank_deficient_when_zero_is_the_mle(self):
+        # X'(y - 1/2) = 0, so the score vanishes at beta = 0 before any step.
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        v = np.array([1.0, 1.0, 2.0, 2.0])
+        design = np.column_stack([np.ones(4), v, v])
+        with pytest.raises(RankDeficient, match="collinear columns"):
+            fit(y, design, LOGIT)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_rejected(self, bad):
+        data = make_data(n=100)
+        design = np.hstack([data.x, data.z])
+        design[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
             fit(data.y, design, LOGIT)
 
     def test_separation(self):

@@ -54,7 +54,8 @@ class TestSolveSpd:
             solve_spd(a, [1.0, 2.0])
 
     def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
+        # Reports the index where the factorization stopped.
+        with pytest.raises(NotPositiveDefinite, match="at index 1"):
             cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_asymmetric_rejected(self):
@@ -67,6 +68,20 @@ class TestSolveSpd:
         a = np.outer(v, v) * 1e6
         with pytest.raises(NotPositiveDefinite):
             cholesky_spd(a)
+
+    def test_factor_is_lower_triangular_and_reproduces_input(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((6, 6))
+        a = m @ m.T + 0.5 * np.eye(6)
+        lower = cholesky_spd(a)
+        assert np.all(np.triu(lower, 1) == 0.0)
+        assert np.all(np.diag(lower) > 0.0)
+        np.testing.assert_allclose(lower @ lower.T, a, rtol=0.0, atol=1e-12)
+
+    def test_small_positive_pivot_rejected(self):
+        # Positive but below 1e-12 * max(diag): LAPACK alone accepts it.
+        with pytest.raises(NotPositiveDefinite, match="at index 1"):
+            cholesky_spd(np.diag([1.0, 1e-13]))
 
 
 class TestNormalFunctions:
