@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, glm, inference, reclass, sim
 from .errors import (
     DegenerateOutcome,
+    ExcessiveFitFailures,
     FitError,
     MnriError,
     NoConvergence,
@@ -153,13 +154,6 @@ def _numeric_column(columns: dict[str, list[str]], name: str, path: str) -> np.n
     return out
 
 
-def _outcome_column(columns, name, path) -> np.ndarray:
-    y = _numeric_column(columns, name, path)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataError(f"{path}: outcome column {name!r} must be coded 0/1")
-    return y
-
-
 def _fit_spline_bases(columns, spec: ColumnSpec, path: str) -> dict[str, SplineBasis]:
     bases = {}
     for col, k in spec.spline.items():
@@ -168,7 +162,11 @@ def _fit_spline_bases(columns, spec: ColumnSpec, path: str) -> dict[str, SplineB
 
 
 def _build_dataset(columns, spec: ColumnSpec, bases, path: str) -> Dataset:
-    y = _outcome_column(columns, spec.outcome, path)
+    y = _numeric_column(columns, spec.outcome, path)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DataError(f"{path}: outcome column {spec.outcome!r} must be coded 0/1")
+    if y.shape[0] == 0:
+        raise DataError(f"{path}: no data rows")
 
     def expand(names):
         blocks = []
@@ -184,7 +182,10 @@ def _build_dataset(columns, spec: ColumnSpec, bases, path: str) -> Dataset:
 
     x = np.hstack([np.ones((y.shape[0], 1)), expand(spec.base)])
     z = expand(spec.new)
-    return Dataset(y=y, x=x, z=z)
+    try:
+        return Dataset(y=y, x=x, z=z)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _spline_flag_pairs(values: list[str] | None) -> dict[str, int]:
@@ -231,8 +232,8 @@ def cmd_compare(args) -> int:
     header, columns = _read_table(args.input)
     bases = _fit_spline_bases(columns, spec, args.input)
     train_data = _build_dataset(columns, spec, bases, args.input)
-    train_fits = glm.fit_nested(train_data, link)
-
+    fits = glm.fit_nested(train_data, link)
+    subject, test_mnri, n_train = fits, inference.test_mnri_single, None
     if args.test_file is not None:
         test_header, test_columns = _read_table(args.test_file)
         if test_header != header:
@@ -241,22 +242,16 @@ def cmd_compare(args) -> int:
         # share one covariate specification.
         test_data = _build_dataset(test_columns, spec, bases, args.test_file)
         test_fits = glm.fit_nested(test_data, link)
-        pair = TrainTestPair(train_fits=train_fits, test_fits=test_fits)
-        report_fits = test_fits
-        mnri_result = inference.test_mnri_train_test(pair)
-        legacy_result = inference.test_nri_normal_legacy(pair)
-        mode = "train_test"
-        n_train = train_data.n
-        eval_data = test_data
-    else:
-        report_fits = train_fits
-        mnri_result = inference.test_mnri_single(train_fits)
-        legacy_result = inference.test_nri_normal_legacy(train_fits)
-        mode = "single"
-        n_train = None
-        eval_data = train_data
+        subject = TrainTestPair(train_fits=fits, test_fits=test_fits)
+        fits, test_mnri, n_train = test_fits, inference.test_mnri_train_test, train_data.n
 
-    stats = reclass.build_report(report_fits)
+    # The displayed statistics describe ``fits`` (in train/test mode the test
+    # sample's own fits); the tests take those of the compared ``subject``.
+    stats = reclass.build_report(fits)
+    subject_stats = stats if subject is fits else reclass.half_nris(subject)
+    mnri_result = test_mnri(subject, subject_stats)
+    legacy_result = inference.test_nri_normal_legacy(subject, subject_stats)
+
     # Display scaling only; every test statistic stays on the half scale.
     display = 2.0 if args.classical_scale else 1.0
     report = CompareReport(
@@ -273,9 +268,9 @@ def cmd_compare(args) -> int:
         scale="classical" if args.classical_scale else "half",
         mnri_test=mnri_result.to_dict(),
         nri_test_legacy=legacy_result.to_dict(),
-        mode=mode,
-        n=eval_data.n,
-        n_events=int(eval_data.y.sum()),
+        mode="single" if n_train is None else "train_test",
+        n=fits.data.n,
+        n_events=int(fits.data.y.sum()),
         n_train=n_train,
         link=args.link,
         columns=spec.to_dict(),
@@ -467,7 +462,7 @@ def main(argv=None) -> int:
     except (DataError, TooFewDistinctValues) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FitError, NoConvergence) as exc:
+    except (FitError, NoConvergence, ExcessiveFitFailures) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except DegenerateOutcome as exc:

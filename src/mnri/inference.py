@@ -21,11 +21,11 @@ from typing import Union
 
 import numpy as np
 
-from . import numerics, reclass
+from . import numerics
 from .errors import DegenerateOutcome
 from .glm import NestedFits, information_blocks
 from .numerics import MixtureSpec
-from .reclass import TrainTestPair
+from .reclass import HalfNRIs, TrainTestPair
 
 _PHI0 = float(numerics.norm_pdf(0.0))
 
@@ -127,11 +127,11 @@ def _result(statistic: float, reference: Reference, notes: str = "") -> TestResu
     )
 
 
-def test_mnri_single(fits: NestedFits) -> TestResult:
+def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     """One-sided test of the smooth mNRI against its scaled chi-square
-    null reference; only large positive statistics are meaningful."""
-    n = fits.data.n
-    statistic = n * reclass.half_nris(fits).mnri_smooth
+    null reference; only large positive statistics are meaningful.
+    ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``."""
+    statistic = fits.data.n * stats.mnri_smooth
     reference = ScaledChisqRef(k=k_constant(fits.data.ybar), q=fits.data.q)
     return _result(statistic, reference)
 
@@ -168,14 +168,13 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     return weights
 
 
-def test_mnri_train_test(pair: TrainTestPair) -> TestResult:
+def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     """One-sided test of the train/test smooth mNRI against its weighted
-    chi-square mixture reference."""
+    chi-square mixture reference; ``stats`` is ``reclass.half_nris(pair)``."""
     test_data = pair.test_data
-    p, q = test_data.p, test_data.q
-    statistic = test_data.n * reclass.half_nris(pair).mnri_smooth
-    var_train = information_blocks(pair.train_fits.expanded, p).gamma_cov
-    var_test = information_blocks(pair.test_fits.expanded, p).gamma_cov
+    statistic = test_data.n * stats.mnri_smooth
+    var_train = information_blocks(pair.train_fits.expanded, test_data.p).gamma_cov
+    var_test = information_blocks(pair.test_fits.expanded, test_data.p).gamma_cov
     weights = mixture_weights(var_train, var_test)
     k = k_constant(test_data.ybar)
     reference = ChisqMixtureRef(scale=k / 2.0, weights=tuple(weights))
@@ -188,16 +187,17 @@ _LEGACY_NOTE = (
 )
 
 
-def test_nri_normal_legacy(fits_or_pair: NestedFits | TrainTestPair) -> TestResult:
+def test_nri_normal_legacy(
+    fits_or_pair: NestedFits | TrainTestPair, stats: HalfNRIs
+) -> TestResult:
     """Two-sided normal test of the hard NRI with the classical variance
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
-    be wrong; the result is labeled accordingly."""
-    statistic = reclass.half_nris(fits_or_pair).nri_hard
-    pair = isinstance(fits_or_pair, TrainTestPair)
-    y = fits_or_pair.test_data.y if pair else fits_or_pair.data.y
-    n1 = int(np.count_nonzero(y == 1.0))
-    n0 = int(np.count_nonzero(y == 0.0))
+    be wrong; the result is labeled accordingly. ``stats`` is the object
+    the mNRI test of the same comparison takes."""
+    data = fits_or_pair.test_data if isinstance(fits_or_pair, TrainTestPair) else fits_or_pair.data
+    n1 = int(np.count_nonzero(data.y == 1.0))
+    n0 = int(np.count_nonzero(data.y == 0.0))
     if n1 < 1 or n0 < 1:
         raise DegenerateOutcome("need at least one event and one non-event")
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
-    return _result(statistic, NormalRef(variance=variance), notes=_LEGACY_NOTE)
+    return _result(stats.nri_hard, NormalRef(variance=variance), notes=_LEGACY_NOTE)

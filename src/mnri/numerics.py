@@ -51,7 +51,10 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(a).max())):
+    atol = 1e-8 * (1.0 + np.abs(a).max())
+    with np.errstate(invalid="ignore"):  # np.allclose(a, a.T, rtol=0, atol=atol), inlined
+        close = (a == a.T) | ((np.abs(a - a.T) <= atol) & np.isfinite(a.T))
+    if not close.all():
         raise ValueError(f"{name} must be symmetric")
     return a
 

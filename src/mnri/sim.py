@@ -114,14 +114,15 @@ def _pvalues(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[floa
     """P-values of the mNRI test and the legacy NRI test for one attempt."""
     if config.mode == "single":
         fits = _fitted(config, cell, rep, attempt)
-        p_mnri = inference.test_mnri_single(fits).p_value
+        test_mnri = inference.test_mnri_single
     else:
         fits = TrainTestPair(
             train_fits=_fitted(config, cell, rep, attempt, part=0),
             test_fits=_fitted(config, cell, rep, attempt, part=1),
         )
-        p_mnri = inference.test_mnri_train_test(fits).p_value
-    return p_mnri, inference.test_nri_normal_legacy(fits).p_value
+        test_mnri = inference.test_mnri_train_test
+    stats = reclass.half_nris(fits)
+    return test_mnri(fits, stats).p_value, inference.test_nri_normal_legacy(fits, stats).p_value
 
 
 def _null_statistics(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, float]:

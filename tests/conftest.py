@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mnri import reclass
 from mnri.glm import LOGIT, Dataset, FittedModel, NestedFits
 
 
@@ -41,3 +42,17 @@ def build_manual_fits(y, xv, zv, base_coef, expanded_coef, link=LOGIT):
 @pytest.fixture
 def manual_fits():
     return build_manual_fits
+
+
+@pytest.fixture
+def half_nris_calls(monkeypatch):
+    """Records every pass of the statistics kernel ``reclass._half_nris``."""
+    calls = []
+    original = reclass._half_nris
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reclass, "_half_nris", counted)
+    return calls

@@ -177,6 +177,34 @@ class TestCompare:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["compare", "plotdata"])
+    def test_header_only_file_is_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "header.csv"
+        write_csv(path, ["y", "a", "b"], [])
+        code, _, err = run(
+            capsys, [command, str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        )
+        assert code == 2
+        assert err == f"error: {path}: no data rows\n"
+
+    def test_too_few_rows_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        write_csv(path, ["y", "a", "b"], [[0, 0.1, 1.0], [1, -0.4, 2.0], [0, 0.9, 0.5]])
+        code, _, err = run(
+            capsys, ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        )
+        assert code == 2
+        assert err == f"error: {path}: too few rows for the covariate dimensions\n"
+
+    @pytest.mark.parametrize("paired, passes", [(False, 1), (True, 2)])
+    def test_statistics_passes(self, demo_csv, capsys, half_nris_calls, paired, passes):
+        # Single mode: one report feeds both tests. Train/test mode: one
+        # pass for the pair's tests, one for the test sample's report.
+        argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]
+        code, _, _ = run(capsys, argv + (["--test-file", demo_csv] if paired else []))
+        assert code == 0
+        assert len(half_nris_calls) == passes
+
     def test_mismatched_test_header(self, demo_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
         write_csv(other, ["status", "age", "noise"], [[0, 0.0, 0.0]])
@@ -326,6 +354,18 @@ class TestSimulateCommand:
              "--rho", "0", "--reps", "5"],
         )
         assert code == 2
+
+    def test_excessive_fit_failures_exit_three(self, capsys):
+        # At n = 50 and pi0 = 0.02 many draws have no event or separate,
+        # far more redraws than the 1% budget allows.
+        code, out, err = run(
+            capsys,
+            ["simulate", "--n", "50", "--pi0", "0.02", "--mu-x", "1",
+             "--rho", "0", "--reps", "20"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("fit error: ") and "budget" in err
 
     def test_empty_grid_exit_two(self, capsys):
         code, _, _ = run(

@@ -160,17 +160,18 @@ class TestMixtureWeights:
 class TestSingleSampleTest:
     def test_statistic_and_reference(self):
         fits = fitted(seed=5)
-        result = mnri_single_test(fits)
+        result = mnri_single_test(fits, reclass.half_nris(fits))
         assert abs(result.statistic - fits.data.n * reclass.half_nris(fits).mnri_smooth) <= 1e-12
         assert result.reference == ScaledChisqRef(k=k_constant(fits.data.ybar), q=1)
         assert result.p_value == result.reference.p_value(result.statistic)
 
     def test_detects_informative_marker(self):
         fits = fitted(n=800, seed=6, gamma=0.8)
-        assert mnri_single_test(fits).p_value < 0.01
+        assert mnri_single_test(fits, reclass.half_nris(fits)).p_value < 0.01
 
     def test_round_trip(self):
-        result = mnri_single_test(fitted(seed=7))
+        fits = fitted(seed=7)
+        result = mnri_single_test(fits, reclass.half_nris(fits))
         clone = result_from_dict(result.to_dict())
         assert clone == result
 
@@ -181,7 +182,7 @@ class TestTrainTestTest:
         # data the variance estimates coincide so the mixture is symmetric.
         fits = fitted(seed=8)
         pair = TrainTestPair(train_fits=fits, test_fits=fits)
-        result = mnri_train_test_test(pair)
+        result = mnri_train_test_test(pair, reclass.half_nris(pair))
         weights = result.reference.weights
         np.testing.assert_array_equal(weights, [1.0, -1.0])
         assert result.reference.scale == k_constant(fits.data.ybar) / 2.0
@@ -190,7 +191,7 @@ class TestTrainTestTest:
         train = fitted(seed=9)
         test = fitted(seed=10)
         pair = TrainTestPair(train_fits=train, test_fits=test)
-        result = mnri_train_test_test(pair)
+        result = mnri_train_test_test(pair, reclass.half_nris(pair))
         expected = test.data.n * reclass.half_nris(pair).mnri_smooth
         assert abs(result.statistic - expected) <= 1e-12
         assert result.p_value == result.reference.p_value(result.statistic)
@@ -216,13 +217,13 @@ class TestLegacyNormalTest:
             base_coef=[-0.2, 0.6],
             expanded_coef=[-0.2, 0.6, 0.0],
         )
-        result = nri_legacy_test(fits)
+        result = nri_legacy_test(fits, reclass.half_nris(fits))
         assert result.statistic == 0.0
         assert result.p_value == 1.0
 
     def test_variance_from_counts(self):
         fits = fitted(n=300, seed=12)
-        result = nri_legacy_test(fits)
+        result = nri_legacy_test(fits, reclass.half_nris(fits))
         n1 = int(fits.data.y.sum())
         n0 = fits.data.n - n1
         assert result.reference == NormalRef(
@@ -234,12 +235,13 @@ class TestLegacyNormalTest:
         train = fitted(seed=13)
         test = fitted(seed=14)
         pair = TrainTestPair(train_fits=train, test_fits=test)
-        result = nri_legacy_test(pair)
+        result = nri_legacy_test(pair, reclass.half_nris(pair))
         assert abs(result.statistic - reclass.half_nris(pair).nri_hard) <= 1e-15
 
     def test_pvalue_recomputation_exact(self):
         for seed in (15, 16):
-            result = nri_legacy_test(fitted(seed=seed))
+            fits = fitted(seed=seed)
+            result = nri_legacy_test(fits, reclass.half_nris(fits))
             assert result.reference.p_value(result.statistic) == result.p_value
 
 

@@ -62,6 +62,27 @@ class TestSolveSpd:
         with pytest.raises(ValueError):
             solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "a, symmetric",
+        [
+            ([[2.0, 1.0], [1.0 + 1e-9, 2.0]], True),  # within atol
+            ([[2.0, 1.0], [1.0 + 1e-6, 2.0]], False),  # beyond atol
+            ([[2.0, np.nan], [np.nan, 2.0]], False),
+            ([[np.inf, -np.inf], [-np.inf, 1.0]], True),
+            ([[1.0, np.inf], [5.0, 1.0]], False),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+    def test_symmetry_check_matches_allclose(self, a, symmetric):
+        a = np.array(a)
+        atol = 1e-8 * (1.0 + np.abs(a).max())
+        assert np.allclose(a, a.T, rtol=0.0, atol=atol) == symmetric
+        if symmetric:
+            np.testing.assert_array_equal(numerics._as_symmetric(a), a)
+        else:
+            with pytest.raises(ValueError, match="must be symmetric"):
+                numerics._as_symmetric(a)
+
     def test_pivot_tolerance_relative_to_diagonal(self):
         # Collinearity at a scale far above machine noise still trips.
         v = np.array([3.0, 1.0, 2.0])

@@ -143,6 +143,11 @@ class TestRunCell:
         row = run_cell(cfg)
         assert abs(row.rejection_rate_mnri - 0.05) <= 0.035
 
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_one_statistics_pass_per_attempt(self, half_nris_calls, mode):
+        sim._pvalues(config(mode=mode), 0, 0, 0)
+        assert len(half_nris_calls) == 1
+
     def test_excessive_failures_abort(self):
         # Near-disjoint classes separate almost every draw.
         cfg = config(n=50, mu_x=8.0, replicates=10)
