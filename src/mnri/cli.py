@@ -30,7 +30,7 @@ from .errors import (
 )
 from .glm import Dataset, Link
 from .reclass import TrainTestPair
-from .spline import SplineBasis
+from .spline import KNOT_QUANTILES, SplineBasis
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -188,6 +188,12 @@ def _build_dataset(columns, spec: ColumnSpec, bases, path: str) -> Dataset:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _knot_count(k: int, flag: str) -> int:
+    if k not in KNOT_QUANTILES:
+        raise DataError(f"{flag} knot count must be one of {sorted(KNOT_QUANTILES)}, got {k}")
+    return k
+
+
 def _spline_flag_pairs(values: list[str] | None) -> dict[str, int]:
     spline: dict[str, int] = {}
     for chunk in values or []:
@@ -199,9 +205,10 @@ def _spline_flag_pairs(values: list[str] | None) -> dict[str, int]:
                 raise DataError(f"--spline expects COL=KNOTS, got {item!r}")
             col, _, count = item.partition("=")
             try:
-                spline[col.strip()] = int(count)
+                k = int(count)
             except ValueError:
                 raise DataError(f"--spline knot count must be an integer, got {count!r}") from None
+            spline[col.strip()] = _knot_count(k, "--spline")
     return spline
 
 
@@ -291,23 +298,23 @@ def cmd_plotdata(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "y", "prob_base", "prob_expanded"])
-    for i in range(data.n):
-        writer.writerow(
-            [
-                i + 1,
-                int(data.y[i]),
-                repr(float(fits.base.fitted_probs[i])),
-                repr(float(fits.expanded.fitted_probs[i])),
-            ]
+    writer.writerows(
+        zip(
+            range(1, data.n + 1),
+            data.y.astype(int).tolist(),
+            fits.base.fitted_probs.tolist(),
+            fits.expanded.fitted_probs.tolist(),
         )
+    )
     _write_output(buffer.getvalue(), args.out)
     return EXIT_OK
 
 
 def cmd_spline(args) -> int:
+    knots = _knot_count(args.knots, "--knots")
     header, columns = _read_table(args.input)
     values = _numeric_column(columns, args.column, args.input)
-    basis = SplineBasis.from_data(values, args.knots)
+    basis = SplineBasis.from_data(values, knots)
     design = basis.design(values)
 
     buffer = io.StringIO()
@@ -315,11 +322,7 @@ def cmd_spline(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     extra = [f"{args.column}_rcs{j + 1}" for j in range(basis.columns)]
     writer.writerow(header + extra)
-    n = len(columns[header[0]])
-    for i in range(n):
-        row = [columns[name][i] for name in header]
-        row += [repr(float(design[i, j])) for j in range(basis.columns)]
-        writer.writerow(row)
+    writer.writerows(zip(*(columns[name] for name in header), *design.T.tolist()))
     _write_output(buffer.getvalue(), args.out)
     return EXIT_OK
 

@@ -7,9 +7,11 @@ The model family is
     Pr(Y = 1 | x, z)   = G(b' x + g' z)   expanded model
 
 for a monotone inverse link G (logistic or probit). Fitting is Fisher
-scoring on the Bernoulli log-likelihood with step-halving, and fits carry
-the expected information evaluated at the MLE so downstream code can form
-the partitioned information blocks.
+scoring on the Bernoulli log-likelihood with step-halving. The inverse
+link is evaluated once per iterate: the probabilities of an accepted step
+feed the next score, the next information and, at convergence, the fitted
+model. Fits carry the expected information evaluated at the MLE so
+downstream code can form the partitioned information blocks.
 """
 from __future__ import annotations
 
@@ -56,22 +58,16 @@ class Link:
 
     def score_residual(self, eta, y):
         """r = [G'/(G(1-G))] (y - G); reduces to y - G for the logit."""
-        eta = np.asarray(eta, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.kind == "logit":
-            return y - expit(eta)
-        p = np.clip(numerics.norm_cdf(eta), _PROB_EPS, 1.0 - _PROB_EPS)
-        return numerics.norm_pdf(eta) / (p * (1.0 - p)) * (y - p)
+        return self.score_and_weight(eta, y, self.prob(eta))[0]
 
-    def info_weight(self, eta):
-        """G'^2 / (G(1-G)), the expected-information weight per observation."""
-        eta = np.asarray(eta, dtype=float)
+    def score_and_weight(self, eta, y, probs):
+        """The score residual r and the expected-information weight
+        G'^2 / (G(1-G)) per observation, given probs = G(eta)."""
         if self.kind == "logit":
-            p = expit(eta)
-            return p * (1.0 - p)
-        p = np.clip(numerics.norm_cdf(eta), _PROB_EPS, 1.0 - _PROB_EPS)
+            return y - probs, probs * (1.0 - probs)
+        p = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
         d = numerics.norm_pdf(eta)
-        return d * d / (p * (1.0 - p))
+        return d / (p * (1.0 - p)) * (y - p), d * d / (p * (1.0 - p))
 
 
 LOGIT = Link("logit")
@@ -176,7 +172,7 @@ def _bernoulli_loglik(y, probs) -> float:
     return float(y @ np.log(p) + (1.0 - y) @ np.log1p(-p))
 
 
-def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
+def fit(y, design, link: Link) -> FittedModel:
     """Fisher-scoring maximum likelihood for one binary-response model.
 
     Convergence requires at least one step, with the largest score
@@ -198,21 +194,22 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
     if not np.all(np.isfinite(design)):
         raise ValueError("design matrix must be finite")
 
+    # The iterate: beta, eta = X beta, probs = G(eta) and the log-likelihood.
     beta = np.zeros(m)
     eta = design @ beta
-    loglik = _bernoulli_loglik(y, link.prob(eta))
+    probs = link.prob(eta)
+    loglik = _bernoulli_loglik(y, probs)
     last_step_norm = np.inf  # no fit ends before the first solve checks X'X
 
-    for iteration in range(max_iter + 1):
-        score = design.T @ link.score_residual(eta, y)
-        if np.max(np.abs(score)) <= _SCORE_TOL and last_step_norm <= _STEP_TOL:
-            iterations = iteration
-            break
-        if iteration == max_iter:
-            raise NoConvergence(f"Fisher scoring did not converge in {max_iter} iterations")
-
-        w = link.info_weight(eta)
+    for iteration in range(_MAX_ITER + 1):
+        residual, w = link.score_and_weight(eta, y, probs)
+        score = design.T @ residual
         info = design.T @ (design * w[:, None])
+        if np.max(np.abs(score)) <= _SCORE_TOL and last_step_norm <= _STEP_TOL:
+            break
+        if iteration == _MAX_ITER:
+            raise NoConvergence(f"Fisher scoring did not converge in {_MAX_ITER} iterations")
+
         try:
             step = numerics.solve_spd(info, score)
         except NotPositiveDefinite as exc:
@@ -224,21 +221,19 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
         # rounding noise in the log-likelihood (resolution ~ |ll| * eps)
         # from halving away full Newton steps near the optimum.
         slack = 1e-11 * (1.0 + abs(loglik))
-        new_beta = beta + step
-        new_eta = design @ new_beta
-        new_loglik = _bernoulli_loglik(y, link.prob(new_eta))
         halvings = 0
-        while new_loglik < loglik - slack and halvings < 30:
-            step *= 0.5
+        while True:
             new_beta = beta + step
             new_eta = design @ new_beta
-            new_loglik = _bernoulli_loglik(y, link.prob(new_eta))
+            new_probs = link.prob(new_eta)
+            new_loglik = _bernoulli_loglik(y, new_probs)
+            if not (new_loglik < loglik - slack and halvings < 30):
+                break
+            step *= 0.5
             halvings += 1
 
         improved = new_loglik > loglik
-        beta = new_beta
-        eta = new_eta
-        loglik = new_loglik
+        beta, eta, probs, loglik = new_beta, new_eta, new_probs, new_loglik
         last_step_norm = float(np.linalg.norm(step))
 
         if np.linalg.norm(beta) > _SEPARATION_NORM and improved:
@@ -247,15 +242,13 @@ def fit(y, design, link: Link, *, max_iter: int = _MAX_ITER) -> FittedModel:
                 "the data are (quasi-)separated and the MLE does not exist"
             )
 
-    w = link.info_weight(eta)
-    info = design.T @ (design * w[:, None])
     return FittedModel(
         coefficients=beta,
         linear_predictor=eta,
-        fitted_probs=np.clip(link.prob(eta), _PROB_EPS, 1.0 - _PROB_EPS),
+        fitted_probs=np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS),
         loglik=loglik,
         expected_information=info,
-        iterations=iterations,
+        iterations=iteration,
     )
 
 
@@ -275,11 +268,6 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
     base = _fit_tagged(data.y, data.x, link, "base")
     constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant")
     return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data)
-
-
-def score_residuals(fit: FittedModel, link: Link, y) -> np.ndarray:
-    """Per-observation score residuals r = h(eta) (y - G(eta)) at the fit."""
-    return link.score_residual(fit.linear_predictor, y)
 
 
 def information_blocks(expanded: FittedModel, n_base: int) -> InformationBlocks:

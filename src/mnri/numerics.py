@@ -26,6 +26,10 @@ _SPD_PIVOT_RTOL = 1e-12
 # beyond u = 1 (see mixture_tail).
 _NEGLIGIBLE_OMEGA = 1e-100
 
+# Absolute error target of a mixture tail probability, split evenly among
+# its (at most four) quadrature passes.
+_TAIL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class MixtureSpec:
@@ -131,7 +135,7 @@ def chisq_sf(x, q: int):
     return out if out.ndim else float(out)
 
 
-def mixture_tail(t: float, spec: MixtureSpec, *, tol: float = 1e-8) -> float:
+def mixture_tail(t: float, spec: MixtureSpec) -> float:
     """Upper tail probability ``P(scale * sum_j w_j chi2_1j > t)``.
 
     Computed by numerical inversion of the characteristic function
@@ -171,6 +175,7 @@ def mixture_tail(t: float, spec: MixtureSpec, *, tol: float = 1e-8) -> float:
     # unit largest |weight| puts the integrand's scale at u ~ 1.
     size = np.abs(weights).max()
     weights, t = weights / size, t / size
+    epsabs = _TAIL_TOL / 4.0
 
     def psi(u):
         return 0.5 * np.sum(np.arctan(weights * u))
@@ -190,7 +195,7 @@ def mixture_tail(t: float, spec: MixtureSpec, *, tol: float = 1e-8) -> float:
         # the endpoint), at most ~|t|/12 oscillations.
         head_limit = 200 + int(abs(t))
         head, head_err = integrate.quad(
-            integrand, 0.0, 1.0, epsabs=tol / 4.0, epsrel=1e-10, limit=head_limit
+            integrand, 0.0, 1.0, epsabs=epsabs, epsrel=1e-10, limit=head_limit
         )
 
         omega = 0.5 * abs(t)
@@ -199,16 +204,16 @@ def mixture_tail(t: float, spec: MixtureSpec, *, tol: float = 1e-8) -> float:
             # [1, start], in s = log u: under 1/(2 pi) of an oscillation.
             mid, mid_err = integrate.quad(
                 lambda s: integrand(np.exp(s)) * np.exp(s), 0.0, np.log(start),
-                epsabs=tol / 4.0, epsrel=1e-10, limit=500,
+                epsabs=epsabs, epsrel=1e-10, limit=500,
             )
             # sin(psi - tu/2) = sin(psi)cos(|t|u/2) - sign(t) cos(psi)sin(|t|u/2)
             cos_part, cos_err = integrate.quad(
                 lambda u: np.sin(psi(u)) * inv_urho(u),
-                start, np.inf, weight="cos", wvar=omega, epsabs=tol / 4.0,
+                start, np.inf, weight="cos", wvar=omega, epsabs=epsabs,
             )
             sin_part, sin_err = integrate.quad(
                 lambda u: np.cos(psi(u)) * inv_urho(u),
-                start, np.inf, weight="sin", wvar=omega, epsabs=tol / 4.0,
+                start, np.inf, weight="sin", wvar=omega, epsabs=epsabs,
             )
             tail = mid + cos_part - np.sign(t) * sin_part
             tail_err = mid_err + cos_err + sin_err
@@ -217,7 +222,7 @@ def mixture_tail(t: float, spec: MixtureSpec, *, tol: float = 1e-8) -> float:
             # the envelope is negligible, so the tail is non-oscillatory.
             tail, tail_err = integrate.quad(
                 lambda u: np.sin(psi(u)) * inv_urho(u),
-                1.0, np.inf, epsabs=tol / 4.0, epsrel=1e-10, limit=500,
+                1.0, np.inf, epsabs=epsabs, epsrel=1e-10, limit=500,
             )
 
     value = head + tail

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .errors import AllTies, DegenerateOutcome
-from .glm import Dataset, NestedFits, score_residuals
+from .glm import Dataset, NestedFits
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _parts(fits_or_pair: NestedFits | TrainTestPair) -> tuple[np.ndarray, np.nda
     else:
         fits = fits_or_pair
         delta = score_difference(fits)
-    return delta, score_residuals(fits.base, fits.link, fits.data.y), fits.data
+    return delta, fits.link.score_residual(fits.base.linear_predictor, fits.data.y), fits.data
 
 
 def _half_nris(delta: np.ndarray, residuals: np.ndarray, data: Dataset) -> HalfNRIs:

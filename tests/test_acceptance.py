@@ -314,7 +314,7 @@ def test_criterion_8_exact_identities():
 
         # smooth statistics converge to the hard ones under delta-scaling
         delta = reclass.score_difference(fits)
-        for weights in (y - ybar, glm.score_residuals(fits.base, LOGIT, y)):
+        for weights in (y - ybar, LOGIT.score_residual(fits.base.linear_predictor, y)):
             hard = half_nri_from_parts(weights, delta, ybar, smooth=False)
             scaled = half_nri_from_parts(weights, 1e6 * delta, ybar, smooth=True)
             checks.append(abs(scaled - hard) <= 1e-6)

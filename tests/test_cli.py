@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from mnri import glm
 from mnri.cli import CompareReport, main
 
 SEEDED = np.random.default_rng(2468)
@@ -205,6 +206,17 @@ class TestCompare:
         assert code == 0
         assert len(half_nris_calls) == passes
 
+    def test_iteration_cap_is_fit_error(self, demo_csv, capsys, monkeypatch):
+        monkeypatch.setattr(glm, "_MAX_ITER", 1)
+        code, _, err = run(
+            capsys,
+            ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"],
+        )
+        assert code == 3
+        assert err == (
+            "fit error: expanded model: Fisher scoring did not converge in 1 iterations\n"
+        )
+
     def test_mismatched_test_header(self, demo_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
         write_csv(other, ["status", "age", "noise"], [[0, 0.0, 0.0]])
@@ -307,6 +319,24 @@ class TestSplineCommand:
         write_csv(path, ["y", "v"], [[i % 2, 1.0] for i in range(40)])
         code, _, _ = run(capsys, ["spline", str(path), "--column", "v"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("compare", ["--new", "marker", "--spline", "marker=7"], "--spline knot count"
+             " must be one of [3, 4, 5], got 7"),
+            ("plotdata", ["--new", "marker", "--spline", "marker=2"], "--spline knot count"
+             " must be one of [3, 4, 5], got 2"),
+            ("spline", ["--column", "marker", "--knots", "6"], "--knots knot count"
+             " must be one of [3, 4, 5], got 6"),
+        ],
+    )
+    def test_bad_knot_count_is_data_error(self, demo_csv, capsys, command, flags, message):
+        model = ["--outcome", "status", "--base", "age"] if command != "spline" else []
+        code, out, err = run(capsys, [command, demo_csv, *model, *flags])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSimulateCommand:

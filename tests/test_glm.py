@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from mnri import glm
 from mnri.errors import DegenerateOutcome, NoConvergence, RankDeficient, Separation
@@ -15,7 +16,6 @@ from mnri.glm import (
     fit,
     fit_nested,
     information_blocks,
-    score_residuals,
 )
 
 
@@ -173,6 +173,19 @@ class TestFit:
         with pytest.raises((Separation, NoConvergence)):
             fit(y, np.column_stack([np.ones(100), x1]), LOGIT)
 
+    def test_one_link_evaluation_per_trial_point(self, monkeypatch):
+        data = make_data(n=400, seed=5)
+        calls = []
+
+        def counting_expit(eta):
+            calls.append(1)
+            return expit(eta)
+
+        monkeypatch.setattr(glm, "expit", counting_expit)
+        model = fit(data.y, np.hstack([data.x, data.z]), LOGIT)
+        # No step is halved here, so each iteration tries one point.
+        assert len(calls) == model.iterations + 1
+
     def test_constant_outcome(self):
         with pytest.raises(DegenerateOutcome):
             fit(np.ones(50), np.ones((50, 1)), LOGIT)
@@ -204,12 +217,21 @@ class TestFitNested:
         assert excinfo.value.model == "expanded"
         assert "expanded" in str(excinfo.value)
 
+    def test_iteration_cap_tagged_expanded(self, monkeypatch):
+        monkeypatch.setattr(glm, "_MAX_ITER", 1)
+        with pytest.raises(NoConvergence) as excinfo:
+            fit_nested(make_data(), LOGIT)
+        assert str(excinfo.value) == (
+            "expanded model: Fisher scoring did not converge in 1 iterations"
+        )
+        assert excinfo.value.model == "expanded"
+
 
 class TestScoreResiduals:
     def test_logit_identity(self):
         data = make_data(n=90, seed=2)
         fits = fit_nested(data, LOGIT)
-        r = score_residuals(fits.base, LOGIT, data.y)
+        r = LOGIT.score_residual(fits.base.linear_predictor, data.y)
         np.testing.assert_array_equal(r, data.y - LOGIT.prob(fits.base.linear_predictor))
 
     def test_probit_at_zero(self):
@@ -221,7 +243,7 @@ class TestScoreResiduals:
             expected_information=np.eye(1),
             iterations=0,
         )
-        r = score_residuals(model, PROBIT, np.array([1.0]))
+        r = PROBIT.score_residual(model.linear_predictor, np.array([1.0]))
         # phi(0) / (0.5 * 0.5) * (1 - 0.5)
         assert abs(r[0] - 0.7978845608) <= 1e-9
 
@@ -229,7 +251,7 @@ class TestScoreResiduals:
         for link in (LOGIT, PROBIT):
             data = make_data(n=140, seed=8, link=link)
             fits = fit_nested(data, link)
-            r = score_residuals(fits.base, link, data.y)
+            r = link.score_residual(fits.base.linear_predictor, data.y)
             assert abs(r.sum()) <= 1e-6
 
 

@@ -232,9 +232,7 @@ class TestProbitPath:
         assert norm == fits.data.n
         assert abs(regression - half_nris(fits).mnri_hard) <= 1e-12
         delta = score_difference(fits)
-        from mnri.glm import score_residuals
-
-        r = score_residuals(fits.base, PROBIT, fits.data.y)
+        r = PROBIT.score_residual(fits.base.linear_predictor, fits.data.y)
         hard = half_nri_from_parts(r, delta, fits.data.ybar, smooth=False)
         assert abs(hard - half_nris(fits).mnri_hard) <= 1e-15
         smooth_scaled = half_nri_from_parts(r, 1e6 * delta, fits.data.ybar, smooth=True)
