@@ -6,7 +6,10 @@ Three references are implemented:
   ``n T`` compared with ``k chi2_q``, ``k = phi(0) / (pi (1-pi))``;
 * a weighted chi-square mixture ``(k/2) sum lambda_j chi2_1j`` for the
   train/test statistic, with the 2q eigenvalue weights coming in +/-
-  pairs from the two gamma-coefficient covariance estimates;
+  pairs from the two gamma-coefficient covariance estimates. For q = 1
+  ``numerics.mixture_tail`` evaluates the single pair by the closed
+  product-normal law; for q >= 2 by Imhof's inversion inside a
+  chi-square envelope;
 * the legacy normal reference for the hard NRI, retained for comparison
   even though its null distribution is in fact non-normal, asymmetric,
   and yields an inflated test.

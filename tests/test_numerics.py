@@ -1,7 +1,9 @@
 """Tests for the numerical kernels."""
 
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -116,7 +118,6 @@ class TestNormalFunctions:
         assert abs(norm_cdf(1.959964) - 0.975) <= 1e-6
 
     def test_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
         for x in [-8.0, -3.2, -0.7, 0.0, 0.3, 1.5, 4.0, 7.5]:
             exact = float(mpmath.ncdf(x))
             assert abs(norm_cdf(x) - exact) <= 1e-12
@@ -275,6 +276,96 @@ class TestMixtureTail:
             MixtureSpec((1.0, float("nan")), 1.0)
         with pytest.raises(ValueError):
             MixtureSpec((1.0,), 0.0)
+
+
+def _pair_tail_mpmath(t, c):
+    """P(c (chi2_1 - chi2_1') > t) at 30 digits, from K0(x) = int_0^inf
+    e^(-x cosh s) ds: (1/pi) int_a^inf K0 = (e^-a / pi) int_0^inf
+    e^(-a (cosh s - 1)) / cosh s ds with a = |t| / 2c. The integral is cut
+    where the integrand falls by e^-200."""
+    with mpmath.workdps(30):
+        a = abs(mpmath.mpf(t)) / (2 * mpmath.mpf(c))
+        end = mpmath.acosh(1 + 200 / a)
+        body = mpmath.quad(
+            lambda s: mpmath.exp(-a * (mpmath.cosh(s) - 1)) / mpmath.cosh(s),
+            mpmath.linspace(0, end, 8),
+        )
+        upper = mpmath.exp(-a) * body / mpmath.pi
+        return upper if t >= 0 else 1 - upper
+
+
+class TestPairTail:
+    """The single +/- pair c (chi2_1 - chi2_1'), the train/test reference
+    with one new covariate, which takes the closed product-normal path."""
+
+    def test_matches_mpmath_relative(self):
+        checked = 0
+        for c in (0.05, 0.8, 3.0):
+            spec = MixtureSpec((1.0, -1.0), c)
+            for size in (1e-9, 0.5, 3.1, 3.3, 5.0, 20.0, 40.0, 80.0, 400.0):
+                for t in (size, -size):
+                    exact = _pair_tail_mpmath(t, c)
+                    if exact < mpmath.mpf("1e-300"):
+                        continue
+                    p = mixture_tail(t, spec)
+                    assert abs(p - exact) <= 1e-10 * exact, (t, c, p, exact)
+                    checked += 1
+        assert checked == 52  # only t = +80 and +400 at c = 0.05 fall below 1e-300
+
+    @settings(max_examples=200, deadline=None)
+    @given(t1=st.floats(-2000, 2000), t2=st.floats(-2000, 2000))
+    @example(t1=3.9999999999999996, t2=4.0)  # the two formulas meet at |t| / 2c = 2
+    @example(t1=-4.0, t2=-3.9999999999999996)
+    def test_monotone_in_threshold(self, t1, t2):
+        spec = MixtureSpec((1.0, -1.0), 1.0)
+        lo, hi = sorted((t1, t2))
+        assert mixture_tail(lo, spec) >= mixture_tail(hi, spec)
+
+    def test_skips_quadrature(self, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("the +/- pair must not reach quad")
+
+        monkeypatch.setattr(integrate, "quad", no_quad)
+        for spec in (MixtureSpec((1.0, -1.0), 0.8), MixtureSpec((-2.5, 0.0, 2.5), 0.3)):
+            for t in (-50.0, -1.0, 0.0, 1e-9, 3.0, 400.0):
+                assert 0.0 <= mixture_tail(t, spec) <= 1.0
+
+    def test_agrees_with_imhof(self):
+        for c in (0.05, 0.8, 3.0):
+            for t in np.linspace(-20.0, 20.0, 41):
+                imhof = numerics._imhof_tail(float(t), np.array([c, -c]))
+                assert abs(mixture_tail(float(t), MixtureSpec((1.0, -1.0), c)) - imhof) <= 1e-8
+
+    def test_extreme_thresholds(self):
+        # |t| / 2c overflows to inf here; the tail is 0 (or 1) to double precision.
+        spec = MixtureSpec((1.0, -1.0), 0.05)
+        assert mixture_tail(1e308, spec) == 0.0
+        assert mixture_tail(-1e308, spec) == 1.0
+
+
+class TestChisqEnvelope:
+    """For weights other than one +/- pair the Imhof value is kept inside
+    P(Q > t) <= P(chi2_{m+} > t / w+) for t > 0 and the mirror bound below
+    for t < 0."""
+
+    spec = MixtureSpec((2.0, -2.0, 0.5, -0.5), 0.8)
+
+    def test_far_tail_within_bound(self):
+        # Imhof alone gives about 1e-12 here, its quadrature floor.
+        bound = chisq_sf(400.0 / (2.0 * 0.8), 2)
+        assert 0.0 < mixture_tail(400.0, self.spec) <= bound
+        assert mixture_tail(-400.0, self.spec) >= 1.0 - bound
+
+    def test_underflowing_bound_skips_quadrature(self):
+        start = time.perf_counter()
+        assert mixture_tail(1e6, self.spec) == 0.0
+        assert mixture_tail(-1e6, self.spec) == 1.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_signed_weights_exact_beyond_support(self):
+        # All weights positive: Q > 0 surely, so P(Q > t) = 1 for t < 0.
+        assert mixture_tail(-1e-3, MixtureSpec((1.0, 0.5), 1.0)) == 1.0
+        assert mixture_tail(1e-3, MixtureSpec((-1.0, -0.5), 1.0)) == 0.0
 
 
 def test_module_functions_are_pure():
