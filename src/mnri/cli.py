@@ -25,7 +25,6 @@ from .errors import (
     ExcessiveFitFailures,
     FitError,
     MnriError,
-    NoConvergence,
     TooFewDistinctValues,
 )
 from .glm import Dataset, Link
@@ -130,7 +129,7 @@ def _read_table(path: str) -> tuple[list[str], dict[str, list[str]]]:
                 for name, value in zip(header, row):
                     columns[name].append(value)
         return header, columns
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
@@ -138,30 +137,37 @@ def _numeric_column(columns: dict[str, list[str]], name: str, path: str) -> np.n
     if name not in columns:
         raise DataError(f"{path}: missing column {name!r}")
     raw = columns[name]
-    out = np.empty(len(raw))
+    # np.array applies float(), which strips like str.strip(), to each cell in C.
+    # Only a column that fails is scanned cell by cell, to name its first bad cell.
+    try:
+        out = np.array(raw, dtype=float)
+        if np.all(np.isfinite(out)):
+            return out
+    except ValueError:
+        pass
     for i, value in enumerate(raw):
         text = value.strip()
         if text == "" or text.upper() in ("NA", "NAN", "NULL"):
             raise DataError(f"{path}: missing value in column {name!r} (row {i + 2})")
         try:
-            out[i] = float(text)
+            float(text)
         except ValueError:
             raise DataError(
                 f"{path}: non-numeric value {value!r} in column {name!r} (row {i + 2})"
             ) from None
-    if not np.all(np.isfinite(out)):
-        raise DataError(f"{path}: non-finite value in column {name!r}")
-    return out
+    raise DataError(f"{path}: non-finite value in column {name!r}")
 
 
-def _fit_spline_bases(columns, spec: ColumnSpec, path: str) -> dict[str, SplineBasis]:
-    bases = {}
-    for col, k in spec.spline.items():
-        bases[col] = SplineBasis.from_data(_numeric_column(columns, col, path), k)
-    return bases
+def _build_dataset(columns, spec: ColumnSpec, path: str, bases=None) -> tuple[Dataset, dict]:
+    """Convert each column ``spec`` uses, once, into a Dataset. Returns it with
+    the spline bases: fitted on this file unless a training file's are given."""
+    converted = {}
+    if bases is None:
+        bases = {}
+        for col, k in spec.spline.items():
+            converted[col] = _numeric_column(columns, col, path)
+            bases[col] = SplineBasis.from_data(converted[col], k)
 
-
-def _build_dataset(columns, spec: ColumnSpec, bases, path: str) -> Dataset:
     y = _numeric_column(columns, spec.outcome, path)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError(f"{path}: outcome column {spec.outcome!r} must be coded 0/1")
@@ -171,7 +177,7 @@ def _build_dataset(columns, spec: ColumnSpec, bases, path: str) -> Dataset:
     def expand(names):
         blocks = []
         for name in names:
-            values = _numeric_column(columns, name, path)
+            values = converted[name] if name in converted else _numeric_column(columns, name, path)
             if values.min() == values.max():
                 raise DataError(f"{path}: column {name!r} is constant")
             if name in bases:
@@ -183,7 +189,7 @@ def _build_dataset(columns, spec: ColumnSpec, bases, path: str) -> Dataset:
     x = np.hstack([np.ones((y.shape[0], 1)), expand(spec.base)])
     z = expand(spec.new)
     try:
-        return Dataset(y=y, x=x, z=z)
+        return Dataset(y=y, x=x, z=z), bases
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -237,8 +243,7 @@ def cmd_compare(args) -> int:
         raise DataError("compare needs at least one --new column")
     link = Link(args.link)
     header, columns = _read_table(args.input)
-    bases = _fit_spline_bases(columns, spec, args.input)
-    train_data = _build_dataset(columns, spec, bases, args.input)
+    train_data, bases = _build_dataset(columns, spec, args.input)
     fits = glm.fit_nested(train_data, link)
     subject, test_mnri, n_train = fits, inference.test_mnri_single, None
     if args.test_file is not None:
@@ -247,7 +252,7 @@ def cmd_compare(args) -> int:
             raise DataError(f"{args.test_file}: header differs from {args.input}")
         # Spline knots come from the primary (training) data so both samples
         # share one covariate specification.
-        test_data = _build_dataset(test_columns, spec, bases, args.test_file)
+        test_data, _ = _build_dataset(test_columns, spec, args.test_file, bases)
         test_fits = glm.fit_nested(test_data, link)
         subject = TrainTestPair(train_fits=fits, test_fits=test_fits)
         fits, test_mnri, n_train = test_fits, inference.test_mnri_train_test, train_data.n
@@ -291,8 +296,7 @@ def cmd_plotdata(args) -> int:
     spec = _column_spec(args)
     link = Link(args.link)
     _, columns = _read_table(args.input)
-    bases = _fit_spline_bases(columns, spec, args.input)
-    data = _build_dataset(columns, spec, bases, args.input)
+    data, _ = _build_dataset(columns, spec, args.input)
     fits = glm.fit_nested(data, link)
 
     buffer = io.StringIO()
@@ -327,25 +331,19 @@ def cmd_spline(args) -> int:
     return EXIT_OK
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, kind: type) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise DataError(f"expected a comma-separated list of numbers, got {text!r}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise DataError(f"expected a comma-separated list of integers, got {text!r}") from None
+        noun = "integers" if kind is int else "numbers"
+        raise DataError(f"expected a comma-separated list of {noun}, got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:
-    ns = _int_list(args.n)
-    pi0s = _float_list(args.pi0)
-    mu_xs = _float_list(args.mu_x)
-    rhos = _float_list(args.rho)
+    ns = _number_list(args.n, int)
+    pi0s = _number_list(args.pi0, float)
+    mu_xs = _number_list(args.mu_x, float)
+    rhos = _number_list(args.rho, float)
     if not (ns and pi0s and mu_xs and rhos):
         raise DataError("the simulation grid is empty")
     try:
@@ -465,7 +463,7 @@ def main(argv=None) -> int:
     except (DataError, TooFewDistinctValues) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FitError, NoConvergence, ExcessiveFitFailures) as exc:
+    except (FitError, ExcessiveFitFailures) as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except DegenerateOutcome as exc:

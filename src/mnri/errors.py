@@ -13,10 +13,6 @@ class NotPositiveDefinite(MnriError):
     """
 
 
-class NoConvergence(MnriError):
-    """An iterative routine hit its iteration cap without converging."""
-
-
 class IntegrationFailure(MnriError):
     """Adaptive quadrature could not meet the requested tolerance."""
 
@@ -31,6 +27,10 @@ class FitError(MnriError):
     def __init__(self, message: str, model: str | None = None):
         super().__init__(message)
         self.model = model
+
+
+class NoConvergence(FitError):
+    """Fisher scoring hit its iteration cap without converging."""
 
 
 class Separation(FitError):

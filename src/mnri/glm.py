@@ -255,10 +255,8 @@ def fit(y, design, link: Link) -> FittedModel:
 def _fit_tagged(y, design, link, model_name: str) -> FittedModel:
     try:
         return fit(y, design, link)
-    except (FitError, NoConvergence) as exc:
-        tagged = type(exc)(f"{model_name} model: {exc}")
-        tagged.model = model_name
-        raise tagged from exc
+    except FitError as exc:
+        raise type(exc)(f"{model_name} model: {exc}", model=model_name) from exc
 
 
 def fit_nested(data: Dataset, link: Link) -> NestedFits:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from . import glm, inference, numerics, reclass
-from .errors import DegenerateOutcome, ExcessiveFitFailures, FitError, NoConvergence
+from .errors import DegenerateOutcome, ExcessiveFitFailures, FitError
 from .glm import LOGIT, Dataset, NestedFits
 from .reclass import TrainTestPair
 
@@ -59,6 +59,8 @@ class SimConfig:
             raise ValueError("need n >= 50 per replicate")
         if not 0.0 < self.pi0 < 1.0:
             raise ValueError("pi0 must lie in (0, 1)")
+        if not np.isfinite(self.mu_x):
+            raise ValueError("mu_x must be finite")
         if not abs(self.rho) < 1.0:
             raise ValueError("|rho| must be below 1")
         if self.replicates < 1:
@@ -140,7 +142,7 @@ def _replicated(trial, args) -> tuple:
     for attempt in range(_MAX_ATTEMPTS):
         try:
             return (*trial(config, cell, rep, attempt), attempt)
-        except (FitError, NoConvergence, DegenerateOutcome):
+        except (FitError, DegenerateOutcome):
             continue
     raise ExcessiveFitFailures(
         f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row"
@@ -292,16 +294,15 @@ class ProprietyCheck:
     se_diffs: np.ndarray
 
 
-def propriety_mc_check(
-    *,
-    draws: int = 100_000,
-    pi0: float = 0.5,
-    mu_x: float = 0.3,
-    mu_z: float = 1.0,
-    radii: tuple[float, ...] = (0.25, 0.5),
-    per_radius: int = 10,
-    seed: int = DEFAULT_SEED,
-) -> ProprietyCheck:
+# The propriety check's generator and its perturbations (directions per radius).
+_PROPRIETY_PI0 = 0.5
+_PROPRIETY_MU_X = 0.3
+_PROPRIETY_MU_Z = 1.0
+_PROPRIETY_RADII = (0.25, 0.5)
+_PROPRIETY_PER_RADIUS = 10
+
+
+def propriety_mc_check(*, draws: int = 100_000, seed: int = DEFAULT_SEED) -> ProprietyCheck:
     """Check that the single-draw mNRI scoring function is maximized in
     expectation at the true expanded-model parameters.
 
@@ -322,6 +323,7 @@ def propriety_mc_check(
     the paired mean differences.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, 97])))
+    pi0, mu_x, mu_z = _PROPRIETY_PI0, _PROPRIETY_MU_X, _PROPRIETY_MU_Z
     y = (rng.random(draws) < pi0).astype(float)
     x = mu_x * y + rng.standard_normal(draws)
     z = mu_z * y + rng.standard_normal(draws)
@@ -342,8 +344,8 @@ def propriety_mc_check(
 
     t1_true = t1_values(theta0)
     all_radii, means, ses = [], [], []
-    for radius in radii:
-        for _ in range(per_radius):
+    for radius in _PROPRIETY_RADII:
+        for _ in range(_PROPRIETY_PER_RADIUS):
             direction = rng.standard_normal(3)
             direction -= (direction @ flat_ray) * flat_ray
             direction /= np.linalg.norm(direction)

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mnri import glm
+from mnri import cli, glm
 from mnri.cli import CompareReport, main
 
 SEEDED = np.random.default_rng(2468)
@@ -151,6 +152,76 @@ class TestCompare:
         )
         assert code == 2
         assert "missing value" in err
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("", "missing value in column 'a' (row 15)"),
+            ("NA", "missing value in column 'a' (row 15)"),
+            (" nan ", "missing value in column 'a' (row 15)"),
+            ("NULL", "missing value in column 'a' (row 15)"),
+            ("abc", "non-numeric value 'abc' in column 'a' (row 15)"),
+            ("inf", "non-finite value in column 'a'"),
+        ],
+    )
+    def test_bad_cell_message(self, tmp_path, capsys, cell, message):
+        # An own generator, so the data of later tests that draw on SEEDED
+        # stay as they were.
+        rng = np.random.default_rng(15)
+        path = tmp_path / "bad.csv"
+        rows = [[i % 2, *rng.standard_normal(2)] for i in range(80)]
+        rows[13][1] = cell
+        write_csv(path, ["y", "a", "b"], rows)
+        code, out, err = run(
+            capsys, ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    def test_each_column_converted_once(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(16)
+        path = tmp_path / "cohort.csv"
+        write_csv(
+            path,
+            ["status", "age", "marker"],
+            [[i % 2, *rng.standard_normal(2)] for i in range(200)],
+        )
+        converted = Counter()
+        numeric_column = cli._numeric_column
+
+        def counting(columns, name, path):
+            converted[name] += 1
+            return numeric_column(columns, name, path)
+
+        monkeypatch.setattr(cli, "_numeric_column", counting)
+        code, _, _ = run(
+            capsys,
+            ["compare", str(path), "--outcome", "status", "--base", "age",
+             "--new", "marker", "--spline", "marker=4"],
+        )
+        assert code == 0
+        assert converted == {"status": 1, "age": 1, "marker": 1}
+
+    @pytest.mark.parametrize(
+        "content, cause",
+        [
+            ("évent,a,b\n1,0.5,0.25\n".encode("latin-1"), "can't decode"),
+            (("y,a,b\n1,0.5," + "7" * (csv.field_size_limit() + 1) + "\n").encode(),
+             "field larger than field limit"),
+        ],
+        ids=["latin-1", "oversized-field"],
+    )
+    def test_unparseable_file_is_data_error(self, tmp_path, capsys, content, cause):
+        path = tmp_path / "unparseable.csv"
+        path.write_bytes(content)
+        code, out, err = run(
+            capsys, ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert cause in err
 
     def test_duplicate_covariate_is_fit_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -396,6 +467,17 @@ class TestSimulateCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("fit error: ") and "budget" in err
+
+    @pytest.mark.parametrize("mu_x", ["nan", "inf"])
+    def test_non_finite_mu_x_exit_two(self, capsys, mu_x):
+        code, out, err = run(
+            capsys,
+            ["simulate", "--n", "200", "--pi0", "0.5", "--mu-x", mu_x,
+             "--rho", "0", "--reps", "5"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid simulation grid: mu_x must be finite\n"
 
     def test_empty_grid_exit_two(self, capsys):
         code, _, _ = run(

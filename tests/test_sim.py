@@ -38,6 +38,8 @@ class TestConfigValidation:
             dict(mode="bootstrap"),
             dict(null_style="exact"),
             dict(alpha=0.0),
+            dict(mu_x=float("nan")),
+            dict(mu_x=float("inf")),
         ],
     )
     def test_rejects(self, bad):
