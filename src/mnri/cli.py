@@ -340,6 +340,8 @@ def _number_list(text: str, kind: type) -> list:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise DataError(f"--workers must be at least 1, got {args.workers}")
     ns = _number_list(args.n, int)
     pi0s = _number_list(args.pi0, float)
     mu_xs = _number_list(args.mu_x, float)

@@ -15,6 +15,7 @@ downstream code can form the partitioned information blocks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,9 +168,9 @@ class InformationBlocks:
     gamma_cov: np.ndarray
 
 
-def _bernoulli_loglik(y, probs) -> float:
-    p = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
-    return float(y @ np.log(p) + (1.0 - y) @ np.log1p(-p))
+def _bernoulli_loglik(y, one_minus_y, probs) -> float:
+    p = probs.clip(_PROB_EPS, 1.0 - _PROB_EPS)
+    return float(y @ np.log(p) + one_minus_y @ np.log1p(-p))
 
 
 def fit(y, design, link: Link) -> FittedModel:
@@ -187,25 +188,26 @@ def fit(y, design, link: Link) -> FittedModel:
     n, m = design.shape
     if y.shape != (n,):
         raise ValueError("y length must match design rows")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("y must be coded 0/1")
     if y.min() == y.max():
         raise DegenerateOutcome("outcome is constant; need both events and non-events")
-    if not np.all(np.isfinite(design)):
+    if not np.isfinite(design).all():
         raise ValueError("design matrix must be finite")
 
     # The iterate: beta, eta = X beta, probs = G(eta) and the log-likelihood.
+    one_minus_y = 1.0 - y
     beta = np.zeros(m)
     eta = design @ beta
     probs = link.prob(eta)
-    loglik = _bernoulli_loglik(y, probs)
+    loglik = _bernoulli_loglik(y, one_minus_y, probs)
     last_step_norm = np.inf  # no fit ends before the first solve checks X'X
 
     for iteration in range(_MAX_ITER + 1):
         residual, w = link.score_and_weight(eta, y, probs)
         score = design.T @ residual
         info = design.T @ (design * w[:, None])
-        if np.max(np.abs(score)) <= _SCORE_TOL and last_step_norm <= _STEP_TOL:
+        if abs(score).max() <= _SCORE_TOL and last_step_norm <= _STEP_TOL:
             break
         if iteration == _MAX_ITER:
             raise NoConvergence(f"Fisher scoring did not converge in {_MAX_ITER} iterations")
@@ -226,7 +228,7 @@ def fit(y, design, link: Link) -> FittedModel:
             new_beta = beta + step
             new_eta = design @ new_beta
             new_probs = link.prob(new_eta)
-            new_loglik = _bernoulli_loglik(y, new_probs)
+            new_loglik = _bernoulli_loglik(y, one_minus_y, new_probs)
             if not (new_loglik < loglik - slack and halvings < 30):
                 break
             step *= 0.5
@@ -234,9 +236,9 @@ def fit(y, design, link: Link) -> FittedModel:
 
         improved = new_loglik > loglik
         beta, eta, probs, loglik = new_beta, new_eta, new_probs, new_loglik
-        last_step_norm = float(np.linalg.norm(step))
+        last_step_norm = math.sqrt(step @ step)
 
-        if np.linalg.norm(beta) > _SEPARATION_NORM and improved:
+        if math.sqrt(beta @ beta) > _SEPARATION_NORM and improved:
             raise Separation(
                 "coefficients diverging with the likelihood still improving; "
                 "the data are (quasi-)separated and the MLE does not exist"
@@ -245,7 +247,7 @@ def fit(y, design, link: Link) -> FittedModel:
     return FittedModel(
         coefficients=beta,
         linear_predictor=eta,
-        fitted_probs=np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS),
+        fitted_probs=probs.clip(_PROB_EPS, 1.0 - _PROB_EPS),
         loglik=loglik,
         expected_information=info,
         iterations=iteration,

@@ -155,16 +155,15 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     numerics.cholesky_spd(a)
     numerics.cholesky_spd(b)
 
-    if np.array_equal(a, b):
+    if (a == b).all():
         # Identity ratio: the +/-1 pairs are exact, not just within rounding.
         roots = np.ones(a.shape[0])
     elif a.shape[0] == 1:
-        roots = np.array([np.sqrt(a[0, 0] / b[0, 0])])
+        roots = np.sqrt(a[0] / b[0])
     else:
         from scipy.linalg import eigh
 
-        mu = eigh(a, b, eigvals_only=True)
-        roots = np.sqrt(np.sort(mu)[::-1])
+        roots = np.sqrt(eigh(a, b, eigvals_only=True))
     weights = np.empty(2 * roots.shape[0])
     weights[0::2] = np.sort(roots)[::-1]
     weights[1::2] = -weights[0::2]

@@ -58,9 +58,9 @@ class MixtureSpec:
         object.__setattr__(self, "scale", float(self.scale))
         if len(weights) == 0:
             raise ValueError("mixture needs at least one weight")
-        if not np.all(np.isfinite(weights)):
+        if not all(map(math.isfinite, weights)):
             raise ValueError("mixture weights must be finite")
-        if not (np.isfinite(self.scale) and self.scale > 0):
+        if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("mixture scale must be positive and finite")
 
 
@@ -68,10 +68,16 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    atol = 1e-8 * (1.0 + np.abs(a).max())
-    with np.errstate(invalid="ignore"):  # np.allclose(a, a.T, rtol=0, atol=atol), inlined
-        close = (a == a.T) | ((np.abs(a - a.T) <= atol) & np.isfinite(a.T))
-    if not close.all():
+    # np.allclose(a, a.T, rtol=0, atol=atol), inlined. atol is finite exactly
+    # when every entry is, and then one comparison decides; inf and NaN
+    # entries take allclose's own rules.
+    atol = 1e-8 * (1.0 + abs(a).max())
+    if math.isfinite(atol):
+        close = (abs(a - a.T) <= atol).all()
+    else:
+        with np.errstate(invalid="ignore"):
+            close = ((a == a.T) | ((abs(a - a.T) <= atol) & np.isfinite(a.T))).all()
+    if not close:
         raise ValueError(f"{name} must be symmetric")
     return a
 
@@ -84,9 +90,17 @@ def cholesky_spd(a) -> np.ndarray:
     information matrices signals collinear covariates.
     """
     a = _as_symmetric(a)
-    tol = _SPD_PIVOT_RTOL * max(float(np.max(np.diag(a))), 0.0)
+    tol = _SPD_PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
     lower, info = lapack.dpotrf(a, lower=1, clean=1)
-    pivots = np.diag(lower) ** 2
+    diagonal = lower.diagonal()
+    # A complete factor has positive diagonal entries, so its smallest
+    # pivot is the square of its smallest entry. Squared as a product, as
+    # the array square below is: a scalar ** 2 goes through pow, which can
+    # round the other way.
+    smallest = diagonal.min()
+    if info == 0 and smallest * smallest > tol:
+        return lower
+    pivots = diagonal**2
     if info > 0:  # dpotrf stopped at info - 1, leaving that pivot itself there
         pivots[info - 1] = lower[info - 1, info - 1]
     ok = pivots > tol  # dpotrf passes positive pivots below tol; NaN fails here

@@ -162,6 +162,9 @@ def _run_replicates(worker, config: SimConfig, cell: int, workers: int):
     enforce the failure budget. Each worker result ends with its redraw
     count; returns the other results column by column, and the redraws."""
     args_list = [(config, cell, rep) for rep in range(config.replicates)]
+    # A pool starts all its processes up front; more than one per replicate
+    # would sit idle.
+    workers = min(workers, len(args_list))
     if workers <= 1:
         results = [worker(args) for args in args_list]
     else:

@@ -13,8 +13,6 @@ import pytest
 from mnri import cli, glm
 from mnri.cli import CompareReport, main
 
-SEEDED = np.random.default_rng(2468)
-
 
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as handle:
@@ -25,12 +23,13 @@ def write_csv(path, header, rows):
 
 @pytest.fixture
 def demo_csv(tmp_path):
+    rng = np.random.default_rng(2468)
     n = 240
-    x = SEEDED.standard_normal(n)
-    z = SEEDED.standard_normal(n)
-    marker = np.exp(SEEDED.standard_normal(n) * 0.4 + 1.0)
+    x = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    marker = np.exp(rng.standard_normal(n) * 0.4 + 1.0)
     probs = 1.0 / (1.0 + np.exp(-(-0.4 + 0.9 * x)))
-    y = (SEEDED.random(n) < probs).astype(int)
+    y = (rng.random(n) < probs).astype(int)
     path = tmp_path / "demo.csv"
     write_csv(
         path,
@@ -130,11 +129,12 @@ class TestCompare:
         assert code == 2
 
     def test_constant_column_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
         path = tmp_path / "const.csv"
         write_csv(
             path,
             ["y", "a", "b"],
-            [[i % 2, 1.0, SEEDED.standard_normal()] for i in range(80)],
+            [[i % 2, 1.0, rng.standard_normal()] for i in range(80)],
         )
         code, _, err = run(
             capsys, ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
@@ -143,8 +143,9 @@ class TestCompare:
         assert "constant" in err
 
     def test_missing_value_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
         path = tmp_path / "gaps.csv"
-        rows = [[i % 2, SEEDED.standard_normal(), SEEDED.standard_normal()] for i in range(80)]
+        rows = [[i % 2, rng.standard_normal(), rng.standard_normal()] for i in range(80)]
         rows[13][1] = ""
         write_csv(path, ["y", "a", "b"], rows)
         code, _, err = run(
@@ -165,8 +166,6 @@ class TestCompare:
         ],
     )
     def test_bad_cell_message(self, tmp_path, capsys, cell, message):
-        # An own generator, so the data of later tests that draw on SEEDED
-        # stay as they were.
         rng = np.random.default_rng(15)
         path = tmp_path / "bad.csv"
         rows = [[i % 2, *rng.standard_normal(2)] for i in range(80)]
@@ -224,10 +223,11 @@ class TestCompare:
         assert cause in err
 
     def test_duplicate_covariate_is_fit_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
         path = tmp_path / "dup.csv"
         rows = []
         for i in range(100):
-            v = SEEDED.standard_normal()
+            v = rng.standard_normal()
             rows.append([i % 2, v, v])
         write_csv(path, ["y", "a", "acopy"], rows)
         code, _, err = run(
@@ -238,11 +238,12 @@ class TestCompare:
         assert "design matrix is rank deficient (collinear columns)" in err
 
     def test_degenerate_outcome_exit_code(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
         path = tmp_path / "allones.csv"
         write_csv(
             path,
             ["y", "a", "b"],
-            [[1, SEEDED.standard_normal(), SEEDED.standard_normal()] for _ in range(80)],
+            [[1, rng.standard_normal(), rng.standard_normal()] for _ in range(80)],
         )
         code, _, _ = run(
             capsys, ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
@@ -478,6 +479,13 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err == "error: invalid simulation grid: mu_x must be finite\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_exit_two(self, capsys, workers):
+        code, out, err = run(capsys, self.BASE + ["--workers", workers])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
 
     def test_empty_grid_exit_two(self, capsys):
         code, _, _ = run(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mnri import glm
+from mnri import glm, numerics
 from mnri.errors import DegenerateOutcome, NoConvergence, RankDeficient, Separation
 from mnri.glm import (
     LOGIT,
@@ -189,6 +189,107 @@ class TestFit:
     def test_constant_outcome(self):
         with pytest.raises(DegenerateOutcome):
             fit(np.ones(50), np.ones((50, 1)), LOGIT)
+
+
+def reference_fit(y, design, link):
+    """Fisher scoring as glm.fit does it, written with numpy's generic
+    wrappers: ``np.clip``, ``1 - y`` formed at every log-likelihood,
+    ``np.linalg.norm`` and ``numerics.solve_spd``. Returns the fitted
+    model and the number of halved steps."""
+
+    def loglik_of(probs):
+        p = np.clip(probs, 1e-12, 1.0 - 1e-12)
+        return float(y @ np.log(p) + (1.0 - y) @ np.log1p(-p))
+
+    beta = np.zeros(design.shape[1])
+    eta = design @ beta
+    probs = link.prob(eta)
+    loglik = loglik_of(probs)
+    last_step_norm = np.inf
+    total_halvings = 0
+    for iteration in range(101):
+        residual, w = link.score_and_weight(eta, y, probs)
+        score = design.T @ residual
+        info = design.T @ (design * w[:, None])
+        if np.max(np.abs(score)) <= 1e-8 and last_step_norm <= 1e-8:
+            break
+        assert iteration < 100, "reference fit did not converge"
+        step = numerics.solve_spd(info, score)
+        slack = 1e-11 * (1.0 + abs(loglik))
+        halvings = 0
+        while True:
+            new_beta = beta + step
+            new_eta = design @ new_beta
+            new_probs = link.prob(new_eta)
+            new_loglik = loglik_of(new_probs)
+            if not (new_loglik < loglik - slack and halvings < 30):
+                break
+            step *= 0.5
+            halvings += 1
+        total_halvings += halvings
+        beta, eta, probs, loglik = new_beta, new_eta, new_probs, new_loglik
+        last_step_norm = float(np.linalg.norm(step))
+    model = FittedModel(
+        coefficients=beta,
+        linear_predictor=eta,
+        fitted_probs=np.clip(probs, 1e-12, 1.0 - 1e-12),
+        loglik=loglik,
+        expected_information=info,
+        iterations=iteration,
+    )
+    return model, total_halvings
+
+
+def pin_case(seed):
+    """A seeded (y, design, link): the nested designs of make_data at
+    n = 60 to 500 for seeds below 24, otherwise a covariate with a few
+    far, misclassified points, whose fits halve steps."""
+    link = (LOGIT, PROBIT)[seed % 2]
+    if seed < 24:
+        n = (60, 120, 200, 350, 500)[seed % 5]
+        data = make_data(n=n, seed=seed, link=link)
+        columns = (np.ones((n, 1)), data.x, np.hstack([data.x, data.z]))
+        return data.y, columns[seed % 3], link
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(60, 501))
+    big = rng.choice([5.0, 10.0, 30.0])
+    k = int(rng.integers(1, 6))
+    x = rng.standard_normal(n)
+    y = (rng.random(n) < link.prob(rng.choice([2.0, 4.0, 8.0]) * x)).astype(float)
+    far = rng.choice(n, k, replace=False)
+    x[far] = big * np.sign(rng.standard_normal(k))
+    y[far] = (x[far] < 0).astype(float)
+    design = np.column_stack([np.ones(n), x]) if seed % 3 else x[:, None]
+    return y, design, link
+
+
+PIN_SEEDS = list(range(24)) + [570, 593, 639, 719, 754, 769]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("seed", PIN_SEEDS)
+    def test_fit_matches_reference_bitwise(self, seed):
+        y, design, link = pin_case(seed)
+        model = fit(y, design, link)
+        expected, _ = reference_fit(y, design, link)
+        for name in (
+            "coefficients", "linear_predictor", "fitted_probs", "expected_information",
+        ):
+            assert getattr(model, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert model.loglik == expected.loglik
+        assert model.iterations == expected.iterations
+
+    def test_pin_cases_cover_links_sizes_and_halving(self):
+        cases = [pin_case(seed) for seed in PIN_SEEDS]
+        assert {link.kind for _, _, link in cases} == {"logit", "probit"}
+        sizes = [y.shape[0] for y, _, _ in cases]
+        assert min(sizes) == 60 and max(sizes) == 500
+        halved = {
+            link.kind
+            for y, design, link in cases
+            if reference_fit(y, design, link)[1] > 0
+        }
+        assert halved == {"logit", "probit"}
 
 
 class TestFitNested:

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.linalg import lapack
 
 from mnri import numerics
 from mnri.errors import NotPositiveDefinite
@@ -23,6 +25,93 @@ from mnri.numerics import (
     norm_pdf,
     solve_spd,
 )
+
+
+_EDGE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324]
+
+
+def _entries():
+    return st.one_of(
+        st.floats(-10.0, 10.0),
+        st.floats(1e306, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+        st.sampled_from(_EDGE_ENTRIES),
+    )
+
+
+def _symmetric(draw, k):
+    a = np.zeros((k, k))
+    a[np.tril_indices(k)] = draw(st.lists(_entries(), min_size=k * (k + 1) // 2,
+                                          max_size=k * (k + 1) // 2))
+    return np.tril(a) + np.tril(a, -1).T
+
+
+def _cell(draw, k):
+    return draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+
+
+@st.composite
+def asymmetry_cases(draw):
+    """Square matrices, 1x1 to 6x6, symmetric up to a few entries moved off
+    their mirror by about atol: just inside, at, or just outside it. Some
+    entries are near +/-1e308; some matrices get a NaN or +/-inf entry,
+    alone or mirrored."""
+    k = draw(st.integers(1, 6))
+    a = _symmetric(draw, k)
+    with np.errstate(all="ignore"):
+        atol = 1e-8 * (1.0 + np.abs(a).max())
+        for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
+            i = draw(st.integers(1, k - 1))
+            j = draw(st.integers(0, i - 1))
+            factor = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e6]))
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            a[i, j] = a[j, i] + sign * factor * atol
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i, j = _cell(draw, k)
+        a[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            a[j, i] = a[i, j]
+    return a.tolist()
+
+
+def full_pivot_rule(a):
+    """The relative pivot rule applied to every pivot, with no early
+    acceptance: (message, None) when it rejects, (None, factor) otherwise."""
+    tol = 1e-12 * max(float(np.max(np.diag(a))), 0.0)
+    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    pivots = np.diag(lower) ** 2
+    if info > 0:
+        pivots[info - 1] = lower[info - 1, info - 1]
+    ok = pivots > tol
+    if ok.all():
+        return None, lower
+    j = int(np.argmin(ok))
+    return f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}", None
+
+
+@st.composite
+def pivot_cases(draw):
+    """Exactly symmetric matrices, 1x1 to 6x6: Gram matrices of full or
+    deficient rank, diagonals with a pivot near 1e-12 * max(diag),
+    indefinite or zero matrices, and entries near +/-1e308 or infinite."""
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gram", "edge_diagonal", "entries"]))
+    if kind == "gram":
+        rank = draw(st.integers(0, k))
+        m = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=k * rank,
+                                   max_size=k * rank))).reshape(k, rank)
+        a = m @ m.T + draw(st.sampled_from([0.0, 1e-13, 1e-11, 1.0])) * np.eye(k)
+    elif kind == "edge_diagonal":
+        big = draw(st.floats(1e-3, 1e6))
+        a = np.diag(draw(st.lists(st.floats(1.0, 10.0), min_size=k, max_size=k)))
+        a[0, 0] = big
+        j = draw(st.integers(0, k - 1))
+        a[j, j] = big * 1e-12 * draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-15]))
+    else:
+        a = _symmetric(draw, k)
+        for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+            i, j = _cell(draw, k)
+            a[i, j] = a[j, i] = draw(st.sampled_from([np.inf, -np.inf]))
+    return a.tolist()
 
 
 class TestSolveSpd:
@@ -72,9 +161,15 @@ class TestSolveSpd:
             ([[2.0, np.nan], [np.nan, 2.0]], False),
             ([[np.inf, -np.inf], [-np.inf, 1.0]], True),
             ([[1.0, np.inf], [5.0, 1.0]], False),
+            ([[np.inf]], True),
+            ([[np.nan]], False),
+            ([[1e308, 1.7e308], [-1.7e308, 1e308]], False),  # a - a.T overflows
+            ([[1e308, 1.0], [1.0 + 1e299, 1e308]], True),  # atol near 1e300
+            ([[1.0, 2.0], [2.0, np.nan]], False),  # NaN only on the diagonal
         ],
     )
     @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_symmetry_check_matches_allclose(self, a, symmetric):
         a = np.array(a)
         atol = 1e-8 * (1.0 + np.abs(a).max())
@@ -84,6 +179,34 @@ class TestSolveSpd:
         else:
             with pytest.raises(ValueError, match="must be symmetric"):
                 numerics._as_symmetric(a)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=asymmetry_cases())
+    def test_symmetry_check_matches_allclose_property(self, case):
+        a = np.array(case)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = np.allclose(a, a.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(a).max()))
+            if expected:
+                np.testing.assert_array_equal(numerics._as_symmetric(a), a)
+            else:
+                with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+                    numerics._as_symmetric(a)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=pivot_cases())
+    # Pivot d * d equal to the tolerance, where pow(d, 2) is one ulp above.
+    @example(case=[[310397.2646643939, 0.0], [0.0, 3.103972646643939e-07]])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_pivot_verdict_matches_full_rule(self, case):
+        a = np.array(case)
+        message, lower = full_pivot_rule(a)
+        if message is None:
+            assert cholesky_spd(a).tobytes() == lower.tobytes()
+        else:
+            with pytest.raises(NotPositiveDefinite) as raised:
+                cholesky_spd(a)
+            assert str(raised.value) == message
 
     def test_pivot_tolerance_relative_to_diagonal(self):
         # Collinearity at a scale far above machine noise still trips.

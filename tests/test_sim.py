@@ -113,6 +113,31 @@ class TestRunCell:
         parallel = run_cell(cfg, workers=2)
         assert sequential == parallel
 
+    @pytest.mark.parametrize("replicates, pool_size", [(3, 3), (1, None)])
+    def test_pool_no_larger_than_the_cell(self, monkeypatch, replicates, pool_size):
+        # A stand-in executor records its size and maps in-process, so no
+        # process is started.
+        sizes = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakeExecutor)
+        cfg = config(replicates=replicates)
+        row = run_cell(cfg, workers=8)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert row == run_cell(cfg, workers=1)
+
     def test_single_replicate_rates_degenerate(self):
         row = run_cell(config(replicates=1))
         assert row.rejection_rate_mnri in (0.0, 1.0)
