@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class ColumnSpec:
     outcome: str
     base: tuple[str, ...]
     new: tuple[str, ...]
-    spline: dict[str, int] = field(default_factory=dict)
+    spline: dict[str, int]
 
     def __post_init__(self):
         names = [self.outcome, *self.base, *self.new]
@@ -214,7 +214,10 @@ def _spline_flag_pairs(values: list[str] | None) -> dict[str, int]:
                 k = int(count)
             except ValueError:
                 raise DataError(f"--spline knot count must be an integer, got {count!r}") from None
-            spline[col.strip()] = _knot_count(k, "--spline")
+            col = col.strip()
+            if col in spline:
+                raise DataError(f"--spline names column {col!r} twice")
+            spline[col] = _knot_count(k, "--spline")
     return spline
 
 
@@ -225,7 +228,7 @@ def _column_spec(args) -> ColumnSpec:
         outcome=args.outcome,
         base=base,
         new=new,
-        spline=_spline_flag_pairs(getattr(args, "spline", None)),
+        spline=_spline_flag_pairs(args.spline),
     )
 
 
@@ -233,8 +236,11 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_compare(args) -> int:

@@ -48,14 +48,11 @@ class ScaledChisqRef:
 
 
 @dataclass(frozen=True)
-class ChisqMixtureRef:
-    """Upper tail of scale * sum_j weights[j] * chi2_1j."""
-
-    scale: float
-    weights: tuple[float, ...]
+class ChisqMixtureRef(MixtureSpec):
+    """Upper tail of scale * sum_j weights[j] * chi2_1j, validated as a MixtureSpec."""
 
     def p_value(self, statistic: float) -> float:
-        return numerics.mixture_tail(float(statistic), MixtureSpec(self.weights, self.scale))
+        return numerics.mixture_tail(float(statistic), self)
 
     def to_dict(self) -> dict:
         return {"kind": "chisq_mixture", "scale": self.scale, "weights": list(self.weights)}
@@ -83,7 +80,7 @@ def reference_from_dict(d: dict) -> Reference:
     if kind == "scaled_chisq":
         return ScaledChisqRef(k=d["k"], q=int(d["q"]))
     if kind == "chisq_mixture":
-        return ChisqMixtureRef(scale=d["scale"], weights=tuple(d["weights"]))
+        return ChisqMixtureRef(scale=d["scale"], weights=d["weights"])
     if kind == "normal":
         return NormalRef(variance=d["variance"])
     raise ValueError(f"unknown reference kind {kind!r}")
@@ -179,7 +176,7 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     var_test = information_blocks(pair.test_fits.expanded, test_data.p).gamma_cov
     weights = mixture_weights(var_train, var_test)
     k = k_constant(test_data.ybar)
-    reference = ChisqMixtureRef(scale=k / 2.0, weights=tuple(weights))
+    reference = ChisqMixtureRef(scale=k / 2.0, weights=weights)
     return _result(statistic, reference)
 
 
@@ -198,8 +195,6 @@ def test_nri_normal_legacy(
     the mNRI test of the same comparison takes."""
     data = fits_or_pair.test_data if isinstance(fits_or_pair, TrainTestPair) else fits_or_pair.data
     n1 = int(np.count_nonzero(data.y == 1.0))
-    n0 = int(np.count_nonzero(data.y == 0.0))
-    if n1 < 1 or n0 < 1:
-        raise DegenerateOutcome("need at least one event and one non-event")
+    n0 = int(np.count_nonzero(data.y == 0.0))  # a Dataset holds both classes
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
     return _result(stats.nri_hard, NormalRef(variance=variance), notes=_LEGACY_NOTE)

@@ -64,10 +64,10 @@ class MixtureSpec:
             raise ValueError("mixture scale must be positive and finite")
 
 
-def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
+def _as_symmetric(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     # np.allclose(a, a.T, rtol=0, atol=atol), inlined. atol is finite exactly
     # when every entry is, and then one comparison decides; inf and NaN
     # entries take allclose's own rules.
@@ -78,7 +78,7 @@ def _as_symmetric(a, name: str = "matrix") -> np.ndarray:
         with np.errstate(invalid="ignore"):
             close = ((a == a.T) | ((abs(a - a.T) <= atol) & np.isfinite(a.T))).all()
     if not close:
-        raise ValueError(f"{name} must be symmetric")
+        raise ValueError("matrix must be symmetric")
     return a
 
 
@@ -100,16 +100,15 @@ def cholesky_spd(a) -> np.ndarray:
     smallest = diagonal.min()
     if info == 0 and smallest * smallest > tol:
         return lower
+    # A pivot fails: the smallest square, or the one <= 0 or NaN at which
+    # dpotrf stopped (info - 1), left there as it was.
     pivots = diagonal**2
-    if info > 0:  # dpotrf stopped at info - 1, leaving that pivot itself there
+    if info > 0:
         pivots[info - 1] = lower[info - 1, info - 1]
-    ok = pivots > tol  # dpotrf passes positive pivots below tol; NaN fails here
-    if not ok.all():
-        j = int(np.argmin(ok))
-        raise NotPositiveDefinite(
-            f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}"
-        )
-    return lower
+    j = int(np.argmin(pivots > tol))
+    raise NotPositiveDefinite(
+        f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}"
+    )
 
 
 def solve_spd(a, b) -> np.ndarray:

@@ -94,18 +94,13 @@ def cross_score_difference(train_fits: NestedFits, test_data: Dataset) -> np.nda
     return eta_expanded - eta_base
 
 
-def _check_ybar(ybar: float) -> float:
-    if not 0.0 < ybar < 1.0:
-        raise DegenerateOutcome(f"event rate {ybar} leaves no reclassification scale")
-    return ybar
-
-
 def half_nri_from_parts(residuals, delta, ybar: float, *, smooth: bool) -> float:
     """Core statistic [n ybar (1-ybar)]^-1 sum_i residuals_i (ind(delta_i) - 1/2),
     with ind either the extended indicator or the normal distribution function."""
     residuals = np.asarray(residuals, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    _check_ybar(ybar)
+    if not 0.0 < ybar < 1.0:
+        raise DegenerateOutcome(f"event rate {ybar} leaves no reclassification scale")
     ind = numerics.norm_cdf(delta) if smooth else extended_indicator(delta)
     n = residuals.shape[0]
     return float(residuals @ (ind - 0.5)) / (n * ybar * (1.0 - ybar))
@@ -125,8 +120,8 @@ def _parts(fits_or_pair: NestedFits | TrainTestPair) -> tuple[np.ndarray, np.nda
 
 
 def _half_nris(delta: np.ndarray, residuals: np.ndarray, data: Dataset) -> HalfNRIs:
-    # The half_nri_from_parts arithmetic, with each indicator formed once.
-    ybar = _check_ybar(data.ybar)
+    # half_nri_from_parts, each indicator formed once; a Dataset has 0 < ybar < 1.
+    ybar = data.ybar
     scale = data.n * ybar * (1.0 - ybar)
     hard = extended_indicator(delta) - 0.5
     smooth = numerics.norm_cdf(delta) - 0.5
@@ -149,7 +144,7 @@ def half_nris(fits_or_pair: NestedFits | TrainTestPair) -> HalfNRIs:
 def mad_probabilities(fits: NestedFits) -> tuple[float, float]:
     """Mean absolute difference between nested fitted probabilities and its
     [2 ybar (1-ybar)]^-1 scaling (approximately the logit mNRI)."""
-    ybar = _check_ybar(fits.data.ybar)
+    ybar = fits.data.ybar
     mad = float(np.mean(np.abs(fits.expanded.fitted_probs - fits.base.fitted_probs)))
     return mad, mad / (2.0 * ybar * (1.0 - ybar))
 
@@ -168,7 +163,7 @@ def sign_decomposition(fits: NestedFits) -> tuple[float, int, float]:
     [2 ybar (1-ybar)]^-1 (s'r)/(s's). With no ties s's = n and the
     regression form equals the hard mNRI exactly.
     """
-    ybar = _check_ybar(fits.data.ybar)
+    ybar = fits.data.ybar
     delta, residuals, _ = _parts(fits)
     sign_inner, sign_norm = _sign_parts(delta, residuals)
     if sign_norm == 0:
@@ -183,7 +178,7 @@ def build_report(fits: NestedFits) -> ReclassReport:
     mad, scaled_mad = mad_probabilities(fits)
     delta, residuals, data = _parts(fits)
     ties = int(np.count_nonzero(delta == 0.0))
-    sign_inner, sign_norm = _sign_parts(delta, residuals) if ties < data.n else (0.0, 0)
+    sign_inner, sign_norm = _sign_parts(delta, residuals)
     return ReclassReport(
         **vars(_half_nris(delta, residuals, data)),
         mad=mad,

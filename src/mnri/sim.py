@@ -21,6 +21,7 @@ disturbing neighboring replicates.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -81,9 +82,18 @@ class SimTableRow:
     config: SimConfig
     rejection_rate_mnri: float
     rejection_rate_nri_normal: float
-    mc_se_mnri: float
-    mc_se_nri: float
     redraws: int
+
+    def _mc_se(self, rate: float) -> float:
+        return float(np.sqrt(rate * (1.0 - rate) / self.config.replicates))
+
+    @property
+    def mc_se_mnri(self) -> float:
+        return self._mc_se(self.rejection_rate_mnri)
+
+    @property
+    def mc_se_nri(self) -> float:
+        return self._mc_se(self.rejection_rate_nri_normal)
 
 
 def replicate_stream(seed: int, cell: int, replicate: int, attempt: int = 0, part: int = 0):
@@ -157,14 +167,20 @@ def _replicate_rejections(args) -> tuple[bool, bool, int]:
     return p_mnri <= alpha, p_nri <= alpha, redraws
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _run_replicates(worker, config: SimConfig, cell: int, workers: int):
     """Map ``worker`` over the cell's replicates, in replicate order, and
     enforce the failure budget. Each worker result ends with its redraw
     count; returns the other results column by column, and the redraws."""
     args_list = [(config, cell, rep) for rep in range(config.replicates)]
     # A pool starts all its processes up front; more than one per replicate
-    # would sit idle.
-    workers = min(workers, len(args_list))
+    # or per usable CPU would sit idle.
+    workers = min(workers, len(args_list), _usable_cpus())
     if workers <= 1:
         results = [worker(args) for args in args_list]
     else:
@@ -186,18 +202,10 @@ def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1) -> SimTableR
     (reject_mnri, reject_nri), redraws = _run_replicates(
         _replicate_rejections, config, cell, workers
     )
-    rate_mnri = float(reject_mnri.mean())
-    rate_nri = float(reject_nri.mean())
-
-    def mc_se(rate):
-        return float(np.sqrt(rate * (1.0 - rate) / config.replicates))
-
     return SimTableRow(
         config=config,
-        rejection_rate_mnri=rate_mnri,
-        rejection_rate_nri_normal=rate_nri,
-        mc_se_mnri=mc_se(rate_mnri),
-        mc_se_nri=mc_se(rate_nri),
+        rejection_rate_mnri=float(reject_mnri.mean()),
+        rejection_rate_nri_normal=float(reject_nri.mean()),
         redraws=redraws,
     )
 
@@ -226,9 +234,7 @@ class NullStatistics:
     redraws: int
 
 
-def collect_null_statistics(
-    config: SimConfig, *, cell: int = 0, workers: int = 1
-) -> NullStatistics:
+def collect_null_statistics(config: SimConfig, *, workers: int = 1) -> NullStatistics:
     """Collect the raw per-replicate statistics used by the calibration and
     null-distribution diagnostics. The configuration should be a null
     scenario: gamma = 0 holds for null_style='enforced' at any rho, or for
@@ -236,7 +242,7 @@ def collect_null_statistics(
     if config.mode != "single":
         raise ValueError("null statistics are collected from single-sample runs")
     (mnri_scaled, nri_scaled), redraws = _run_replicates(
-        partial(_replicated, _null_statistics), config, cell, workers
+        partial(_replicated, _null_statistics), config, 0, workers
     )
     return NullStatistics(
         config=config, mnri_scaled=mnri_scaled, nri_scaled=nri_scaled, redraws=redraws
@@ -292,8 +298,7 @@ class ProprietyCheck:
     """Paired Monte Carlo comparison of the single-draw mNRI scoring
     function at the true expanded parameters against perturbed ones."""
 
-    radii: np.ndarray
-    mean_diffs: np.ndarray  # E[T1(true)] - E[T1(perturbed)], one per perturbation
+    mean_diffs: np.ndarray  # E[T1(true)] - E[T1(perturbed)], radius by radius
     se_diffs: np.ndarray
 
 
@@ -346,16 +351,13 @@ def propriety_mc_check(*, draws: int = 100_000, seed: int = DEFAULT_SEED) -> Pro
         return scale * residuals * (ind - 0.5)
 
     t1_true = t1_values(theta0)
-    all_radii, means, ses = [], [], []
+    means, ses = [], []
     for radius in _PROPRIETY_RADII:
         for _ in range(_PROPRIETY_PER_RADIUS):
             direction = rng.standard_normal(3)
             direction -= (direction @ flat_ray) * flat_ray
             direction /= np.linalg.norm(direction)
             diff = t1_true - t1_values(theta0 + radius * direction)
-            all_radii.append(radius)
             means.append(float(diff.mean()))
             ses.append(float(diff.std(ddof=1) / np.sqrt(draws)))
-    return ProprietyCheck(
-        radii=np.array(all_radii), mean_diffs=np.array(means), se_diffs=np.array(ses)
-    )
+    return ProprietyCheck(mean_diffs=np.array(means), se_diffs=np.array(ses))

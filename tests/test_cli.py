@@ -39,6 +39,10 @@ def demo_csv(tmp_path):
     return str(path)
 
 
+# Two rows: enough for every check that fails before the data are fitted.
+GOOD_CSV = "y,x,z\n0,0.5,1.5\n1,-0.5,2.5\n"
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -221,6 +225,46 @@ class TestCompare:
         assert out == ""
         assert err.startswith(f"error: cannot read {path}: ")
         assert cause in err
+
+    @pytest.mark.parametrize(
+        "content, argv, message",
+        [
+            ("", [], "{path}: empty file"),
+            ("y,x,x\n0,1,2\n", [], "{path}: duplicate column names in header"),
+            ("y,x,z\n0,1,2\n1,2\n", [], "{path}:3: expected 3 fields"),
+            (GOOD_CSV, ["--new", ""], "compare needs at least one --new column"),
+            (GOOD_CSV, ["--new", "x"], "outcome, base, and new column names must be distinct"),
+            (GOOD_CSV, ["--spline", "w=4"], "spline column 'w' is not among the base/new columns"),
+            (GOOD_CSV, ["--spline", "x4"], "--spline expects COL=KNOTS, got 'x4'"),
+            (GOOD_CSV, ["--spline", "x=four"],
+             "--spline knot count must be an integer, got 'four'"),
+            (None, ["simulate", "--n", "200,abc", "--pi0", "0.5", "--mu-x", "0.25", "--rho", "0"],
+             "expected a comma-separated list of integers, got '200,abc'"),
+        ],
+        ids=[
+            "empty-file", "duplicate-header", "ragged-row", "no-new", "names-not-distinct",
+            "spline-outside-model", "spline-no-equals", "spline-non-integer", "simulate-bad-n",
+        ],
+    )
+    def test_data_error_message(self, tmp_path, capsys, content, argv, message):
+        path = tmp_path / "f.csv"
+        if content is not None:
+            path.write_text(content)
+            argv = ["compare", str(path), "--outcome", "y", "--base", "x", "--new", "z", *argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize("flags", [["marker=4,marker=5"], ["marker=4", "marker=4"]])
+    def test_spline_column_named_twice(self, demo_csv, capsys, flags):
+        argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "marker"]
+        for flag in flags:
+            argv += ["--spline", flag]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --spline names column 'marker' twice\n"
 
     def test_duplicate_covariate_is_fit_error(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
@@ -506,6 +550,26 @@ def test_out_flag_writes_file(demo_csv, tmp_path, capsys):
     assert out == ""
     report = CompareReport.from_json(target.read_text())
     assert report.version == json.loads(target.read_text())["version"]
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+@pytest.mark.parametrize(
+    "target, cause",
+    [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_out_is_data_error(demo_csv, tmp_path, capsys, command, target, cause):
+    target = tmp_path / target
+    if command == "compare":
+        argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]
+    else:
+        argv = ["simulate", "--n", "200", "--pi0", "0.5", "--mu-x", "0.25", "--rho", "0",
+                "--reps", "2"]
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert cause in err
 
 
 def test_import_defers_quadrature():

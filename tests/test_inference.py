@@ -85,6 +85,17 @@ class TestReferences:
         ref = ChisqMixtureRef(scale=0.8, weights=(1.0, -1.0))
         assert ref.p_value(0.0) == 0.5
 
+    def test_mixture_ref_is_validated_mixture_spec(self):
+        ref = ChisqMixtureRef(scale=0.8, weights=(1.0, -1.0))
+        assert isinstance(ref, numerics.MixtureSpec)
+        assert ref.p_value(2.0) == numerics.mixture_tail(2.0, ref)
+        for scale, weights in [
+            (0.8, ()), (0.8, (1.0, math.nan)), (0.8, (math.inf, -1.0)),
+            (0.0, (1.0, -1.0)), (-0.8, (1.0, -1.0)), (math.nan, (1.0, -1.0)),
+        ]:
+            with pytest.raises(ValueError):
+                ChisqMixtureRef(scale=scale, weights=weights)
+
     def test_round_trip_serialization(self):
         refs = [
             ScaledChisqRef(k=1.5, q=2),

@@ -1,5 +1,7 @@
 """Tests for the reclassification statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,7 +133,10 @@ class TestHardNri:
             [1.0, -0.5, 0.5, 2.0, -1.5, 0.0],
             base_coef=[-0.2, 0.6], expanded_coef=[-0.2, 0.6, 0.0],
         )
-        assert build_report(fits).ties == 6
+        report = build_report(fits)
+        assert report.ties == 6
+        assert report.sign_inner == 0.0 and math.copysign(1.0, report.sign_inner) == 1.0
+        assert report.sign_norm == 0
         assert half_nris(fits).nri_hard == 0.0
         assert half_nris(fits).nri_smooth == 0.0
         assert half_nris(fits).mnri_hard == 0.0

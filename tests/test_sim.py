@@ -113,8 +113,8 @@ class TestRunCell:
         parallel = run_cell(cfg, workers=2)
         assert sequential == parallel
 
-    @pytest.mark.parametrize("replicates, pool_size", [(3, 3), (1, None)])
-    def test_pool_no_larger_than_the_cell(self, monkeypatch, replicates, pool_size):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # A stand-in executor records its size and maps in-process, so no
         # process is started.
         sizes = []
@@ -133,10 +133,32 @@ class TestRunCell:
                 return map(fn, iterable)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", FakeExecutor)
+        return sizes
+
+    @pytest.mark.parametrize("replicates, pool_size", [(3, 3), (1, None)])
+    def test_pool_no_larger_than_the_cell(self, monkeypatch, pool_sizes, replicates, pool_size):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
         cfg = config(replicates=replicates)
         row = run_cell(cfg, workers=8)
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert pool_sizes == ([] if pool_size is None else [pool_size])
         assert row == run_cell(cfg, workers=1)
+
+    @pytest.mark.parametrize("cpus, pool_size", [(2, 2), (1, None)])
+    def test_pool_no_larger_than_the_cpus(self, monkeypatch, pool_sizes, cpus, pool_size):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        cfg = config(replicates=5)
+        row = run_cell(cfg, workers=250)
+        assert pool_sizes == ([] if pool_size is None else [pool_size])
+        assert row == run_cell(cfg, workers=1)
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert sim._usable_cpus() == 3
+        monkeypatch.delattr(sim.os, "sched_getaffinity")
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 6)
+        assert sim._usable_cpus() == 6
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert sim._usable_cpus() == 1
 
     def test_single_replicate_rates_degenerate(self):
         row = run_cell(config(replicates=1))
@@ -236,7 +258,6 @@ class TestPropriety:
         assert check.mean_diffs.shape == (20,)
         assert np.all(check.mean_diffs > 0)
         assert np.all(check.se_diffs > 0)
-        assert set(np.unique(check.radii)) == {0.25, 0.5}
 
 
 def test_simconfig_is_frozen():
