@@ -232,12 +232,12 @@ def _column_spec(args) -> ColumnSpec:
     )
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str, out: str | None, mode: str = "w") -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(out, mode, encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise DataError(f"cannot write {out}: {exc}") from exc
@@ -375,6 +375,8 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise DataError(f"invalid simulation grid: {exc}") from exc
 
+    if args.out is not None:  # fail before the grid runs; appending keeps an existing file
+        _write_output("", args.out, "a")
     rows = sim.run_grid(configs, workers=args.workers)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

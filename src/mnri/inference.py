@@ -170,12 +170,12 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
 def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     """One-sided test of the train/test smooth mNRI against its weighted
     chi-square mixture reference; ``stats`` is ``reclass.half_nris(pair)``."""
-    test_data = pair.test_data
-    statistic = test_data.n * stats.mnri_smooth
-    var_train = information_blocks(pair.train_fits.expanded, test_data.p).gamma_cov
-    var_test = information_blocks(pair.test_fits.expanded, test_data.p).gamma_cov
+    data = pair.data
+    statistic = data.n * stats.mnri_smooth
+    var_train = information_blocks(pair.train_fits.expanded, data.p).gamma_cov
+    var_test = information_blocks(pair.test_fits.expanded, data.p).gamma_cov
     weights = mixture_weights(var_train, var_test)
-    k = k_constant(test_data.ybar)
+    k = k_constant(data.ybar)
     reference = ChisqMixtureRef(scale=k / 2.0, weights=weights)
     return _result(statistic, reference)
 
@@ -193,7 +193,7 @@ def test_nri_normal_legacy(
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
     be wrong; the result is labeled accordingly. ``stats`` is the object
     the mNRI test of the same comparison takes."""
-    data = fits_or_pair.test_data if isinstance(fits_or_pair, TrainTestPair) else fits_or_pair.data
+    data = fits_or_pair.data
     n1 = int(np.count_nonzero(data.y == 1.0))
     n0 = int(np.count_nonzero(data.y == 0.0))  # a Dataset holds both classes
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)

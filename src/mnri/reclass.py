@@ -69,7 +69,7 @@ class TrainTestPair:
             raise ValueError("train and test fits must share one covariate specification")
 
     @property
-    def test_data(self) -> Dataset:
+    def data(self) -> Dataset:
         return self.test_fits.data
 
 

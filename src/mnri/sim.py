@@ -17,18 +17,19 @@ The two styles coincide draw-for-draw at rho = 0.
 Every replicate owns a counter-based random stream keyed by
 (seed, cell, replicate, attempt, part), so results are identical across
 runs and across worker counts, and failed fits can be redrawn without
-disturbing neighboring replicates.
+disturbing neighboring replicates. Each replicate yields one record: the
+mNRI and legacy NRI p-values, n * smooth mNRI / k-hat, n * smooth NRI and
+its redraws. The size tables of ``run_cell`` threshold the p-values and
+``collect_null_statistics`` keeps the two scaled statistics.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import glm, inference, numerics, reclass
 from .errors import DegenerateOutcome, ExcessiveFitFailures, FitError
@@ -122,8 +123,9 @@ def _fitted(config: SimConfig, cell: int, rep: int, attempt: int, part: int = 0)
     return glm.fit_nested(data, LOGIT)
 
 
-def _pvalues(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, float]:
-    """P-values of the mNRI test and the legacy NRI test for one attempt."""
+def _trial(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, ...]:
+    """One attempt's record: the p-values of the mNRI test and the legacy
+    NRI test, n * smooth mNRI / k-hat and n * smooth NRI."""
     if config.mode == "single":
         fits = _fitted(config, cell, rep, attempt)
         test_mnri = inference.test_mnri_single
@@ -134,37 +136,27 @@ def _pvalues(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[floa
         )
         test_mnri = inference.test_mnri_train_test
     stats = reclass.half_nris(fits)
-    return test_mnri(fits, stats).p_value, inference.test_nri_normal_legacy(fits, stats).p_value
+    n, k = fits.data.n, inference.k_constant(fits.data.ybar)
+    return (
+        test_mnri(fits, stats).p_value,
+        inference.test_nri_normal_legacy(fits, stats).p_value,
+        n * stats.mnri_smooth / k,
+        n * stats.nri_smooth,
+    )
 
 
-def _null_statistics(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, float]:
-    """n * smooth mNRI / k-hat and n * smooth NRI for one attempt."""
-    fits = _fitted(config, cell, rep, attempt)
-    stats = reclass.half_nris(fits)
-    k = inference.k_constant(fits.data.ybar)
-    return fits.data.n * stats.mnri_smooth / k, fits.data.n * stats.nri_smooth
-
-
-def _replicated(trial, args) -> tuple:
-    """``trial(config, cell, rep, attempt)`` for attempt 0, 1, ... until its
+def _replicate_rejections(args) -> tuple:
+    """One replicate's record: ``_trial`` for attempt 0, 1, ... until its
     fits succeed, followed by the number of redraws used."""
     config, cell, rep = args
     for attempt in range(_MAX_ATTEMPTS):
         try:
-            return (*trial(config, cell, rep, attempt), attempt)
+            return (*_trial(config, cell, rep, attempt), attempt)
         except (FitError, DegenerateOutcome):
             continue
     raise ExcessiveFitFailures(
         f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row"
     )
-
-
-def _replicate_rejections(args) -> tuple[bool, bool, int]:
-    """Whether the mNRI and legacy NRI tests reject for one replicate, and
-    the number of redraws used."""
-    p_mnri, p_nri, redraws = _replicated(_pvalues, args)
-    alpha = args[0].alpha
-    return p_mnri <= alpha, p_nri <= alpha, redraws
 
 
 def _usable_cpus() -> int:
@@ -173,20 +165,20 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_replicates(worker, config: SimConfig, cell: int, workers: int):
-    """Map ``worker`` over the cell's replicates, in replicate order, and
-    enforce the failure budget. Each worker result ends with its redraw
-    count; returns the other results column by column, and the redraws."""
+def _run_replicates(config: SimConfig, cell: int, workers: int):
+    """Run the cell's replicates, in replicate order, and enforce the
+    failure budget. Returns the record fields column by column, and the
+    total redraws."""
     args_list = [(config, cell, rep) for rep in range(config.replicates)]
     # A pool starts all its processes up front; more than one per replicate
     # or per usable CPU would sit idle.
     workers = min(workers, len(args_list), _usable_cpus())
     if workers <= 1:
-        results = [worker(args) for args in args_list]
+        results = [_replicate_rejections(args) for args in args_list]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(args_list) // (8 * workers))
-            results = list(pool.map(worker, args_list, chunksize=chunk))
+            results = list(pool.map(_replicate_rejections, args_list, chunksize=chunk))
     *columns, redraws = (np.array(column) for column in zip(*results))
     redraws = int(redraws.sum())
     if redraws > _FAILURE_BUDGET * config.replicates:
@@ -199,13 +191,11 @@ def _run_replicates(worker, config: SimConfig, cell: int, workers: int):
 
 def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1) -> SimTableRow:
     """Estimate rejection rates for one cell at the configured alpha."""
-    (reject_mnri, reject_nri), redraws = _run_replicates(
-        _replicate_rejections, config, cell, workers
-    )
+    (p_mnri, p_nri, _, _), redraws = _run_replicates(config, cell, workers)
     return SimTableRow(
         config=config,
-        rejection_rate_mnri=float(reject_mnri.mean()),
-        rejection_rate_nri_normal=float(reject_nri.mean()),
+        rejection_rate_mnri=float((p_mnri <= config.alpha).mean()),
+        rejection_rate_nri_normal=float((p_nri <= config.alpha).mean()),
         redraws=redraws,
     )
 
@@ -228,10 +218,8 @@ class NullStatistics:
     n * (smooth NRI), whose null distribution is non-normal.
     """
 
-    config: SimConfig
     mnri_scaled: np.ndarray
     nri_scaled: np.ndarray
-    redraws: int
 
 
 def collect_null_statistics(config: SimConfig, *, workers: int = 1) -> NullStatistics:
@@ -241,12 +229,8 @@ def collect_null_statistics(config: SimConfig, *, workers: int = 1) -> NullStati
     either style at rho = 0."""
     if config.mode != "single":
         raise ValueError("null statistics are collected from single-sample runs")
-    (mnri_scaled, nri_scaled), redraws = _run_replicates(
-        partial(_replicated, _null_statistics), config, 0, workers
-    )
-    return NullStatistics(
-        config=config, mnri_scaled=mnri_scaled, nri_scaled=nri_scaled, redraws=redraws
-    )
+    (_, _, mnri_scaled, nri_scaled), _ = _run_replicates(config, 0, workers)
+    return NullStatistics(mnri_scaled=mnri_scaled, nri_scaled=nri_scaled)
 
 
 @dataclass(frozen=True)
@@ -291,73 +275,3 @@ def null_distribution_diagnostic(draws: NullStatistics) -> NullDiagnostic:
         moment_normality_stat=float(jb),
         moment_normality_pvalue=float(numerics.chisq_sf(jb, 2)),
     )
-
-
-@dataclass(frozen=True)
-class ProprietyCheck:
-    """Paired Monte Carlo comparison of the single-draw mNRI scoring
-    function at the true expanded parameters against perturbed ones."""
-
-    mean_diffs: np.ndarray  # E[T1(true)] - E[T1(perturbed)], radius by radius
-    se_diffs: np.ndarray
-
-
-# The propriety check's generator and its perturbations (directions per radius).
-_PROPRIETY_PI0 = 0.5
-_PROPRIETY_MU_X = 0.3
-_PROPRIETY_MU_Z = 1.0
-_PROPRIETY_RADII = (0.25, 0.5)
-_PROPRIETY_PER_RADIUS = 10
-
-
-def propriety_mc_check(*, draws: int = 100_000, seed: int = DEFAULT_SEED) -> ProprietyCheck:
-    """Check that the single-draw mNRI scoring function is maximized in
-    expectation at the true expanded-model parameters.
-
-    The generator is the rho = 0 conditional binormal with an informative
-    Z (class-1 mean mu_z), for which both the expanded and base logistic
-    models are exactly correct with closed-form coefficients:
-
-        expanded: (logit(pi0) - (mu_x^2 + mu_z^2)/2, mu_x, mu_z)
-        base:     (logit(pi0) - mu_x^2/2, mu_x)
-
-    The expectation is exactly flat along one ray: moving theta0 by a
-    multiple of (expanded minus padded base) rescales every score
-    difference by a positive constant, leaving all indicators unchanged.
-    Strict dominance therefore holds only transverse to that ray, so the
-    random perturbation directions are drawn uniformly in its orthogonal
-    complement. Each perturbed parameter vector theta0 + delta is compared
-    with theta0 on the same draws, so the returned standard errors are for
-    the paired mean differences.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed % 2**64, 97])))
-    pi0, mu_x, mu_z = _PROPRIETY_PI0, _PROPRIETY_MU_X, _PROPRIETY_MU_Z
-    y = (rng.random(draws) < pi0).astype(float)
-    x = mu_x * y + rng.standard_normal(draws)
-    z = mu_z * y + rng.standard_normal(draws)
-    design = np.column_stack([np.ones(draws), x, z])
-
-    theta0 = np.array([logit(pi0) - (mu_x**2 + mu_z**2) / 2.0, mu_x, mu_z])
-    beta_base = np.array([logit(pi0) - mu_x**2 / 2.0, mu_x])
-    eta_base = beta_base[0] + beta_base[1] * x
-    residuals = y - expit(eta_base)
-    scale = 1.0 / (pi0 * (1.0 - pi0))
-    flat_ray = theta0 - np.array([beta_base[0], beta_base[1], 0.0])
-    flat_ray /= np.linalg.norm(flat_ray)
-
-    def t1_values(theta):
-        delta = design @ theta - eta_base
-        ind = np.where(delta > 0.0, 1.0, np.where(delta < 0.0, 0.0, 0.5))
-        return scale * residuals * (ind - 0.5)
-
-    t1_true = t1_values(theta0)
-    means, ses = [], []
-    for radius in _PROPRIETY_RADII:
-        for _ in range(_PROPRIETY_PER_RADIUS):
-            direction = rng.standard_normal(3)
-            direction -= (direction @ flat_ray) * flat_ray
-            direction /= np.linalg.norm(direction)
-            diff = t1_true - t1_values(theta0 + radius * direction)
-            means.append(float(diff.mean()))
-            ses.append(float(diff.std(ddof=1) / np.sqrt(draws)))
-    return ProprietyCheck(mean_diffs=np.array(means), se_diffs=np.array(ses))

@@ -23,6 +23,7 @@ from mnri import glm, inference, numerics, reclass, sim
 from mnri.glm import LOGIT, Dataset
 from mnri.numerics import MixtureSpec, chisq_cdf, mixture_tail, norm_cdf
 from mnri.reclass import extended_indicator, half_nri_from_parts
+from propriety import propriety_mc_check
 
 ACCEPT_SEED = 20260809
 REPLICATES = 2000
@@ -224,7 +225,7 @@ def test_criterion_5_null_nonnormality(null_draws):
 
 
 def test_criterion_6_proper_change_score():
-    check = sim.propriety_mc_check(draws=100_000, seed=sim.DEFAULT_SEED)
+    check = propriety_mc_check(draws=100_000, seed=sim.DEFAULT_SEED)
     margins = check.mean_diffs / check.se_diffs
     ok = bool(np.all(margins > 3.0)) and margins.shape == (20,)
     announce(6, "true parameters dominate 20 perturbations", ok,

@@ -12,6 +12,7 @@ import pytest
 
 from mnri import cli, glm
 from mnri.cli import CompareReport, main
+from mnri.errors import ExcessiveFitFailures
 
 
 def write_csv(path, header, rows):
@@ -537,6 +538,32 @@ class TestSimulateCommand:
             ["simulate", "--n", "", "--pi0", "0.5", "--mu-x", "0.25", "--rho", "0"],
         )
         assert code == 2
+
+    def test_unwritable_out_fails_before_the_grid_runs(self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_grid called")
+
+        monkeypatch.setattr(cli.sim, "run_grid", never)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, self.BASE + ["--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot write {target}: [Errno 2] No such file or directory: '{target}'\n"
+        )
+
+    def test_failed_run_leaves_existing_out_untouched(self, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise ExcessiveFitFailures("too many redraws")
+
+        monkeypatch.setattr(cli.sim, "run_grid", fail)
+        target = tmp_path / "rates.csv"
+        target.write_bytes(b"previous,run\n1,2\n")
+        code, out, err = run(capsys, self.BASE + ["--out", str(target)])
+        assert code == 3
+        assert out == ""
+        assert err == "fit error: too many redraws\n"
+        assert target.read_bytes() == b"previous,run\n1,2\n"
 
 
 def test_out_flag_writes_file(demo_csv, tmp_path, capsys):

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mnri import sim
+from mnri import numerics, sim
 from mnri.errors import ExcessiveFitFailures
 from mnri.sim import (
     SimConfig,
     collect_null_statistics,
     gen_replicate,
-    propriety_mc_check,
     replicate_stream,
     run_cell,
     run_grid,
 )
+from propriety import propriety_mc_check
 
 
 def config(**kwargs):
@@ -194,8 +194,23 @@ class TestRunCell:
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
     def test_one_statistics_pass_per_attempt(self, half_nris_calls, mode):
-        sim._pvalues(config(mode=mode), 0, 0, 0)
+        sim._trial(config(mode=mode), 0, 0, 0)
         assert len(half_nris_calls) == 1
+
+    def test_one_task_per_replicate(self, monkeypatch):
+        # The pool task is the per-replicate boundary the benchmark traces.
+        results = []
+        original = sim._replicate_rejections
+
+        def counted(args):
+            results.append(original(args))
+            return results[-1]
+
+        monkeypatch.setattr(sim, "_replicate_rejections", counted)
+        cfg = config(replicates=7)
+        run_cell(cfg, workers=1)
+        assert len(results) == cfg.replicates
+        assert all(type(result[-1]) is int for result in results)
 
     def test_excessive_failures_abort(self):
         # Near-disjoint classes separate almost every draw.
@@ -243,6 +258,12 @@ class TestNullStatistics:
     def test_rejects_train_test_mode(self):
         with pytest.raises(ValueError):
             collect_null_statistics(config(mode="train_test"))
+
+    def test_same_replicates_as_the_size_table(self):
+        cfg = config(replicates=200)
+        draws = collect_null_statistics(cfg)
+        p_mnri = numerics.chisq_sf(np.maximum(draws.mnri_scaled, 0.0), 1)
+        assert (p_mnri <= cfg.alpha).mean() == run_cell(cfg).rejection_rate_mnri
 
     def test_workers_equivalent(self):
         cfg = config(replicates=50)
