@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -112,7 +113,63 @@ class CompareReport:
         return cls.from_dict(json.loads(text))
 
 
-def _read_table(path: str) -> tuple[list[str], dict[str, list[str]]]:
+# The only bytes the fast path accepts in a data line.
+_NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _read_numeric(path: str) -> tuple[list[str], dict[str, np.ndarray]] | None:
+    """Fast path of ``_read_table``: the header as ``csv`` reads it, and each
+    column as a contiguous float64 array from numpy's C reader. Returns None
+    for any file it cannot vouch that ``_read_cells`` reads to the same
+    finite values.
+
+    It vouches only when the file decodes, ends in a newline, has no line
+    longer than ``csv.field_size_limit()`` and no ``\\r`` outside ``\\r\\n``;
+    the header fits on its first line, with distinct names; and every data
+    line holds only ``_NUMERIC_BYTES``. Each newline then ends one row for
+    both readers and each comma splits a field, and a field of those bytes
+    parses as ``float()`` parses it or fails in both. Last, the C reader must
+    return one finite row per data line, each as long as the header.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+        if (
+            ends.size < 2
+            or ends[-1] != len(data) - 1
+            or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+        ):
+            return None
+        body = data[ends[0] + 1:]
+        if body.translate(None, _NUMERIC_BYTES):
+            return None
+        # The reader takes a second line only if the header's quote is open.
+        reader = csv.reader([data[: ends[0] + 1].decode("utf-8"), ""])
+        header = next(reader)
+        if reader.line_num != 1 or len(set(header)) != len(header):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. "input contained no data"
+            table = np.loadtxt(
+                io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=float
+            )
+    except Exception:  # whatever went wrong, the string parser reports it
+        return None
+    if table.shape != (ends.size - 1, len(header)) or not np.isfinite(table).all():
+        return None
+    return header, dict(zip(header, table.T.copy()))
+
+
+def _read_table(path: str) -> tuple[list[str], dict]:
+    """The header and each column by name: float64 arrays when the fast path
+    vouches for the file, otherwise the raw cell strings of ``_read_cells``,
+    whose messages every malformed file gets."""
+    return _read_numeric(path) or _read_cells(path)
+
+
+def _read_cells(path: str) -> tuple[list[str], dict[str, list[str]]]:
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -133,10 +190,12 @@ def _read_table(path: str) -> tuple[list[str], dict[str, list[str]]]:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _numeric_column(columns: dict[str, list[str]], name: str, path: str) -> np.ndarray:
+def _numeric_column(columns: dict, name: str, path: str) -> np.ndarray:
     if name not in columns:
         raise DataError(f"{path}: missing column {name!r}")
     raw = columns[name]
+    if isinstance(raw, np.ndarray):  # from _read_numeric: float64 and finite
+        return raw
     # np.array applies float(), which strips like str.strip(), to each cell in C.
     # Only a column that fails is scanned cell by cell, to name its first bad cell.
     try:
@@ -322,7 +381,7 @@ def cmd_plotdata(args) -> int:
 
 def cmd_spline(args) -> int:
     knots = _knot_count(args.knots, "--knots")
-    header, columns = _read_table(args.input)
+    header, columns = _read_cells(args.input)  # the output echoes each raw cell
     values = _numeric_column(columns, args.column, args.input)
     basis = SplineBasis.from_data(values, knots)
     design = basis.design(values)

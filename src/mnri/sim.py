@@ -19,8 +19,9 @@ Every replicate owns a counter-based random stream keyed by
 runs and across worker counts, and failed fits can be redrawn without
 disturbing neighboring replicates. Each replicate yields one record: the
 mNRI and legacy NRI p-values, n * smooth mNRI / k-hat, n * smooth NRI and
-its redraws. The size tables of ``run_cell`` threshold the p-values and
-``collect_null_statistics`` keeps the two scaled statistics.
+its redraws. The size tables of ``run_cell`` threshold the p-values;
+``_run_replicates`` returns the two scaled statistics beside them, for
+null-distribution diagnostics.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import glm, inference, numerics, reclass
+from . import glm, inference, reclass
 from .errors import DegenerateOutcome, ExcessiveFitFailures, FitError
 from .glm import LOGIT, Dataset, NestedFits
 from .reclass import TrainTestPair
@@ -207,71 +208,3 @@ def run_grid(configs: Iterable[SimConfig], *, workers: int = 1) -> list[SimTable
     if not configs:
         raise ValueError("grid must contain at least one cell")
     return [run_cell(config, cell=i, workers=workers) for i, config in enumerate(configs)]
-
-
-@dataclass(frozen=True)
-class NullStatistics:
-    """Per-replicate null statistics from a single-sample run.
-
-    ``mnri_scaled`` holds n * (smooth mNRI) / k-hat, directly comparable to
-    a chi-square with q degrees of freedom; ``nri_scaled`` holds
-    n * (smooth NRI), whose null distribution is non-normal.
-    """
-
-    mnri_scaled: np.ndarray
-    nri_scaled: np.ndarray
-
-
-def collect_null_statistics(config: SimConfig, *, workers: int = 1) -> NullStatistics:
-    """Collect the raw per-replicate statistics used by the calibration and
-    null-distribution diagnostics. The configuration should be a null
-    scenario: gamma = 0 holds for null_style='enforced' at any rho, or for
-    either style at rho = 0."""
-    if config.mode != "single":
-        raise ValueError("null statistics are collected from single-sample runs")
-    (_, _, mnri_scaled, nri_scaled), _ = _run_replicates(config, 0, workers)
-    return NullStatistics(mnri_scaled=mnri_scaled, nri_scaled=nri_scaled)
-
-
-@dataclass(frozen=True)
-class NullDiagnostic:
-    """Monte Carlo summary of the smooth NRI's null distribution.
-
-    Confirms empirically that n R (the scaled smooth NRI) has a positive
-    mean and a skewed, non-normal null distribution, which is why the
-    legacy normal test over-rejects.
-    """
-
-    replicates: int
-    mean: float
-    variance: float
-    skewness: float
-    se_mean: float
-    se_skewness: float
-    moment_normality_stat: float
-    moment_normality_pvalue: float
-
-
-def null_distribution_diagnostic(draws: NullStatistics) -> NullDiagnostic:
-    """Summarize the null distribution of n * smooth-NRI from the
-    statistics of a null run (gamma = 0)."""
-    values = draws.nri_scaled
-    m = values.shape[0]
-    mean = float(values.mean())
-    centered = values - mean
-    variance = float(np.mean(centered**2))
-    sd = np.sqrt(variance)
-    skewness = float(np.mean(centered**3) / sd**3)
-    kurtosis = float(np.mean(centered**4) / sd**4)
-    # Moment-based normality check (skewness/kurtosis chi-square, 2 df).
-    jb = m / 6.0 * (skewness**2 + (kurtosis - 3.0) ** 2 / 4.0)
-    return NullDiagnostic(
-        replicates=m,
-        mean=mean,
-        variance=variance,
-        skewness=skewness,
-        se_mean=float(sd / np.sqrt(m)),
-        se_skewness=float(np.sqrt(6.0 / m)),
-        moment_normality_stat=float(jb),
-        moment_normality_pvalue=float(numerics.chisq_sf(jb, 2)),
-    )

@@ -23,6 +23,7 @@ from mnri import glm, inference, numerics, reclass, sim
 from mnri.glm import LOGIT, Dataset
 from mnri.numerics import MixtureSpec, chisq_cdf, mixture_tail, norm_cdf
 from mnri.reclass import extended_indicator, half_nri_from_parts
+from null_statistics import collect_null_statistics, null_distribution_diagnostic
 from propriety import propriety_mc_check
 
 ACCEPT_SEED = 20260809
@@ -125,7 +126,7 @@ def null_config():
 
 @pytest.fixture(scope="module")
 def null_draws(null_config):
-    return sim.collect_null_statistics(null_config, workers=WORKERS)
+    return collect_null_statistics(null_config, workers=WORKERS)
 
 
 def test_criterion_1_table1_size(table1_rows):
@@ -212,7 +213,7 @@ def test_criterion_4_mixture_machinery():
 
 
 def test_criterion_5_null_nonnormality(null_draws):
-    diag = sim.null_distribution_diagnostic(null_draws)
+    diag = null_distribution_diagnostic(null_draws)
     mean_ok = diag.mean > 3.0 * diag.se_mean
     skew_ok = abs(diag.skewness) > 3.0 * diag.se_skewness
     announce(

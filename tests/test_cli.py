@@ -2,13 +2,17 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnri import cli, glm
 from mnri.cli import CompareReport, main
@@ -48,6 +52,22 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fallback(capsys, monkeypatch, argv):
+    """``run`` with the fast CSV path always falling back to the string parser."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_numeric", lambda path: None)
+        return run(capsys, argv)
+
+
+def cli_env():
+    """The environment of a subprocess that imports this checkout's mnri."""
+    import mnri
+
+    src = os.path.dirname(os.path.dirname(mnri.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestCompare:
@@ -347,6 +367,167 @@ class TestCompare:
         assert code == 2
 
 
+def cohort_lines(rows=400):
+    """Header and data lines of an ID, a 0/1 outcome and two covariates; 400
+    rows take the file past 8 KiB."""
+    rng = np.random.default_rng(17)
+    cells = rng.standard_normal((rows, 2))
+    return ["id,y,a,b"] + [f"{i + 1},{i % 2},{a:.6f},{b:.6f}" for i, (a, b) in enumerate(cells)]
+
+
+def as_bytes(lines, end="\n"):
+    return "".join(line + end for line in lines).encode()
+
+
+def with_cell(lines, line, field, value):
+    """``lines`` with field ``field`` of line ``line`` (0 is the header) replaced."""
+    fields = lines[line].split(",")
+    fields[field] = value
+    return [*lines[:line], ",".join(fields), *lines[line + 1:]]
+
+
+def cell_file(value):
+    return lambda lines: as_bytes(with_cell(lines, 12, 2, value))
+
+
+def latin1_past_8k(lines):
+    head = as_bytes(lines[:-1])
+    assert len(head) > 8192
+    return head + b"\xe9" + as_bytes(lines[-1:])
+
+
+# name: (file content from cohort_lines(), whether the fast path vouches for it)
+FAST_PATH_INPUTS = {
+    "plain": (as_bytes, True),
+    "crlf": (lambda lines: as_bytes(lines, "\r\n"), True),
+    "utf8-bom": (lambda lines: b"\xef\xbb\xbf" + as_bytes(lines), True),
+    "blank-line-mid": (lambda lines: as_bytes([*lines[:50], "", *lines[50:]]), False),
+    "blank-line-end": (lambda lines: as_bytes([*lines, ""]), False),
+    "cr-only": (lambda lines: as_bytes(lines, "\r"), False),
+    "mixed-newlines": (
+        lambda lines: "".join(
+            line + ("\r" if i % 5 == 3 else "\n") for i, line in enumerate(lines)
+        ).encode(),
+        False,
+    ),
+    "no-final-newline": (lambda lines: as_bytes(lines)[:-1], False),
+    "trailing-cr": (lambda lines: as_bytes(lines) + b"\r", False),
+    "quoted-numbers": (
+        lambda lines: as_bytes(with_cell(with_cell(lines, 12, 2, '"0.25"'), 13, 1, '"0"')),
+        False,
+    ),
+    "quoted-embedded-newline": (cell_file('"0.25\n"'), False),
+    "nan": (cell_file("nan"), False),
+    "-Infinity": (cell_file("-Infinity"), False),
+    "1e400": (cell_file("1e400"), False),
+    "underscore": (cell_file("1_000"), False),
+    "arabic-indic-digits": (cell_file("\u0661\u0662"), False),
+    "em-space-padded": (cell_file("\u20030.25\u2003"), False),
+    "unit-separator-padded": (cell_file("0.25\x1f"), False),
+    "empty-field": (cell_file(""), False),
+    "blank-field": (cell_file("  "), False),
+    "short-row": (lambda lines: as_bytes([*lines[:12], "13,0,0.5", *lines[13:]]), False),
+    "long-row": (lambda lines: as_bytes([*lines[:12], lines[12] + ",0.5", *lines[13:]]), False),
+    "open-quote-header": (lambda lines: as_bytes(['id,y,a,"b', *lines[1:]]), False),
+    "text-id": (lambda lines: as_bytes([lines[0], *("s" + line for line in lines[1:])]), False),
+    "latin-1-past-8k": (latin1_past_8k, False),
+    "header-only": (lambda lines: as_bytes(lines[:1]), False),
+    "oversized-field": (cell_file("0" * csv.field_size_limit() + "1"), False),
+}
+
+
+def read_fast(directory, cells):
+    """The fast path's read of a file whose column v holds ``cells``."""
+    path = directory / "cells.csv"
+    rows = "".join(f"{i % 2},{cell}\n" for i, cell in enumerate(cells))
+    path.write_bytes(("y,v\n" + rows).encode())
+    return cli._read_numeric(str(path))
+
+
+def assert_same_doubles(got, cells):
+    expected = np.array([float(cell) for cell in cells])
+    assert got.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("name", list(FAST_PATH_INPUTS))
+    def test_matches_string_parser(self, tmp_path, capsys, monkeypatch, name):
+        build, vouches = FAST_PATH_INPUTS[name]
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(build(cohort_lines()))
+        assert (cli._read_numeric(str(path)) is not None) == vouches
+        argv = ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        assert run(capsys, argv) == run_fallback(capsys, monkeypatch, argv)
+
+    def test_columns_are_float_arrays(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(as_bytes(cohort_lines(5)))
+        header, columns = cli._read_table(str(path))
+        assert header == ["id", "y", "a", "b"]
+        assert columns["id"].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all(column.flags["C_CONTIGUOUS"] for column in columns.values())
+        assert cli._numeric_column(columns, "a", str(path)) is columns["a"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"y,a,b\n", b"y,a,b\r", b"y,a,b\n\n\n", b"y,a,b\r0,1,2\r1,2,3\r"],
+        ids=["header-only", "header-only-cr", "blank-lines-only", "cr-only"],
+    )
+    def test_no_loader_warning(self, tmp_path, capsys, monkeypatch, content):
+        path = tmp_path / "f.csv"
+        path.write_bytes(content)
+        argv = ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shipped = run(capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert shipped == run_fallback(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"y,a,b\n", "{path}: no data rows"), (b"y,a,b\n\n", "{path}:2: expected 3 fields")],
+        ids=["header-only", "blank-lines-only"],
+    )
+    def test_stderr_is_the_error_alone(self, tmp_path, content, message):
+        path = tmp_path / "f.csv"
+        path.write_bytes(content)
+        argv = ["compare", str(path), "--outcome", "y", "--base", "a", "--new", "b"]
+        done = subprocess.run(
+            [sys.executable, "-m", "mnri.cli", *argv], env=cli_env(), capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: " + message.format(path=path) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20
+        ),
+        style=st.sampled_from([repr, "%.17g".__mod__, "%.6g".__mod__, "%e".__mod__]),
+    )
+    def test_formatted_floats_parse_as_float_does(self, tmp_path_factory, values, style):
+        cells = [style(value) for value in values]
+        table = read_fast(tmp_path_factory.mktemp("formatted"), cells)
+        assert table is not None
+        assert_same_doubles(table[1]["v"], cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(st.text(alphabet="0123456789+-.eE \t", max_size=6), min_size=1,
+                          max_size=8))
+    def test_vouches_exactly_where_float_parses(self, tmp_path_factory, cells):
+        table = read_fast(tmp_path_factory.mktemp("cells"), cells)
+        try:
+            finite = all(math.isfinite(float(cell)) for cell in cells)
+        except ValueError:
+            finite = False
+        assert (table is not None) == finite
+        if finite:
+            assert_same_doubles(table[1]["v"], cells)
+
+
 class TestPlotData:
     def test_row_count_and_columns(self, demo_csv, capsys):
         code, out, _ = run(
@@ -430,6 +611,16 @@ class TestSplineCommand:
             inproc.mnri_test["statistic"], rel=1e-9
         )
         assert pre.mnri_hard == pytest.approx(inproc.mnri_hard, rel=1e-9)
+
+    def test_echoes_raw_cells(self, tmp_path, capsys):
+        cells = [f"{1.5 + 0.25 * i:.4f}" for i in range(40)] + ["62.0", "1.5000"]
+        rows = [[str(i % 2), cell] for i, cell in enumerate(cells)]
+        path = tmp_path / "raw.csv"
+        write_csv(path, ["y", "v"], rows)
+        code, out, _ = run(capsys, ["spline", str(path), "--column", "v"])
+        assert code == 0
+        assert [row[:2] for row in csv.reader(out.splitlines()[2:])] == rows
+        assert "\n0,62.0,62.0," in out and "\n1,1.5000,1.5," in out
 
     def test_too_few_distinct_values(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
@@ -602,13 +793,9 @@ def test_unwritable_out_is_data_error(demo_csv, tmp_path, capsys, command, targe
 def test_import_defers_quadrature():
     # scipy.integrate is only needed by the train/test mixture tail, so
     # starting the CLI must not pay for importing it.
-    import mnri
-
-    src = os.path.dirname(os.path.dirname(mnri.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     probe = "import sys, mnri.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True,
+        check=True,
     )
     assert out.stdout.strip() == "False"

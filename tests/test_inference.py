@@ -258,7 +258,8 @@ class TestLegacyNormalTest:
 
 class TestNullDiagnostic:
     def test_positive_mean_and_skew(self):
-        from mnri.sim import SimConfig, collect_null_statistics, null_distribution_diagnostic
+        from mnri.sim import SimConfig
+        from null_statistics import collect_null_statistics, null_distribution_diagnostic
 
         config = SimConfig(
             n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=300, seed=303

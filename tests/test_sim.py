@@ -11,12 +11,12 @@ from mnri import numerics, sim
 from mnri.errors import ExcessiveFitFailures
 from mnri.sim import (
     SimConfig,
-    collect_null_statistics,
     gen_replicate,
     replicate_stream,
     run_cell,
     run_grid,
 )
+from null_statistics import collect_null_statistics
 from propriety import propriety_mc_check
 
 
