@@ -14,7 +14,8 @@ class NotPositiveDefinite(MnriError):
 
 
 class IntegrationFailure(MnriError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """The saddlepoint contour sum of a mixture tail did not converge
+    within its node cap."""
 
 
 class FitError(MnriError):

@@ -8,8 +8,8 @@ Three references are implemented:
   train/test statistic, with the 2q eigenvalue weights coming in +/-
   pairs from the two gamma-coefficient covariance estimates. For q = 1
   ``numerics.mixture_tail`` evaluates the single pair by the closed
-  product-normal law; for q >= 2 by Imhof's inversion inside a
-  chi-square envelope;
+  product-normal law; for q >= 2 by Rice's saddlepoint contour integral,
+  both to full relative precision;
 * the legacy normal reference for the hard NRI, retained for comparison
   even though its null distribution is in fact non-normal, asymmetric,
   and yields an inflated test.

@@ -3,14 +3,13 @@
 Symmetric positive definite solves (LAPACK Cholesky with a relative pivot
 check), normal/chi-square distribution functions, and tail probabilities
 of weighted chi-square mixtures: a single +/- pair by its closed
-product-normal law, any other weights by Imhof's inversion kept inside a
-chi-square envelope. Everything here is a pure function of its inputs and
-safe to call concurrently.
+product-normal law, any other weights by Rice's saddlepoint contour
+integral, both to full relative precision. Everything here is a pure
+function of its inputs and safe to call concurrently.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,19 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Distinguishes rounding noise from genuine rank deficiency.
 _SPD_PIVOT_RTOL = 1e-12
 
-# Below this Fourier frequency |t|/2 the Imhof phase t u / 2 is dropped
-# beyond u = 1 (see _imhof_tail).
-_NEGLIGIBLE_OMEGA = 1e-100
+# The contour sum of _saddle_tail: its first trapezoid step in v; the v at
+# which the path is cut, where even the slowest decay of its terms, e^(-v/2)
+# for one weight as t -> 0, has fallen to about 1e-22; the relative change
+# between two halvings taken as converged (the error of the finer sum is
+# about its square); and the node count at which it gives up.
+_CONTOUR_STEP = 0.25
+_CONTOUR_REACH = 100.0
+_CONTOUR_RTOL = 1e-10
+_CONTOUR_NODES = 1 << 14
 
-# Absolute error target of a mixture tail probability, split evenly among
-# its (at most four) quadrature passes.
-_TAIL_TOL = 1e-8
+# A probability below e^_LOG_UNDERFLOW rounds to 0.0.
+_LOG_UNDERFLOW = math.log(5e-324) - 1.0
+_DOUBLE_MAX = float(np.finfo(float).max)
 
 # Gauss-Laguerre rule for int_0^inf e^-y f(y) dy, used on the far tail of
 # the product-normal law. At the switch point a = 2, 20 nodes are 7e-11
@@ -183,33 +188,20 @@ def _pair_tail(t: float, c: float) -> float:
     return upper if t >= 0.0 else 1.0 - upper
 
 
-def _chisq_envelope(t: float, weights: np.ndarray) -> tuple[float, float]:
-    """Bounds ``(lower, upper)`` on ``P(sum_j w_j chi2_1j > t)``.
-
-    The sum is at most w+ chi2_{m+}, with w+ the largest of the m+ positive
-    weights, and at least -w- chi2_{m-} for the negative ones, so for t > 0
-    P(Q > t) <= P(chi2_{m+} > t / w+), and for t < 0
-    P(Q > t) >= 1 - P(chi2_{m-} > |t| / w-). Unlike quadrature these keep
-    relative precision arbitrarily far out.
-    """
-    if t == 0.0:
-        return 0.0, 1.0
-    side = weights[weights > 0.0] if t > 0.0 else -weights[weights < 0.0]
-    far = 0.0 if side.size == 0 else float(chisq_sf(abs(t) / side.max(), side.size))
-    return (0.0, far) if t > 0.0 else (1.0 - far, 1.0)
-
-
 def mixture_tail(t: float, spec: MixtureSpec) -> float:
     """Upper tail probability ``P(scale * sum_j w_j chi2_1j > t)``.
 
     A mixture that is one +/- pair, c (chi2_1 - chi2_1'), as in every
     train/test reference with one new covariate, follows the closed
-    product-normal law and is computed in closed form (``_pair_tail``) to
-    full relative precision. Any other weights go to Imhof's inversion of
-    the characteristic function (``_imhof_tail``), whose absolute error of
-    about 1e-8 is clamped to the chi-square envelope of ``_chisq_envelope``.
-    Where that envelope pins the answer to 0 or 1 in double precision, as
-    it does far out in either tail, no quadrature is run.
+    product-normal law and is computed in closed form (``_pair_tail``).
+    Any other weights take Rice's saddlepoint contour integral
+    (``_saddle_tail``), a negative t as one minus the tail of -Q beyond -t.
+    Both keep full relative precision until the tail leaves the double
+    range, where they return exactly 0 (or 1); one-signed weights give 0
+    or 1 beyond their support. Below t = 0 that holds for the complement;
+    the tail itself is then at least P(Q > 0), which is 1/2 for the
+    symmetric train/test mixtures. Raises IntegrationFailure when the
+    contour sum does not converge.
     """
     t = float(t)
     if np.isnan(t):
@@ -220,99 +212,102 @@ def mixture_tail(t: float, spec: MixtureSpec) -> float:
         return float(t < 0.0)
     if weights.size == 2 and weights[0] == -weights[1]:
         return _pair_tail(t, abs(float(weights[0])))
-    lower, upper = _chisq_envelope(t, weights)
-    if lower == upper:
-        return lower
-    return min(upper, max(lower, _imhof_tail(t, weights)))
+    if t < 0.0:
+        return 1.0 - _saddle_tail(-t, -weights)
+    return _saddle_tail(t, weights)
 
 
-def _imhof_tail(t: float, weights: np.ndarray) -> float:
-    """``P(sum_j w_j chi2_1j > t)`` for finite t and nonzero weights, by
-    numerical inversion of the characteristic function (Imhof's integral),
-    which stays exact up to quadrature error even when weights are mixed
-    in sign:
+def _saddle_tail(t: float, weights: np.ndarray) -> float:
+    """``P(Q > t)`` for ``Q = sum_j w_j chi2_1j``, finite t >= 0 and nonzero
+    weights, by the saddlepoint contour integral of Rice (1980, SIAM J. Sci.
+    Stat. Comput. 1:438-448).
 
-        P(Q > t) = 1/2 + (1/pi) * int_0^inf sin(theta(u)) / (u rho(u)) du
+    With K(s) = -1/2 sum_j log(1 - 2 w_j s), the cumulant generating function,
+    P(Q > t) = 1/(2 pi i) int e^Phi(s) ds, Phi(s) = K(s) - s t - log s, along
+    any upward contour crossing the real axis in (0, 1/2w+), w+ the largest
+    weight. Phi is convex there; at its minimum, the saddle s^, the
+    integrand falls fastest off the axis. The contour is the hyperbola
+    s = s^ + 2 sigma (sqrt(1 + a^2) - 1 + i a), a = sinh(v) / 2, with
+    sigma = Phi''(s^)^-1/2. It leaves s^ vertically, along the steepest
+    descent, and turns to 45 degrees, where e^-st damps the oscillation and
+    the path stays clear of the branch cuts [1/2w_j, inf) of much smaller
+    weights, which a parabola meets as t -> 0. By conjugate symmetry
 
-    with theta(u) = psi(u) - t u / 2, psi(u) = (1/2) sum_j atan(w_j u),
-    and rho(u) = prod_j (1 + w_j^2 u^2)^(1/4).
+        P(Q > t) = e^Phi(s^) / pi * int_0^inf Im[e^(Phi(s) - Phi(s^)) ds/dv] dv,
 
-    The integrand oscillates with frequency t/2 while its envelope decays
-    only like u^(-1-m/2), so a plain adaptive rule cannot reach the far
-    tail. The integral is split at u = 1: an ordinary adaptive pass covers
-    [0, 1], and the remainder is written as Fourier sine/cosine integrals
-    of the smooth decaying factors sin(psi)/(u rho) and cos(psi)/(u rho),
-    which QUADPACK's dedicated Fourier algorithm integrates to infinity.
-
-    That algorithm works cycle by cycle, and its first cycle has length
-    2 pi / |t|. For small |t| the cycle would span many decades of u, over
-    which it loses part of the integral without reporting it, so the
-    Fourier rule starts only where the phase |t| u / 2 reaches one radian.
-    The stretch between u = 1 and that point, a fraction of an
-    oscillation, is integrated directly in log u, where the power-law
-    envelope is smooth.
+    summed by the trapezoid rule with its step halved until two sums agree.
+    e^Phi(s^) is applied in log scale, so the result keeps relative precision
+    until it underflows.
     """
-    from scipy import integrate  # deferred: a heavy import few callers need
+    top = float(weights.max())
+    if top <= 0.0:
+        return 0.0
+    if -float(weights.min()) > top * _DOUBLE_MAX:
+        raise ValueError(f"mixture weights {top!r} and {weights.min()!r} differ in size "
+                         "by more than the double range")
+    # Q / w+ > t / w+ is the same event, with the largest weight 1. t / w+
+    # overflows only where the tail is far below the double range.
+    w, t = weights / top, t / top
+    if t == math.inf:
+        return 0.0
+    # The saddle is solved in p = 1/u, u = 1 - 2s, where d_j = 1 - 2 w_j s =
+    # (1 - w_j) + w_j / p is exactly 1/p for the largest weights, so a saddle
+    # within rounding of the branch point s = 1/2 (t near 1e300) keeps its digits.
+    # There Phi' is g(p) = sum_j w_j / d_j - t - 2p / (p - 1), increasing and
+    # concave, so Newton climbs to its root from any start below it, such as
+    # the root of G(p) = P p + C - t - 2p / (p - 1) >= g(p), with P the sum of
+    # the positive weights (w_j / d_j <= w_j p) and C that of w_j / (1 - w_j),
+    # their limits, over the negative ones. (p - 1) G(p) = P p^2 - b p + t - C
+    # has b > 0, and its larger root is written so that b^2 cannot overflow.
+    base = 1.0 - w
+    negative = w[w < 0.0]
+    shifted = t - float((negative / (1.0 - negative)).sum())
+    positive = float(w[w > 0.0].sum())
+    b = positive + 2.0 + shifted
+    p = b / (2.0 * positive) * (1.0 + math.sqrt(1.0 - 4.0 * positive * (shifted / b) / b))
+    # Chernoff: P(Q > t) <= e^(K(s) - s t) at any s in the domain, here at
+    # the start. Past the double range the tail is 0, and the Newton steps,
+    # which overflow as t nears 1e308, are not taken.
+    s = 0.5 * (p - 1.0) / p
+    if -0.5 * float(np.log(base + w / p).sum()) - s * t < _LOG_UNDERFLOW:
+        return 0.0
+    # Any crossing point gives the same integral; the saddle only keeps the
+    # sum short, so Newton needs no convergence error of its own. It takes
+    # at most 5 steps in the tests.
+    for _ in range(50):
+        d = base + w / p
+        g = float((w / d).sum()) - t - 2.0 * p / (p - 1.0)
+        step = -g / (float(((w / (d * p)) ** 2).sum()) + 2.0 / ((p - 1.0) * (p - 1.0)))
+        p += step
+        if step <= 4e-16 * p:
+            break
+    s = 0.5 * (p - 1.0) / p
+    d = base + w / p
+    phi = -0.5 * float(np.log(d).sum()) - s * t - math.log(s)
+    sigma = (2.0 * float(((w / d) ** 2).sum()) + 1.0 / (s * s)) ** -0.5
+    ratio = 2.0 * w / d
 
-    # P(Q > t) is unchanged by dividing Q and t by one positive constant;
-    # unit largest |weight| puts the integrand's scale at u ~ 1.
-    size = np.abs(weights).max()
-    weights, t = weights / size, t / size
-    epsabs = _TAIL_TOL / 4.0
+    def terms(v):
+        a = 0.5 * np.sinh(v)
+        root = np.sqrt(1.0 + a * a)
+        z = 2.0 * sigma * (a * a / (root + 1.0) + 1j * a)  # s - s^
+        log_f = (-0.5 * np.log(1.0 - np.multiply.outer(z, ratio)).sum(axis=1)
+                 - t * z - np.log1p(z / s))
+        return (np.exp(log_f) * (sigma * np.cosh(v) * (a / root + 1j))).imag
 
-    def psi(u):
-        return 0.5 * np.sum(np.arctan(weights * u))
-
-    def inv_urho(u):
-        return 1.0 / (u * np.prod((1.0 + (weights * u) ** 2) ** 0.25))
-
-    def integrand(u):
-        return np.sin(psi(u) - 0.5 * t * u) * inv_urho(u)
-
-    # Accuracy is enforced through the returned error estimates below, so
-    # QUADPACK's warnings about slow convergence are redundant here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-
-        # [0, 1]: finite at 0 (limit (sum w - t)/2; QUADPACK never evaluates
-        # the endpoint), at most ~|t|/12 oscillations.
-        head_limit = 200 + int(abs(t))
-        head, head_err = integrate.quad(
-            integrand, 0.0, 1.0, epsabs=epsabs, epsrel=1e-10, limit=head_limit
-        )
-
-        omega = 0.5 * abs(t)
-        if omega > _NEGLIGIBLE_OMEGA:
-            start = max(1.0, 1.0 / omega)
-            # [1, start], in s = log u: under 1/(2 pi) of an oscillation.
-            mid, mid_err = integrate.quad(
-                lambda s: integrand(np.exp(s)) * np.exp(s), 0.0, np.log(start),
-                epsabs=epsabs, epsrel=1e-10, limit=500,
-            )
-            # sin(psi - tu/2) = sin(psi)cos(|t|u/2) - sign(t) cos(psi)sin(|t|u/2)
-            cos_part, cos_err = integrate.quad(
-                lambda u: np.sin(psi(u)) * inv_urho(u),
-                start, np.inf, weight="cos", wvar=omega, epsabs=epsabs,
-            )
-            sin_part, sin_err = integrate.quad(
-                lambda u: np.cos(psi(u)) * inv_urho(u),
-                start, np.inf, weight="sin", wvar=omega, epsabs=epsabs,
-            )
-            tail = mid + cos_part - np.sign(t) * sin_part
-            tail_err = mid_err + cos_err + sin_err
-        else:
-            # The phase stays under one radian up to u = 1e100, beyond which
-            # the envelope is negligible, so the tail is non-oscillatory.
-            tail, tail_err = integrate.quad(
-                lambda u: np.sin(psi(u)) * inv_urho(u),
-                1.0, np.inf, epsabs=epsabs, epsrel=1e-10, limit=500,
-            )
-
-    value = head + tail
-    total_err = head_err + tail_err
-    if not np.isfinite(value) or total_err > 1e-6:
-        raise IntegrationFailure(
-            f"Imhof integral did not converge (estimate {value!r}, error {total_err!r})"
-        )
-    prob = 0.5 + value / np.pi
-    return float(min(1.0, max(0.0, prob)))
+    h = _CONTOUR_STEP
+    f = terms(np.arange(0.0, _CONTOUR_REACH + h, h))
+    # The path ends one step past the last term above 1e-18 of the first.
+    n = min(int(np.flatnonzero(np.abs(f) > 1e-18 * f[0])[-1]) + 1, f.size - 1)
+    total = h * (f[: n + 1].sum() - 0.5 * f[0])
+    while 2 * n <= _CONTOUR_NODES:
+        h *= 0.5
+        finer = 0.5 * total + h * float(terms(h * np.arange(1, 2 * n, 2)).sum())
+        n *= 2
+        if finer > 0.0 and abs(finer - total) <= _CONTOUR_RTOL * finer:
+            return min(1.0, math.exp(phi + math.log(finer / math.pi)))
+        total = finer
+    raise IntegrationFailure(
+        f"saddlepoint contour sum did not converge within {_CONTOUR_NODES} nodes "
+        f"(last sum {total!r}, to be scaled by e^{phi!r} / pi)"
+    )

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from mnri import cli, glm
 from mnri.cli import CompareReport, main
 from mnri.errors import ExcessiveFitFailures
+from mnri.inference import reference_from_dict
+from mixture_reference import two_pair_tail
 
 
 def write_csv(path, header, rows):
@@ -112,6 +114,29 @@ class TestCompare:
         assert paired.mnri_test["statistic"] == pytest.approx(
             single.mnri_test["statistic"], abs=1e-12
         )
+
+    def test_two_new_columns_train_test_tail(self, tmp_path, capsys):
+        # Two new covariates give two +/- pairs of mixture weights; with a
+        # strong signal the p-value lies far below 1e-12.
+        paths = []
+        for name, seed in (("train.csv", 101), ("test.csv", 201)):
+            rng = np.random.default_rng(seed)
+            age, m1, m2 = rng.standard_normal((3, 300))
+            probs = 1.0 / (1.0 + np.exp(-(-0.3 + 0.5 * age + 1.2 * m1 - 1.0 * m2)))
+            y = (rng.random(300) < probs).astype(int)
+            write_csv(tmp_path / name, ["y", "age", "m1", "m2"], zip(y, age, m1, m2))
+            paths.append(str(tmp_path / name))
+        code, out, _ = run(capsys, ["compare", paths[0], "--outcome", "y", "--base", "age",
+                                    "--new", "m1,m2", "--test-file", paths[1]])
+        assert code == 0
+        result = json.loads(out)["mnri_test"]
+        statistic, reference = result["statistic"], result["reference"]
+        scale, weights = reference["scale"], reference["weights"]
+        assert weights[1] == -weights[0] and weights[3] == -weights[2]
+        exact = two_pair_tail(statistic, scale * weights[0], scale * weights[2])
+        assert 0.0 < result["p_value"] < 1e-12
+        assert abs(result["p_value"] - exact) <= 1e-9 * exact
+        assert reference_from_dict(reference).p_value(statistic) == result["p_value"]
 
     def test_classical_scale_doubles_statistics(self, demo_csv, capsys):
         argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]
@@ -791,11 +816,12 @@ def test_unwritable_out_is_data_error(demo_csv, tmp_path, capsys, command, targe
 
 
 def test_import_defers_quadrature():
-    # scipy.integrate is only needed by the train/test mixture tail, so
-    # starting the CLI must not pay for importing it.
-    probe = "import sys, mnri.cli; print('scipy.integrate' in sys.modules)"
+    # The mixture tails need neither scipy's quadrature nor its root finders,
+    # so starting the CLI must not pay for importing them.
+    probe = ("import sys, mnri.cli; "
+             "print([m in sys.modules for m in ('scipy.integrate', 'scipy.optimize')])")
     out = subprocess.run(
         [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

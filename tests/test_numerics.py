@@ -13,7 +13,7 @@ from scipy import integrate, stats
 from scipy.linalg import lapack
 
 from mnri import numerics
-from mnri.errors import NotPositiveDefinite
+from mnri.errors import IntegrationFailure, NotPositiveDefinite
 from mnri.numerics import (
     MixtureSpec,
     chisq_cdf,
@@ -25,6 +25,7 @@ from mnri.numerics import (
     norm_pdf,
     solve_spd,
 )
+from mixture_reference import two_pair_tail
 
 
 _EDGE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324]
@@ -453,11 +454,21 @@ class TestPairTail:
             for t in (-50.0, -1.0, 0.0, 1e-9, 3.0, 400.0):
                 assert 0.0 <= mixture_tail(t, spec) <= 1.0
 
-    def test_agrees_with_imhof(self):
+    def test_agrees_with_general_path(self):
+        # The saddlepoint path run on the pair, mirrored below t = 0 as
+        # mixture_tail mirrors it.
+        sizes = np.logspace(-12, math.log10(2000.0), 40)
         for c in (0.05, 0.8, 3.0):
-            for t in np.linspace(-20.0, 20.0, 41):
-                imhof = numerics._imhof_tail(float(t), np.array([c, -c]))
-                assert abs(mixture_tail(float(t), MixtureSpec((1.0, -1.0), c)) - imhof) <= 1e-8
+            weights = np.array([c, -c])
+            for t in np.concatenate([np.linspace(-20.0, 20.0, 41), sizes, -sizes]):
+                closed = mixture_tail(float(t), MixtureSpec((1.0, -1.0), c))
+                if closed < 1e-300:
+                    continue
+                if t < 0.0:
+                    general = 1.0 - numerics._saddle_tail(-t, -weights)
+                else:
+                    general = numerics._saddle_tail(t, weights)
+                assert abs(general - closed) <= 1e-10 * closed, (c, t, general, closed)
 
     def test_extreme_thresholds(self):
         # |t| / 2c overflows to inf here; the tail is 0 (or 1) to double precision.
@@ -467,14 +478,15 @@ class TestPairTail:
 
 
 class TestChisqEnvelope:
-    """For weights other than one +/- pair the Imhof value is kept inside
+    """For weights other than one +/- pair the tail keeps within
     P(Q > t) <= P(chi2_{m+} > t / w+) for t > 0 and the mirror bound below
-    for t < 0."""
+    for t < 0. Where that bound underflows the tail is exactly 0 (or 1) at
+    once, and one-signed weights are exact beyond their support."""
 
     spec = MixtureSpec((2.0, -2.0, 0.5, -0.5), 0.8)
 
     def test_far_tail_within_bound(self):
-        # Imhof alone gives about 1e-12 here, its quadrature floor.
+        # The tail is 1.9e-56 here, the bound 5.2e-55.
         bound = chisq_sf(400.0 / (2.0 * 0.8), 2)
         assert 0.0 < mixture_tail(400.0, self.spec) <= bound
         assert mixture_tail(-400.0, self.spec) >= 1.0 - bound
@@ -489,6 +501,63 @@ class TestChisqEnvelope:
         # All weights positive: Q > 0 surely, so P(Q > t) = 1 for t < 0.
         assert mixture_tail(-1e-3, MixtureSpec((1.0, 0.5), 1.0)) == 1.0
         assert mixture_tail(1e-3, MixtureSpec((-1.0, -0.5), 1.0)) == 0.0
+
+
+class TestSaddleTail:
+    """Weights other than one +/- pair, which take the saddlepoint contour
+    integral, against independent references to 1e-9 relative."""
+
+    spec = MixtureSpec((2.0, -2.0, 0.5, -0.5), 0.8)
+
+    def test_two_pairs_match_convolution(self):
+        for t in (-50.0, -20.0, -3.0, -0.5, 0.0, 0.5, 3.0, 20.0, 60.0, 100.0, 150.0, 400.0):
+            exact = two_pair_tail(t, 2.0 * 0.8, 0.5 * 0.8)
+            p = mixture_tail(t, self.spec)
+            assert abs(p - exact) <= 1e-9 * exact, (t, p, exact)
+
+    def test_equal_weights_match_chisq(self):
+        checked = 0
+        for m in (1, 2, 3, 4, 6, 10, 20):
+            spec = MixtureSpec((1.0,) * m, 1.0)
+            for t in np.logspace(-9, math.log10(3000.0), 80):
+                exact = chisq_sf(t, m)
+                if exact < 1e-300:
+                    continue
+                p = mixture_tail(float(t), spec)
+                assert abs(p - exact) <= 1e-9 * exact, (m, t, p, exact)
+                checked += 1
+        assert checked == 540  # the last t is 1008 for m <= 10, 1450 for m = 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(t1=st.floats(-50, 400), t2=st.floats(-50, 400))
+    @example(t1=100.0, t2=400.0)
+    @example(t1=-1e-300, t2=0.0)  # the mirrored side meets the direct one at 0
+    def test_monotone_in_threshold(self, t1, t2):
+        lo, hi = sorted((t1, t2))
+        assert mixture_tail(lo, self.spec) >= mixture_tail(hi, self.spec) * (1.0 - 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(allow_nan=False, allow_infinity=False))
+    @example(t=1e6)
+    @example(t=-1e6)
+    @example(t=1e308)
+    @example(t=-1e308)
+    def test_any_finite_threshold(self, t):
+        p = mixture_tail(t, self.spec)
+        assert 0.0 <= p <= 1.0
+        if abs(t) >= 1e6:
+            assert p == float(t < 0.0)
+
+    def test_weights_beyond_double_range_rejected(self):
+        spec = MixtureSpec((1e-300, -1e10), 1.0)
+        with pytest.raises(ValueError, match="more than the double range"):
+            mixture_tail(1.0, spec)
+        assert 0.0 < mixture_tail(-1.0, spec) < 1.0
+
+    def test_node_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_CONTOUR_NODES", 8)
+        with pytest.raises(IntegrationFailure, match="did not converge within 8 nodes"):
+            mixture_tail(3.0, self.spec)
 
 
 def test_module_functions_are_pure():
