@@ -57,61 +57,6 @@ class ColumnSpec:
             if col not in self.base and col not in self.new:
                 raise DataError(f"spline column {col!r} is not among the base/new columns")
 
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "base": list(self.base),
-            "new": list(self.new),
-            "spline": dict(self.spline),
-        }
-
-
-@dataclass(frozen=True)
-class CompareReport:
-    """Serializable model-comparison report (JSON round-trippable).
-
-    ``scale`` records how the reclassification statistics are displayed:
-    "half" (the scale all tests operate on) or "classical" (doubled, for
-    comparison with the conventional continuous-NRI convention). The
-    doubling applies to nri/mnri, scaled_mad, and mad_cross_term; mad is
-    a raw probability difference and sign_inner a raw inner product.
-    """
-
-    nri_hard: float
-    nri_smooth: float
-    mnri_hard: float
-    mnri_smooth: float
-    mad: float
-    scaled_mad: float
-    mad_cross_term: float
-    sign_inner: float
-    sign_norm: int
-    ties: int
-    scale: str
-    mnri_test: dict
-    nri_test_legacy: dict
-    mode: str
-    n: int
-    n_events: int
-    n_train: int | None
-    link: str
-    columns: dict
-    version: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CompareReport":
-        return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CompareReport":
-        return cls.from_dict(json.loads(text))
-
 
 # The only bytes the fast path accepts in a data line.
 _NUMERIC_BYTES = b"0123456789+-.eE, \t\r\n"
@@ -330,30 +275,32 @@ def cmd_compare(args) -> int:
     legacy_result = inference.test_nri_normal_legacy(subject, subject_stats)
 
     # Display scaling only; every test statistic stays on the half scale.
+    # --classical-scale doubles nri/mnri, scaled_mad and mad_cross_term; mad is
+    # a raw probability difference and sign_inner a raw inner product.
     display = 2.0 if args.classical_scale else 1.0
-    report = CompareReport(
-        nri_hard=display * stats.nri_hard,
-        nri_smooth=display * stats.nri_smooth,
-        mnri_hard=display * stats.mnri_hard,
-        mnri_smooth=display * stats.mnri_smooth,
-        mad=stats.mad,
-        scaled_mad=display * stats.scaled_mad,
-        mad_cross_term=display * stats.mad_cross_term,
-        sign_inner=stats.sign_inner,
-        sign_norm=stats.sign_norm,
-        ties=stats.ties,
-        scale="classical" if args.classical_scale else "half",
-        mnri_test=mnri_result.to_dict(),
-        nri_test_legacy=legacy_result.to_dict(),
-        mode="single" if n_train is None else "train_test",
-        n=fits.data.n,
-        n_events=int(fits.data.y.sum()),
-        n_train=n_train,
-        link=args.link,
-        columns=spec.to_dict(),
-        version=__version__,
-    )
-    _write_output(report.to_json() + "\n", args.out)
+    report = {
+        "nri_hard": display * stats.nri_hard,
+        "nri_smooth": display * stats.nri_smooth,
+        "mnri_hard": display * stats.mnri_hard,
+        "mnri_smooth": display * stats.mnri_smooth,
+        "mad": stats.mad,
+        "scaled_mad": display * stats.scaled_mad,
+        "mad_cross_term": display * stats.mad_cross_term,
+        "sign_inner": stats.sign_inner,
+        "sign_norm": stats.sign_norm,
+        "ties": stats.ties,
+        "scale": "classical" if args.classical_scale else "half",
+        "mnri_test": mnri_result.to_dict(),
+        "nri_test_legacy": legacy_result.to_dict(),
+        "mode": "single" if n_train is None else "train_test",
+        "n": fits.data.n,
+        "n_events": int(fits.data.y.sum()),
+        "n_train": n_train,
+        "link": args.link,
+        "columns": asdict(spec),
+        "version": __version__,
+    }
+    _write_output(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from scipy.linalg import eigh
 
 from . import numerics
 from .errors import DegenerateOutcome
@@ -102,15 +103,6 @@ class TestResult:
         }
 
 
-def test_result_from_dict(d: dict) -> TestResult:
-    return TestResult(
-        statistic=d["statistic"],
-        reference=reference_from_dict(d["reference"]),
-        p_value=d["p_value"],
-        notes=d.get("notes", ""),
-    )
-
-
 def k_constant(pi_hat: float) -> float:
     """Scaling constant phi(0) / (pi (1 - pi)) of the chi-square reference."""
     if not 0.0 < pi_hat < 1.0:
@@ -158,8 +150,6 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     elif a.shape[0] == 1:
         roots = np.sqrt(a[0] / b[0])
     else:
-        from scipy.linalg import eigh
-
         roots = np.sqrt(eigh(a, b, eigvals_only=True))
     weights = np.empty(2 * roots.shape[0])
     weights[0::2] = np.sort(roots)[::-1]

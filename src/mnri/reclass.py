@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import AllTies, DegenerateOutcome
+from .errors import AllTies
 from .glm import Dataset, NestedFits
 
 
@@ -94,18 +94,6 @@ def cross_score_difference(train_fits: NestedFits, test_data: Dataset) -> np.nda
     return eta_expanded - eta_base
 
 
-def half_nri_from_parts(residuals, delta, ybar: float, *, smooth: bool) -> float:
-    """Core statistic [n ybar (1-ybar)]^-1 sum_i residuals_i (ind(delta_i) - 1/2),
-    with ind either the extended indicator or the normal distribution function."""
-    residuals = np.asarray(residuals, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if not 0.0 < ybar < 1.0:
-        raise DegenerateOutcome(f"event rate {ybar} leaves no reclassification scale")
-    ind = numerics.norm_cdf(delta) if smooth else extended_indicator(delta)
-    n = residuals.shape[0]
-    return float(residuals @ (ind - 0.5)) / (n * ybar * (1.0 - ybar))
-
-
 def _parts(fits_or_pair: NestedFits | TrainTestPair) -> tuple[np.ndarray, np.ndarray, Dataset]:
     """Score change, base-model score residuals and the data they are
     evaluated on. A train/test pair takes the score change from the
@@ -120,7 +108,10 @@ def _parts(fits_or_pair: NestedFits | TrainTestPair) -> tuple[np.ndarray, np.nda
 
 
 def _half_nris(delta: np.ndarray, residuals: np.ndarray, data: Dataset) -> HalfNRIs:
-    # half_nri_from_parts, each indicator formed once; a Dataset has 0 < ybar < 1.
+    # The statistics kernel: [n ybar (1-ybar)]^-1 sum_i w_i (ind(delta_i) - 1/2)
+    # with w the constant-model residuals y - ybar (NRI) or ``residuals`` (mNRI),
+    # and ind the extended indicator (hard) or the normal distribution function
+    # (smooth), each formed once. A Dataset holds both classes, so 0 < ybar < 1.
     ybar = data.ybar
     scale = data.n * ybar * (1.0 - ybar)
     hard = extended_indicator(delta) - 0.5

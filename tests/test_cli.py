@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnri import cli, glm
-from mnri.cli import CompareReport, main
+from mnri import __version__, cli, glm
+from mnri.cli import main
 from mnri.errors import ExcessiveFitFailures
 from mnri.inference import reference_from_dict
 from mixture_reference import two_pair_tail
@@ -72,6 +72,14 @@ def cli_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+# The compare report's top-level keys, in the order the JSON lists them.
+REPORT_KEYS = [
+    "nri_hard", "nri_smooth", "mnri_hard", "mnri_smooth", "mad", "scaled_mad",
+    "mad_cross_term", "sign_inner", "sign_norm", "ties", "scale", "mnri_test",
+    "nri_test_legacy", "mode", "n", "n_events", "n_train", "link", "columns", "version",
+]
+
+
 class TestCompare:
     def test_report_round_trips(self, demo_csv, capsys):
         code, out, _ = run(
@@ -79,14 +87,17 @@ class TestCompare:
             ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"],
         )
         assert code == 0
-        report = CompareReport.from_json(out)
-        assert report.to_json() + "\n" == out
-        assert report == CompareReport.from_json(report.to_json())
-        assert report.mode == "single"
-        assert report.n == 240
-        assert report.columns["outcome"] == "status"
-        assert 0.0 <= report.mnri_test["p_value"] <= 1.0
-        assert "invalid" in report.nri_test_legacy["notes"]
+        report = json.loads(out)
+        assert json.dumps(report, indent=2) + "\n" == out
+        assert list(report) == REPORT_KEYS
+        for block in ("mnri_test", "nri_test_legacy"):
+            assert list(report[block]) == ["statistic", "reference", "p_value", "notes"]
+        assert list(report["columns"]) == ["outcome", "base", "new", "spline"]
+        assert report["mode"] == "single"
+        assert report["n"] == 240
+        assert report["columns"]["outcome"] == "status"
+        assert 0.0 <= report["mnri_test"]["p_value"] <= 1.0
+        assert "invalid" in report["nri_test_legacy"]["notes"]
 
     def test_deterministic_output(self, demo_csv, capsys):
         argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]
@@ -107,12 +118,12 @@ class TestCompare:
             ],
         )
         assert single_code == pair_code == 0
-        single = CompareReport.from_json(single_out)
-        paired = CompareReport.from_json(pair_out)
-        assert paired.mode == "train_test"
-        assert paired.n_train == 240
-        assert paired.mnri_test["statistic"] == pytest.approx(
-            single.mnri_test["statistic"], abs=1e-12
+        single = json.loads(single_out)
+        paired = json.loads(pair_out)
+        assert paired["mode"] == "train_test"
+        assert paired["n_train"] == 240
+        assert paired["mnri_test"]["statistic"] == pytest.approx(
+            single["mnri_test"]["statistic"], abs=1e-12
         )
 
     def test_two_new_columns_train_test_tail(self, tmp_path, capsys):
@@ -142,14 +153,14 @@ class TestCompare:
         argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]
         _, half_out, _ = run(capsys, argv)
         _, classical_out, _ = run(capsys, argv + ["--classical-scale"])
-        half = CompareReport.from_json(half_out)
-        classical = CompareReport.from_json(classical_out)
-        assert half.scale == "half" and classical.scale == "classical"
+        half = json.loads(half_out)
+        classical = json.loads(classical_out)
+        assert half["scale"] == "half" and classical["scale"] == "classical"
         for name in ("nri_hard", "nri_smooth", "mnri_hard", "mnri_smooth", "scaled_mad"):
-            assert getattr(classical, name) == pytest.approx(2 * getattr(half, name))
-        assert classical.mad == half.mad
+            assert classical[name] == pytest.approx(2 * half[name])
+        assert classical["mad"] == half["mad"]
         # test statistics stay on the half scale
-        assert classical.mnri_test == half.mnri_test
+        assert classical["mnri_test"] == half["mnri_test"]
 
     def test_spline_expansion_runs(self, demo_csv, capsys):
         code, out, _ = run(
@@ -160,8 +171,8 @@ class TestCompare:
             ],
         )
         assert code == 0
-        report = CompareReport.from_json(out)
-        assert report.columns["spline"] == {"marker": 4}
+        report = json.loads(out)
+        assert report["columns"]["spline"] == {"marker": 4}
 
     def test_missing_column_is_data_error(self, demo_csv, capsys):
         code, _, err = run(
@@ -630,12 +641,12 @@ class TestSplineCommand:
             ["compare", str(expanded_path), "--outcome", "status", "--base", "age",
              "--new", "marker_rcs1,marker_rcs2,marker_rcs3"],
         )
-        inproc = CompareReport.from_json(out_inproc)
-        pre = CompareReport.from_json(out_pre)
-        assert pre.mnri_test["statistic"] == pytest.approx(
-            inproc.mnri_test["statistic"], rel=1e-9
+        inproc = json.loads(out_inproc)
+        pre = json.loads(out_pre)
+        assert pre["mnri_test"]["statistic"] == pytest.approx(
+            inproc["mnri_test"]["statistic"], rel=1e-9
         )
-        assert pre.mnri_hard == pytest.approx(inproc.mnri_hard, rel=1e-9)
+        assert pre["mnri_hard"] == pytest.approx(inproc["mnri_hard"], rel=1e-9)
 
     def test_echoes_raw_cells(self, tmp_path, capsys):
         cells = [f"{1.5 + 0.25 * i:.4f}" for i in range(40)] + ["62.0", "1.5000"]
@@ -782,6 +793,81 @@ class TestSimulateCommand:
         assert target.read_bytes() == b"previous,run\n1,2\n"
 
 
+def invariance_cohort(seed, n=400):
+    """Columns of a cohort with two base and two new covariates, one of them
+    informative, by name in file order."""
+    rng = np.random.default_rng(seed)
+    age, bmi, m1, m2 = rng.standard_normal((4, n))
+    probs = 1.0 / (1.0 + np.exp(-(-0.4 + 0.8 * age + 0.3 * bmi + 0.6 * m1)))
+    y = (rng.random(n) < probs).astype(int)
+    return {"y": y, "age": age, "bmi": bmi, "m1": m1, "m2": m2}
+
+
+def write_columns(path, columns, rows=None):
+    """Write ``columns`` as a CSV, its rows in the order ``rows`` gives."""
+    table = np.column_stack(list(columns.values()))
+    write_csv(path, list(columns), (table if rows is None else table[rows]).tolist())
+    return str(path)
+
+
+def invariant_numbers(out):
+    """The four half-NRIs and the mNRI test's statistic and p-value."""
+    report = json.loads(out)
+    test = report["mnri_test"]
+    return [report[name] for name in ("nri_hard", "nri_smooth", "mnri_hard", "mnri_smooth")] + [
+        test["statistic"], test["p_value"],
+    ]
+
+
+def assert_same_numbers(out, expected_out):
+    for got, want in zip(invariant_numbers(out), invariant_numbers(expected_out)):
+        assert abs(got - want) <= 1e-10 * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("link", ["logit", "probit"])
+class TestCompareInvariance:
+    """``compare`` gives the same statistics and mNRI test whatever the row
+    order, the order and names of the columns, and the labelling of the
+    outcome: y -> 1 - y negates both the residuals and the score change."""
+
+    def compare(self, capsys, path, link, outcome="y", base="age,bmi", new="m1,m2",
+                test_file=None):
+        argv = ["compare", path, "--outcome", outcome, "--base", base, "--new", new,
+                "--link", link]
+        code, out, err = run(capsys, argv + (["--test-file", test_file] if test_file else []))
+        assert (code, err) == (0, "")
+        return out
+
+    @pytest.mark.parametrize("change", ["shuffle-rows", "permute-columns", "relabel-outcome"])
+    def test_single_sample(self, tmp_path, capsys, link, change):
+        columns = invariance_cohort(7)
+        expected = self.compare(capsys, write_columns(tmp_path / "a.csv", columns), link)
+        path, names = tmp_path / "b.csv", {}
+        if change == "shuffle-rows":
+            write_columns(path, columns, np.random.default_rng(1).permutation(400))
+        elif change == "permute-columns":
+            order = ["m2", "bmi", "y", "m1", "age"]
+            write_columns(path, {f"c_{name}": columns[name] for name in order})
+            names = dict(outcome="c_y", base="c_bmi,c_age", new="c_m2,c_m1")
+        else:
+            write_columns(path, {**columns, "y": 1 - columns["y"]})
+        assert_same_numbers(self.compare(capsys, str(path), link, **names), expected)
+
+    def test_train_test_shuffled(self, tmp_path, capsys, link):
+        train, test = invariance_cohort(7), invariance_cohort(8)
+        expected = self.compare(
+            capsys, write_columns(tmp_path / "train.csv", train), link,
+            test_file=write_columns(tmp_path / "test.csv", test),
+        )
+        rng = np.random.default_rng(2)
+        out = self.compare(
+            capsys, write_columns(tmp_path / "train_b.csv", train, rng.permutation(400)), link,
+            test_file=write_columns(tmp_path / "test_b.csv", test, rng.permutation(400)),
+        )
+        assert json.loads(out)["mode"] == "train_test"
+        assert_same_numbers(out, expected)
+
+
 def test_out_flag_writes_file(demo_csv, tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -791,8 +877,7 @@ def test_out_flag_writes_file(demo_csv, tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    report = CompareReport.from_json(target.read_text())
-    assert report.version == json.loads(target.read_text())["version"]
+    assert json.loads(target.read_text())["version"] == __version__
 
 
 @pytest.mark.parametrize("command", ["compare", "simulate"])

@@ -20,7 +20,6 @@ from mnri.inference import (
 from mnri.inference import test_mnri_single as mnri_single_test
 from mnri.inference import test_mnri_train_test as mnri_train_test_test
 from mnri.inference import test_nri_normal_legacy as nri_legacy_test
-from mnri.inference import test_result_from_dict as result_from_dict
 from mnri.reclass import TrainTestPair
 
 
@@ -179,12 +178,6 @@ class TestSingleSampleTest:
     def test_detects_informative_marker(self):
         fits = fitted(n=800, seed=6, gamma=0.8)
         assert mnri_single_test(fits, reclass.half_nris(fits)).p_value < 0.01
-
-    def test_round_trip(self):
-        fits = fitted(seed=7)
-        result = mnri_single_test(fits, reclass.half_nris(fits))
-        clone = result_from_dict(result.to_dict())
-        assert clone == result
 
 
 class TestTrainTestTest:

@@ -478,10 +478,12 @@ class TestPairTail:
 
 
 class TestChisqEnvelope:
-    """For weights other than one +/- pair the tail keeps within
-    P(Q > t) <= P(chi2_{m+} > t / w+) for t > 0 and the mirror bound below
-    for t < 0. Where that bound underflows the tail is exactly 0 (or 1) at
-    once, and one-signed weights are exact beyond their support."""
+    """Properties of the tail that hold for any weights. Q is at most w+ times
+    a chi2 with m+ degrees of freedom (w+ the largest weight, m+ the count of
+    positive ones), so P(Q > t) <= P(chi2_{m+} > t / w+) for t > 0, with the
+    mirror bound below t < 0; far in the tail the value stays positive and
+    under that bound. Past the double range it is exactly 0 (or 1), and
+    one-signed weights give exactly 0 or 1 beyond their support."""
 
     spec = MixtureSpec((2.0, -2.0, 0.5, -0.5), 0.8)
 
@@ -492,6 +494,8 @@ class TestChisqEnvelope:
         assert mixture_tail(-400.0, self.spec) >= 1.0 - bound
 
     def test_underflowing_bound_skips_quadrature(self):
+        # The Chernoff bound at the saddle search's start underflows here, so
+        # the tail is exactly 0 (or 1) at once, with no contour sum.
         start = time.perf_counter()
         assert mixture_tail(1e6, self.spec) == 0.0
         assert mixture_tail(-1e6, self.spec) == 1.0

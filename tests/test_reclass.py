@@ -14,7 +14,6 @@ from mnri.reclass import (
     TrainTestPair,
     build_report,
     extended_indicator,
-    half_nri_from_parts,
     half_nris,
     mad_probabilities,
     score_difference,
@@ -145,8 +144,9 @@ class TestHardNri:
             sign_decomposition(fits)
 
     def test_degenerate_event_rate(self):
+        # The kernel's normalization needs 0 < ybar < 1; its Dataset input ensures it.
         with pytest.raises(DegenerateOutcome):
-            half_nri_from_parts([1.0, 1.0], [0.5, -0.5], 1.0, smooth=False)
+            Dataset(y=[1.0, 1.0, 1.0], x=np.ones((3, 1)), z=[[0.5], [-0.5], [0.0]])
 
 
 class TestScaleAndLimits:
@@ -154,35 +154,30 @@ class TestScaleAndLimits:
     @given(st.floats(1e-3, 1e3))
     def test_hard_statistics_scale_invariant(self, c):
         fits = random_fits(seed=4)
-        y = fits.data.y
-        ybar = fits.data.ybar
         delta = score_difference(fits)
-        r = y - LOGIT.prob(fits.base.linear_predictor)
-        base_nri = half_nri_from_parts(y - ybar, delta, ybar, smooth=False)
-        base_mnri = half_nri_from_parts(r, delta, ybar, smooth=False)
-        assert half_nri_from_parts(y - ybar, c * delta, ybar, smooth=False) == base_nri
-        assert half_nri_from_parts(r, c * delta, ybar, smooth=False) == base_mnri
+        r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
+        base = reclass._half_nris(delta, r, fits.data)
+        scaled = reclass._half_nris(c * delta, r, fits.data)
+        assert scaled.nri_hard == base.nri_hard
+        assert scaled.mnri_hard == base.mnri_hard
 
     def test_smooth_to_hard_limit(self):
         fits = random_fits(seed=5)
-        y = fits.data.y
-        ybar = fits.data.ybar
         delta = score_difference(fits)
         assert np.all(delta != 0.0)
-        r = y - LOGIT.prob(fits.base.linear_predictor)
-        for weights in (y - ybar, r):
-            hard = half_nri_from_parts(weights, delta, ybar, smooth=False)
-            smooth_scaled = half_nri_from_parts(weights, 1e6 * delta, ybar, smooth=True)
-            assert abs(smooth_scaled - hard) <= 1e-6
+        r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
+        hard = reclass._half_nris(delta, r, fits.data)
+        smooth_scaled = reclass._half_nris(1e6 * delta, r, fits.data)
+        assert abs(smooth_scaled.nri_smooth - hard.nri_hard) <= 1e-6
+        assert abs(smooth_scaled.mnri_smooth - hard.mnri_hard) <= 1e-6
 
     def test_smooth_approaches_hard_monotone_refinement(self):
         fits = random_fits(seed=6)
-        ybar = fits.data.ybar
         delta = score_difference(fits)
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
-        hard = half_nri_from_parts(r, delta, ybar, smooth=False)
+        hard = reclass._half_nris(delta, r, fits.data).mnri_hard
         errors = [
-            abs(half_nri_from_parts(r, c * delta, ybar, smooth=True) - hard)
+            abs(reclass._half_nris(c * delta, r, fits.data).mnri_smooth - hard)
             for c in (1e2, 1e4, 1e6)
         ]
         assert errors[2] <= errors[0] + 1e-12
@@ -238,9 +233,9 @@ class TestProbitPath:
         assert abs(regression - half_nris(fits).mnri_hard) <= 1e-12
         delta = score_difference(fits)
         r = PROBIT.score_residual(fits.base.linear_predictor, fits.data.y)
-        hard = half_nri_from_parts(r, delta, fits.data.ybar, smooth=False)
+        hard = reclass._half_nris(delta, r, fits.data).mnri_hard
         assert abs(hard - half_nris(fits).mnri_hard) <= 1e-15
-        smooth_scaled = half_nri_from_parts(r, 1e6 * delta, fits.data.ybar, smooth=True)
+        smooth_scaled = reclass._half_nris(1e6 * delta, r, fits.data).mnri_smooth
         assert abs(smooth_scaled - hard) <= 1e-6
 
 
