@@ -12,6 +12,14 @@ link is evaluated once per iterate: the probabilities of an accepted step
 feed the next score, the next information and, at convergence, the fitted
 model. Fits carry the expected information evaluated at the MLE so
 downstream code can form the partitioned information blocks.
+
+The triple is fitted in the order expanded, base, constant, each fit
+starting as close to its MLE as is known: the expanded fit from b = 0;
+the base fit from the expanded fit's b-part with zbar'g moved into the
+intercept, which under the null or a weak new covariate lies close to the
+base MLE (from b = 0 when there is no new covariate); the constant fit
+from G^-1(ybar), which is its MLE, so it stops after the one step every
+fit takes.
 """
 from __future__ import annotations
 
@@ -19,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, logit, ndtri
 
 from . import numerics
 from .errors import (
@@ -56,6 +64,10 @@ class Link:
         if self.kind == "logit":
             return expit(eta)
         return numerics.norm_cdf(eta)
+
+    def eta(self, prob: float) -> float:
+        """G^-1(prob), the risk score whose event probability is prob."""
+        return float(logit(prob) if self.kind == "logit" else ndtri(prob))
 
     def score_residual(self, eta, y):
         """r = [G'/(G(1-G))] (y - G); reduces to y - G for the logit."""
@@ -173,15 +185,19 @@ def _bernoulli_loglik(y, one_minus_y, probs) -> float:
     return float(y @ np.log(p) + one_minus_y @ np.log1p(-p))
 
 
-def fit(y, design, link: Link) -> FittedModel:
+def fit(y, design, link: Link, *, start=None) -> FittedModel:
     """Fisher-scoring maximum likelihood for one binary-response model.
 
-    Convergence requires at least one step, with the largest score
+    Scoring starts from ``start``, one finite coefficient per design
+    column, or from zeros when it is None; ``fit_nested`` starts the
+    expanded fit from zeros and the base and constant fits near their
+    MLEs. Convergence requires at least one step, with the largest score
     component and the last step norm below 1e-8. Steps are halved while
     they would decrease the log-likelihood. Raises ValueError for a
-    non-finite design, Separation when the coefficients diverge (norm
-    above 1e3 with the likelihood still improving), RankDeficient for
-    collinear designs, and NoConvergence at the iteration cap.
+    non-finite design or a start of the wrong shape or not finite,
+    Separation when the coefficients diverge (norm above 1e3 with the
+    likelihood still improving), RankDeficient for collinear designs, and
+    NoConvergence at the iteration cap.
     """
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -194,10 +210,17 @@ def fit(y, design, link: Link) -> FittedModel:
         raise DegenerateOutcome("outcome is constant; need both events and non-events")
     if not np.isfinite(design).all():
         raise ValueError("design matrix must be finite")
+    if start is None:
+        beta = np.zeros(m)
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (m,):
+            raise ValueError(f"start must hold {m} coefficients, got shape {beta.shape}")
+        if not np.isfinite(beta).all():
+            raise ValueError("start must be finite")
 
     # The iterate: beta, eta = X beta, probs = G(eta) and the log-likelihood.
     one_minus_y = 1.0 - y
-    beta = np.zeros(m)
     eta = design @ beta
     probs = link.prob(eta)
     loglik = _bernoulli_loglik(y, one_minus_y, probs)
@@ -215,7 +238,9 @@ def fit(y, design, link: Link) -> FittedModel:
         try:
             step = numerics.solve_spd(info, score)
         except NotPositiveDefinite as exc:
-            if iteration == 0:  # equal weights at beta = 0: info is a multiple of X'X
+            # X'WX with every weight w > 0 is singular exactly when X'X is;
+            # at the start, before any step, a failure is the design's.
+            if iteration == 0 and w.min() > 0.0:
                 raise RankDeficient("design matrix is rank deficient (collinear columns)") from exc
             raise RankDeficient(f"singular information matrix: {exc}") from exc
 
@@ -254,19 +279,31 @@ def fit(y, design, link: Link) -> FittedModel:
     )
 
 
-def _fit_tagged(y, design, link, model_name: str) -> FittedModel:
+def _fit_tagged(y, design, link, model_name: str, start=None) -> FittedModel:
     try:
-        return fit(y, design, link)
+        return fit(y, design, link, start=start)
     except FitError as exc:
         raise type(exc)(f"{model_name} model: {exc}", model=model_name) from exc
 
 
 def fit_nested(data: Dataset, link: Link) -> NestedFits:
-    """Fit the expanded, base, and constant models on one dataset."""
+    """Fit the expanded, base, and constant models on one dataset.
+
+    The base fit starts from the expanded fit's b-part with zbar'g moved
+    into the intercept, and from zeros when q = 0, where the two designs
+    are one and the base fit repeats the expanded fit exactly. The
+    constant fit starts from its MLE, G^-1(ybar)."""
     expanded_design = np.hstack([data.x, data.z])
     expanded = _fit_tagged(data.y, expanded_design, link, "expanded")
-    base = _fit_tagged(data.y, data.x, link, "base")
-    constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant")
+    base_start = None
+    if data.q:
+        # The omitted part g'z enters at its mean, so the start's predictor
+        # differs from the expanded one by g'(z - zbar) alone.
+        base_start = expanded.coefficients[: data.p].copy()
+        base_start[0] += data.z.mean(axis=0) @ expanded.coefficients[data.p :]
+    base = _fit_tagged(data.y, data.x, link, "base", base_start)
+    constant_start = [link.eta(data.ybar)]
+    constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant", constant_start)
     return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data)
 
 

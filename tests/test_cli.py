@@ -721,6 +721,16 @@ class TestSimulateCommand:
         rows = [line.split(",")[:2] for line in out.strip().splitlines()[1:]]
         assert rows == [["200", "0.25"], ["200", "0.5"], ["300", "0.25"], ["300", "0.5"]]
 
+    def test_identical_bytes_across_workers(self, capsys):
+        argv = [
+            "simulate", "--n", "200,300", "--pi0", "0.25,0.5", "--mu-x", "0.25",
+            "--rho", "0", "--reps", "6", "--seed", "3",
+        ]
+        code, out1, _ = run(capsys, argv + ["--workers", "1"])
+        assert code == 0
+        _, out2, _ = run(capsys, argv + ["--workers", "2"])
+        assert out1 == out2
+
     def test_invalid_grid_exit_two(self, capsys):
         code, _, _ = run(
             capsys,

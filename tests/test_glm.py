@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from mnri import glm, numerics
+from mnri import glm, numerics, sim
 from mnri.errors import DegenerateOutcome, NoConvergence, RankDeficient, Separation
 from mnri.glm import (
     LOGIT,
@@ -186,6 +186,56 @@ class TestFit:
         # No step is halved here, so each iteration tries one point.
         assert len(calls) == model.iterations + 1
 
+    def test_one_link_evaluation_per_trial_point_from_a_start(self, monkeypatch):
+        data = make_data(n=400, seed=5)
+        design = np.hstack([data.x, data.z])
+        start = 0.5 * fit(data.y, design, LOGIT).coefficients
+        calls = []
+
+        def counting_expit(eta):
+            calls.append(1)
+            return expit(eta)
+
+        monkeypatch.setattr(glm, "expit", counting_expit)
+        model = fit(data.y, design, LOGIT, start=start)
+        assert len(calls) == model.iterations + 1
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (np.zeros(2), "start must hold 3 coefficients"),
+            (np.zeros(4), "start must hold 3 coefficients"),
+            (np.zeros((3, 1)), "start must hold 3 coefficients"),
+            (np.array([0.0, np.nan, 0.0]), "start must be finite"),
+            (np.array([0.0, 0.0, -np.inf]), "start must be finite"),
+        ],
+    )
+    def test_invalid_start_rejected(self, start, message):
+        data = make_data(n=100)
+        with pytest.raises(ValueError, match=message):
+            fit(data.y, np.hstack([data.x, data.z]), LOGIT, start=start)
+
+    def test_start_with_vanishing_weights_is_not_blamed_on_the_design(self):
+        # At eta = 100, 200, 300 the logit weights underflow to 0, so X'WX
+        # has rank 1 although the design's columns are independent.
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        design = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(RankDeficient, match="singular information matrix"):
+            fit(y, design, LOGIT, start=np.array([0.0, 100.0]))
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_zero_start_is_the_default(self, link):
+        data = make_data(n=300, seed=6, link=link)
+        design = np.hstack([data.x, data.z])
+        model = fit(data.y, design, link)
+        started = fit(data.y, design, link, start=np.zeros(3))
+        for name in (
+            "coefficients", "linear_predictor", "fitted_probs", "expected_information",
+        ):
+            assert getattr(started, name).tobytes() == getattr(model, name).tobytes(), name
+        assert started.loglik == model.loglik
+        assert started.iterations == model.iterations
+
     def test_constant_outcome(self):
         with pytest.raises(DegenerateOutcome):
             fit(np.ones(50), np.ones((50, 1)), LOGIT)
@@ -317,6 +367,66 @@ class TestFitNested:
             fit_nested(clone, LOGIT)
         assert excinfo.value.model == "expanded"
         assert "expanded" in str(excinfo.value)
+
+    # Warm and cold fits of one model agree to the accuracy of the stopping
+    # rule (last step below 1e-8). Under the logit, Fisher scoring is
+    # Newton's method and converges quadratically; under the probit it
+    # converges linearly, and at n = 200 a cold fit itself can stop about
+    # 7e-10 (relative) from the fully converged MLE.
+    COEF_RTOL = {"logit": 1e-10, "probit": 1e-8}
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    @pytest.mark.parametrize("gamma", [0.0, 1.5])
+    @pytest.mark.parametrize("n", [200, 20_000])
+    def test_warm_fits_agree_with_cold_fits(self, link, gamma, n):
+        data = make_data(n=n, seed=n + 7, gamma=gamma, link=link)
+        fits = fit_nested(data, link)
+        cold_base = fit(data.y, data.x, link)
+        cold_constant = fit(data.y, np.ones((n, 1)), link)
+        for warm, cold in ((fits.base, cold_base), (fits.constant, cold_constant)):
+            np.testing.assert_allclose(
+                warm.coefficients, cold.coefficients, rtol=self.COEF_RTOL[link.kind], atol=1e-12
+            )
+            assert abs(warm.loglik - cold.loglik) <= max(1e-10 * abs(cold.loglik), 1e-12)
+        assert fits.constant.iterations == 1
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    @pytest.mark.parametrize("n", [200, 20_000])
+    def test_uncentred_new_covariate(self, link, n):
+        # A calendar-year-like z puts the expanded intercept near -100; a
+        # base start without zbar'g in its intercept would give every row
+        # a probability below the likelihood's clip.
+        rng = np.random.default_rng(n + 11)
+        x1 = rng.standard_normal(n)
+        year = 2000.0 + 10.0 * rng.standard_normal(n)
+        y = (rng.random(n) < link.prob(-0.3 + 0.8 * x1 + 0.05 * (year - 2000.0))).astype(float)
+        data = Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=year[:, None])
+        fits = fit_nested(data, link)
+        assert fits.expanded.coefficients[0] < -50.0
+        cold_base = fit(data.y, data.x, link)
+        np.testing.assert_allclose(
+            fits.base.coefficients, cold_base.coefficients,
+            rtol=self.COEF_RTOL[link.kind], atol=1e-12,
+        )
+        assert abs(fits.base.loglik - cold_base.loglik) <= 1e-10 * abs(cold_base.loglik)
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_base_is_expanded_without_new_columns(self, link):
+        data = make_data(n=200, seed=4, link=link)
+        fits = fit_nested(Dataset(y=data.y, x=data.x, z=np.empty((200, 0))), link)
+        for name in (
+            "coefficients", "linear_predictor", "fitted_probs", "expected_information",
+        ):
+            assert getattr(fits.base, name).tobytes() == getattr(fits.expanded, name).tobytes()
+        assert fits.base.loglik == fits.expanded.loglik
+        assert fits.base.iterations == fits.expanded.iterations
+
+    def test_warm_starts_save_iterations(self):
+        cfg = sim.SimConfig(n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=1, seed=901)
+        fits = sim._fitted(cfg, 0, 0, 0)
+        cold_base = fit(fits.data.y, fits.data.x, LOGIT)
+        assert fits.constant.iterations == 1
+        assert fits.base.iterations < cold_base.iterations
 
     def test_iteration_cap_tagged_expanded(self, monkeypatch):
         monkeypatch.setattr(glm, "_MAX_ITER", 1)
