@@ -13,18 +13,18 @@ feed the next score, the next information and, at convergence, the fitted
 model. Fits carry the expected information evaluated at the MLE so
 downstream code can form the partitioned information blocks.
 
-The triple is fitted in the order expanded, base, constant, each fit
-starting as close to its MLE as is known: the expanded fit from b = 0;
-the base fit from the expanded fit's b-part with zbar'g moved into the
-intercept, which under the null or a weak new covariate lies close to the
-base MLE (from b = 0 when there is no new covariate); the constant fit
-from G^-1(ybar), which is its MLE, so it stops after the one step every
-fit takes.
+``fit`` runs on a design as given. ``fit_nested`` fits the triple on the
+expanded design standardized once, so that convergence and the separation
+rule do not depend on the covariates' units, and reports the fits for the
+raw columns. Each fit starts as close to its MLE as is known: the expanded
+fit from b = 0; the base fit from the expanded fit's b-part, close to the
+base MLE under the null or a weak new covariate (b = 0 when q = 0); the
+constant fit from its MLE G^-1(ybar), so it stops after one step.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit, logit, ndtri
@@ -188,12 +188,11 @@ def _bernoulli_loglik(y, one_minus_y, probs) -> float:
 def fit(y, design, link: Link, *, start=None) -> FittedModel:
     """Fisher-scoring maximum likelihood for one binary-response model.
 
-    Scoring starts from ``start``, one finite coefficient per design
-    column, or from zeros when it is None; ``fit_nested`` starts the
-    expanded fit from zeros and the base and constant fits near their
-    MLEs. Convergence requires at least one step, with the largest score
-    component and the last step norm below 1e-8. Steps are halved while
-    they would decrease the log-likelihood. Raises ValueError for a
+    Scoring runs on ``design`` as given, in its columns' units, from
+    ``start``, one finite coefficient per design column, or from zeros when
+    it is None. Convergence requires at least one step, with the largest
+    score component and the last step norm below 1e-8. Steps are halved
+    while they would decrease the log-likelihood. Raises ValueError for a
     non-finite design or a start of the wrong shape or not finite,
     Separation when the coefficients diverge (norm above 1e3 with the
     likelihood still improving), RankDeficient for collinear designs, and
@@ -286,34 +285,55 @@ def _fit_tagged(y, design, link, model_name: str, start=None) -> FittedModel:
         raise type(exc)(f"{model_name} model: {exc}", model=model_name) from exc
 
 
+def _to_raw(model: FittedModel, shift, scale) -> FittedModel:
+    """Restate a fit on (X - shift)/scale for the raw columns X, which are
+    those columns times J = diag(scale) + e0 shift': b = J^-1 b~, I = J' I~ J."""
+    coefficients = model.coefficients / scale
+    coefficients[0] -= shift @ coefficients
+    to_standard = np.diag(scale)
+    to_standard[0] += shift
+    information = to_standard.T @ model.expected_information @ to_standard
+    return replace(model, coefficients=coefficients, expected_information=information)
+
+
 def fit_nested(data: Dataset, link: Link) -> NestedFits:
     """Fit the expanded, base, and constant models on one dataset.
 
-    The base fit starts from the expanded fit's b-part with zbar'g moved
-    into the intercept, and from zeros when q = 0, where the two designs
-    are one and the base fit repeats the expanded fit exactly. The
-    constant fit starts from its MLE, G^-1(ybar)."""
-    expanded_design = np.hstack([data.x, data.z])
-    expanded = _fit_tagged(data.y, expanded_design, link, "expanded")
-    base_start = None
-    if data.q:
-        # The omitted part g'z enters at its mean, so the start's predictor
-        # differs from the expanded one by g'(z - zbar) alone.
-        base_start = expanded.coefficients[: data.p].copy()
-        base_start[0] += data.z.mean(axis=0) @ expanded.coefficients[data.p :]
-    base = _fit_tagged(data.y, data.x, link, "base", base_start)
+    Fisher scoring runs on [x, z] with each column but the intercept
+    centred at its mean and divided by its root mean square about it (or by
+    1 when that is 0); the expanded and base fits are restated for the raw
+    columns. The base fit starts from the expanded fit's b-part (zeros when
+    q = 0); the constant fit from its MLE, G^-1(ybar)."""
+    design = np.hstack([data.x, data.z])
+    ones = data.x[:, 0]  # the intercept column: column sums are ones @ columns
+    shift = ones @ design / data.n
+    shift[0] = 0.0
+    design -= shift
+    scale = np.sqrt(ones @ (design * design) / data.n)
+    scale[scale == 0.0] = 1.0
+    design /= scale
+    expanded = _fit_tagged(data.y, design, link, "expanded")
+    base_start = expanded.coefficients[: data.p] if data.q else None
+    # A copy, not a strided view: the base fit's products run faster on it.
+    base = _fit_tagged(data.y, design[:, : data.p].copy(), link, "base", base_start)
     constant_start = [link.eta(data.ybar)]
     constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant", constant_start)
+    expanded = _to_raw(expanded, shift, scale)
+    base = _to_raw(base, shift[: data.p], scale[: data.p])
     return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data)
 
 
 def information_blocks(expanded: FittedModel, n_base: int) -> InformationBlocks:
     """Partition the per-observation expected information of an expanded
-    fit into base (first ``n_base`` coefficients) and new blocks."""
+    fit into base (first ``n_base`` coefficients) and new blocks. The Schur
+    complement is the trailing block of L L' for L the Cholesky factor of
+    the information at unit diagonal; a vanishing pivot is RankDeficient."""
     info = np.asarray(expanded.expected_information, dtype=float) / expanded.n
-    bb = info[:n_base, :n_base]
-    bg = info[:n_base, n_base:]
-    gg = info[n_base:, n_base:]
-    schur = gg - bg.T @ numerics.solve_spd(bb, bg)
-    gamma_cov = numerics.inv_spd(schur)
-    return InformationBlocks(bb=bb, bg=bg, gg=gg, gamma_cov=gamma_cov)
+    unit = 1.0 / np.sqrt(info.diagonal())
+    try:
+        lower = numerics.cholesky_spd(info * np.outer(unit, unit))
+    except NotPositiveDefinite as exc:
+        raise RankDeficient(f"expanded model: singular information: {exc}", "expanded") from exc
+    tail = lower[n_base:, n_base:] / unit[n_base:, None]
+    return InformationBlocks(bb=info[:n_base, :n_base], bg=info[:n_base, n_base:],
+                             gg=info[n_base:, n_base:], gamma_cov=numerics.inv_spd(tail @ tail.T))

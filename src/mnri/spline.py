@@ -8,9 +8,9 @@ for j = 1..k-2 the truncated-cubic combination
 
 whose cubic and quadratic terms cancel beyond the last knot, so the fitted
 function is linear outside [t_1, t_k] and has two continuous derivatives
-everywhere. The division by the squared knot range keeps the nonlinear
-columns on a scale comparable to x itself, which stabilizes maximum
-likelihood fitting.
+everywhere. The division by the squared knot range is the basis
+convention: it keeps the nonlinear columns on a scale comparable to x
+itself. Fitting does not rely on it, as ``glm.fit_nested`` standardizes.
 """
 from __future__ import annotations
 

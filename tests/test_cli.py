@@ -125,6 +125,15 @@ class TestCompare:
         assert paired["mnri_test"]["statistic"] == pytest.approx(
             single["mnri_test"]["statistic"], abs=1e-12
         )
+        # One sample on both sides: equal gamma covariances give the exact
+        # +/-1 pair, and the training coefficients are the test fits' own.
+        assert paired["mnri_test"]["reference"]["weights"] == [1.0, -1.0]
+        for name in ("nri_hard", "nri_smooth", "mnri_hard", "mnri_smooth"):
+            assert paired[name] == pytest.approx(single[name], rel=1e-12, abs=1e-15)
+        for test in ("mnri_test", "nri_test_legacy"):
+            assert paired[test]["statistic"] == pytest.approx(
+                single[test]["statistic"], rel=1e-12
+            )
 
     def test_two_new_columns_train_test_tail(self, tmp_path, capsys):
         # Two new covariates give two +/- pairs of mixture weights; with a
@@ -389,6 +398,18 @@ class TestCompare:
         assert err == (
             "fit error: expanded model: Fisher scoring did not converge in 1 iterations\n"
         )
+
+    def test_singular_raw_information_is_fit_error(self, tmp_path, capsys):
+        # A base column offset by 1.7e9 with unit spread fits, in standardized
+        # columns, but the train/test reference needs the information for the
+        # raw columns, which is singular to working precision.
+        columns = invariance_cohort(7)
+        path = write_columns(tmp_path / "a.csv", {**columns, "age": columns["age"] + 1.7e9})
+        argv = ["compare", path, "--outcome", "y", "--base", "age,bmi", "--new", "m1,m2"]
+        assert run(capsys, argv)[0] == 0
+        code, out, err = run(capsys, argv + ["--test-file", path])
+        assert (code, out) == (3, "")
+        assert err.startswith("fit error: expanded model: singular information: Cholesky pivot")
 
     def test_mismatched_test_header(self, demo_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
@@ -837,18 +858,28 @@ def assert_same_numbers(out, expected_out):
 @pytest.mark.parametrize("link", ["logit", "probit"])
 class TestCompareInvariance:
     """``compare`` gives the same statistics and mNRI test whatever the row
-    order, the order and names of the columns, and the labelling of the
-    outcome: y -> 1 - y negates both the residuals and the score change."""
+    order, the order and names of the columns, the labelling of the
+    outcome (y -> 1 - y negates both the residuals and the score change)
+    and the units and origin of each covariate."""
 
     def compare(self, capsys, path, link, outcome="y", base="age,bmi", new="m1,m2",
-                test_file=None):
+                test_file=None, extra=()):
         argv = ["compare", path, "--outcome", outcome, "--base", base, "--new", new,
-                "--link", link]
+                "--link", link, *extra]
         code, out, err = run(capsys, argv + (["--test-file", test_file] if test_file else []))
         assert (code, err) == (0, "")
         return out
 
-    @pytest.mark.parametrize("change", ["shuffle-rows", "permute-columns", "relabel-outcome"])
+    # Each covariate recoded as a * value + b, as a change of units and origin
+    # (a calendar year, a marker in other units) recodes it.
+    AFFINE = {"age": (1.0, 2000.0), "bmi": (1e4, 50.0), "m1": (1e-4, 0.0), "m2": (1.0, -300.0)}
+
+    def recode(self, columns):
+        return {**columns, **{name: a * columns[name] + b for name, (a, b) in self.AFFINE.items()}}
+
+    @pytest.mark.parametrize(
+        "change", ["shuffle-rows", "permute-columns", "relabel-outcome", "affine"]
+    )
     def test_single_sample(self, tmp_path, capsys, link, change):
         columns = invariance_cohort(7)
         expected = self.compare(capsys, write_columns(tmp_path / "a.csv", columns), link)
@@ -859,9 +890,31 @@ class TestCompareInvariance:
             order = ["m2", "bmi", "y", "m1", "age"]
             write_columns(path, {f"c_{name}": columns[name] for name in order})
             names = dict(outcome="c_y", base="c_bmi,c_age", new="c_m2,c_m1")
-        else:
+        elif change == "relabel-outcome":
             write_columns(path, {**columns, "y": 1 - columns["y"]})
+        else:
+            write_columns(path, self.recode(columns))
         assert_same_numbers(self.compare(capsys, str(path), link, **names), expected)
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_affine_with_spline(self, tmp_path, capsys, link, mode):
+        spline = ["--spline", "age=4"]
+        train, test = invariance_cohort(7), invariance_cohort(8)
+        outs = []
+        for tag, recode in (("raw", dict), ("recoded", self.recode)):
+            test_file = None
+            if mode == "train_test":
+                test_file = write_columns(tmp_path / f"test_{tag}.csv", recode(test))
+            path = write_columns(tmp_path / f"train_{tag}.csv", recode(train))
+            outs.append(self.compare(capsys, path, link, test_file=test_file, extra=spline))
+        assert json.loads(outs[1])["mode"] == mode
+        # The train/test reference takes its weights from the information held
+        # for the raw columns, whose Schur complement keeps a rounding error of
+        # about eps * (offset / spread)^2: 1e-9 relative for age + 2000.
+        p_rtol = 1e-10 if mode == "single" else 1e-8
+        got, want = invariant_numbers(outs[1]), invariant_numbers(outs[0])
+        for g, w, rtol in zip(got, want, [1e-10] * 5 + [p_rtol]):
+            assert abs(g - w) <= rtol * abs(w), (g, w)
 
     def test_train_test_shuffled(self, tmp_path, capsys, link):
         train, test = invariance_cohort(7), invariance_cohort(8)

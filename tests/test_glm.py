@@ -17,6 +17,7 @@ from mnri.glm import (
     fit_nested,
     information_blocks,
 )
+from mnri.reclass import half_nris
 
 
 def make_data(n=250, seed=42, gamma=0.5, link=LOGIT):
@@ -393,9 +394,9 @@ class TestFitNested:
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
     @pytest.mark.parametrize("n", [200, 20_000])
     def test_uncentred_new_covariate(self, link, n):
-        # A calendar-year-like z puts the expanded intercept near -100; a
-        # base start without zbar'g in its intercept would give every row
-        # a probability below the likelihood's clip.
+        # A calendar-year-like z puts the raw expanded intercept near -100;
+        # the base fit, started from the expanded fit in standardized
+        # columns, must still agree with a cold fit on the raw base design.
         rng = np.random.default_rng(n + 11)
         x1 = rng.standard_normal(n)
         year = 2000.0 + 10.0 * rng.standard_normal(n)
@@ -409,6 +410,63 @@ class TestFitNested:
             rtol=self.COEF_RTOL[link.kind], atol=1e-12,
         )
         assert abs(fits.base.loglik - cold_base.loglik) <= 1e-10 * abs(cold_base.loglik)
+
+    # (link, n, g, recoded column, a, b, relative tolerance): one covariate
+    # recoded as a * value + b. Fisher scoring on the raw columns failed on
+    # most of these, or fitted them far from the centred data. The 1.7e9
+    # shift rounds z itself to about 2e-7.
+    AFFINE_CASES = [
+        *[(link, n, g, "z", 1.0, 2000.0, 1e-10)
+          for link in (LOGIT, PROBIT) for n in (200, 20_000) for g in (0.5, 0.05)],
+        *[(link, 20_000, 0.5, "x", 1.0, 500.0, 1e-10) for link in (LOGIT, PROBIT)],
+        *[(link, 200, 0.5, "z", 1e-4, 0.0, 1e-10) for link in (LOGIT, PROBIT)],
+        *[(link, 200, 0.5, "z", 1e4, 50.0, 1e-10) for link in (LOGIT, PROBIT)],
+        *[(link, n, 0.5, "z", 1.0, 1.7e9, 1e-6)
+          for link in (LOGIT, PROBIT) for n in (200, 20_000)],
+    ]
+
+    @pytest.mark.parametrize(
+        "link, n, gamma, column, a, b, rtol", AFFINE_CASES,
+        ids=[f"{c[0].kind}-n{c[1]}-g{c[2]}-{c[3]}*{c[4]:g}+{c[5]:g}" for c in AFFINE_CASES],
+    )
+    def test_affine_recoding_matches_centred_data(self, link, n, gamma, column, a, b, rtol):
+        rng = np.random.default_rng(n + 26)
+        x1, z = rng.standard_normal((2, n))
+        y = (rng.random(n) < link.prob(-0.3 + 0.8 * x1 + gamma * z)).astype(float)
+        x1, z = x1 - x1.mean(), z - z.mean()
+
+        def nested(x1, z):
+            data = Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=z[:, None])
+            return fit_nested(data, link)
+
+        centred = nested(x1, z)
+        recoded = nested(a * x1 + b, z) if column == "x" else nested(x1, a * z + b)
+
+        def assert_close(got, want):
+            gap = np.max(np.abs(np.subtract(got, want)))
+            assert gap <= rtol * np.max(np.abs(want)), (got, want)
+
+        slope = 1 if column == "x" else 2
+        for got, want in ((recoded.expanded, centred.expanded), (recoded.base, centred.base)):
+            assert_close(got.linear_predictor, want.linear_predictor)
+            assert_close(got.fitted_probs, want.fitted_probs)
+            assert_close(got.loglik, want.loglik)
+            if slope < got.coefficients.shape[0]:
+                # Recoding multiplies the covariate by a and so divides its slope by a.
+                assert_close(a * got.coefficients[slope], want.coefficients[slope])
+        for name, want in vars(half_nris(centred)).items():
+            assert_close(getattr(half_nris(recoded), name), want)
+
+    @pytest.mark.parametrize("value", [3.0, 0.1, 2000.3])
+    def test_constant_z_tagged_expanded(self, value):
+        data = make_data(n=100)
+        clone = Dataset(y=data.y, x=data.x, z=np.full((100, 1), value))
+        with pytest.raises(RankDeficient) as excinfo:
+            fit_nested(clone, LOGIT)
+        assert excinfo.value.model == "expanded"
+        assert str(excinfo.value) == (
+            "expanded model: design matrix is rank deficient (collinear columns)"
+        )
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
     def test_base_is_expanded_without_new_columns(self, link):
@@ -509,6 +567,14 @@ class TestInformationBlocks:
         np.testing.assert_allclose(
             blocks.gamma_cov, np.linalg.inv(blocks.gg), rtol=1e-10
         )
+
+    def test_singular_raw_information_tagged_expanded(self):
+        data = make_data(n=200)
+        fits = fit_nested(Dataset(y=data.y, x=data.x, z=data.z + 1.7e9), LOGIT)
+        with pytest.raises(RankDeficient) as excinfo:
+            information_blocks(fits.expanded, 2)
+        assert excinfo.value.model == "expanded"
+        assert str(excinfo.value).startswith("expanded model: singular information: ")
 
     def test_gamma_cov_symmetric_positive_definite(self):
         rng = np.random.default_rng(14)

@@ -270,6 +270,33 @@ class TestMad:
         assert abs(scaled / mad - 2.008) <= 1e-3
 
 
+class TestScoreIdentity:
+    """At the base MLE sum_i r_i x_i = 0, so the residual-weighted score change
+    sum_i r_i delta_i equals g_hat' U, where U = sum_i r_i z_i is the Rao score
+    for the new coefficients g: the mNRI's link to the score test. A fit
+    stops with that score near, not at, zero (up to about 1e-8 under the
+    probit), and the identity is off by its inner product with the change in
+    raw coefficients, whose intercept part grows with the offset of z."""
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, 0.0), (1e-4, 0.0), (10.0, 5.0)], ids=["centred", "rescaled", "recoded"]
+    )
+    def test_residual_weighted_change_is_gamma_times_score(self, link, q, a, b):
+        rng = np.random.default_rng(37 + q)
+        n = 500
+        x1 = rng.standard_normal(n)
+        z = rng.standard_normal((n, q))
+        eta = -0.2 + 0.7 * x1 + z @ np.linspace(0.5, -0.3, q)
+        y = (rng.random(n) < link.prob(eta)).astype(float)
+        z = a * (z - z.mean(axis=0)) + b
+        fits = fit_nested(Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=z), link)
+        delta, residuals, data = reclass._parts(fits)
+        gamma_score = fits.expanded.coefficients[data.p :] @ (data.z.T @ residuals)
+        assert abs(residuals @ delta - gamma_score) <= 1e-9 * abs(gamma_score)
+
+
 class TestTrainTest:
     def test_null_training_coefficients_give_zero(self):
         train = random_fits(seed=19)
@@ -282,6 +309,8 @@ class TestTrainTest:
         fits = random_fits(seed=29)
         pair = TrainTestPair(train_fits=fits, test_fits=fits)
         assert abs(half_nris(pair).mnri_smooth - half_nris(fits).mnri_smooth) <= 1e-15
+        for name, single in vars(half_nris(fits)).items():
+            assert abs(getattr(half_nris(pair), name) - single) <= 1e-12 * abs(single)
 
     def test_worked_values(self, manual_fits):
         test_fits = manual_fits(
