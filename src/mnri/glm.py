@@ -10,16 +10,18 @@ for a monotone inverse link G (logistic or probit). Fitting is Fisher
 scoring on the Bernoulli log-likelihood with step-halving. The inverse
 link is evaluated once per iterate: the probabilities of an accepted step
 feed the next score, the next information and, at convergence, the fitted
-model. Fits carry the expected information evaluated at the MLE so
-downstream code can form the partitioned information blocks.
+model. Fits carry the expected information evaluated at the MLE, from
+which ``information_blocks`` forms the covariance of the new coefficients.
 
 ``fit`` runs on a design as given. ``fit_nested`` fits the triple on the
 expanded design standardized once, so that convergence and the separation
-rule do not depend on the covariates' units, and reports the fits for the
-raw columns. Each fit starts as close to its MLE as is known: the expanded
-fit from b = 0; the base fit from the expanded fit's b-part, close to the
-base MLE under the null or a weak new covariate (b = 0 when q = 0); the
-constant fit from its MLE G^-1(ybar), so it stops after one step.
+rule do not depend on the covariates' units. It reports the coefficients
+for the raw columns and keeps the information in the standardized ones,
+with the scale of each column. Each fit starts as close to its MLE as is
+known: the expanded fit from b = 0; the base fit from the expanded fit's
+b-part, close to the base MLE under the null or a weak new covariate
+(b = 0 when q = 0); the constant fit from its MLE G^-1(ybar), so it stops
+after one step.
 """
 from __future__ import annotations
 
@@ -156,28 +158,19 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class NestedFits:
-    """The (expanded, base, constant) model triple on one dataset."""
+    """The (expanded, base, constant) model triple on one dataset.
+
+    Coefficients are for the raw columns [x, z]. The expanded and base
+    fits' ``expected_information`` is for the standardized columns
+    [1, (X - m)/s] that ``fit_nested`` fitted on; ``scale`` holds the s of
+    each column of [x, z], 1 for the intercept."""
 
     expanded: FittedModel
     base: FittedModel
     constant: FittedModel
     link: Link
     data: Dataset
-
-
-@dataclass(frozen=True)
-class InformationBlocks:
-    """Partition of the per-observation expected information for (b, g).
-
-    ``gamma_cov`` is the gg block of the full inverse, i.e. the inverse
-    Schur complement (I_gg - I_gb I_bb^-1 I_bg)^-1, which is the
-    asymptotic covariance of sqrt(n) (g_hat - g0).
-    """
-
-    bb: np.ndarray
-    bg: np.ndarray
-    gg: np.ndarray
-    gamma_cov: np.ndarray
+    scale: np.ndarray
 
 
 def _bernoulli_loglik(y, one_minus_y, probs) -> float:
@@ -286,14 +279,11 @@ def _fit_tagged(y, design, link, model_name: str, start=None) -> FittedModel:
 
 
 def _to_raw(model: FittedModel, shift, scale) -> FittedModel:
-    """Restate a fit on (X - shift)/scale for the raw columns X, which are
-    those columns times J = diag(scale) + e0 shift': b = J^-1 b~, I = J' I~ J."""
+    """Restate the coefficients of a fit on (X - shift)/scale for the raw
+    columns X: b = J^-1 b~ for J = diag(scale) + e0 shift'."""
     coefficients = model.coefficients / scale
     coefficients[0] -= shift @ coefficients
-    to_standard = np.diag(scale)
-    to_standard[0] += shift
-    information = to_standard.T @ model.expected_information @ to_standard
-    return replace(model, coefficients=coefficients, expected_information=information)
+    return replace(model, coefficients=coefficients)
 
 
 def fit_nested(data: Dataset, link: Link) -> NestedFits:
@@ -301,9 +291,10 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
 
     Fisher scoring runs on [x, z] with each column but the intercept
     centred at its mean and divided by its root mean square about it (or by
-    1 when that is 0); the expanded and base fits are restated for the raw
-    columns. The base fit starts from the expanded fit's b-part (zeros when
-    q = 0); the constant fit from its MLE, G^-1(ybar)."""
+    1 when that is 0). The expanded and base coefficients are restated for
+    the raw columns; their information stays standardized. The base fit
+    starts from the expanded fit's b-part (zeros when q = 0); the constant
+    fit from its MLE, G^-1(ybar)."""
     design = np.hstack([data.x, data.z])
     ones = data.x[:, 0]  # the intercept column: column sums are ones @ columns
     shift = ones @ design / data.n
@@ -320,20 +311,25 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
     constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant", constant_start)
     expanded = _to_raw(expanded, shift, scale)
     base = _to_raw(base, shift[: data.p], scale[: data.p])
-    return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data)
+    return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data,
+                      scale=scale)
 
 
-def information_blocks(expanded: FittedModel, n_base: int) -> InformationBlocks:
-    """Partition the per-observation expected information of an expanded
-    fit into base (first ``n_base`` coefficients) and new blocks. The Schur
+def information_blocks(fits: NestedFits) -> np.ndarray:
+    """The asymptotic covariance of sqrt(n) (g_hat - g0) for the raw z
+    columns: the gg block of the inverse per-observation information,
+    (I_gg - I_gb I_bb^-1 I_bg)^-1, with entry (i, j) divided by s_i s_j.
+    The z rows of J^-1 are diag(1/s_z), so the shift drops out. The Schur
     complement is the trailing block of L L' for L the Cholesky factor of
-    the information at unit diagonal; a vanishing pivot is RankDeficient."""
-    info = np.asarray(expanded.expected_information, dtype=float) / expanded.n
+    the standardized information at unit diagonal; a vanishing pivot is
+    RankDeficient."""
+    p = fits.data.p
+    info = fits.expanded.expected_information / fits.data.n
     unit = 1.0 / np.sqrt(info.diagonal())
     try:
         lower = numerics.cholesky_spd(info * np.outer(unit, unit))
     except NotPositiveDefinite as exc:
         raise RankDeficient(f"expanded model: singular information: {exc}", "expanded") from exc
-    tail = lower[n_base:, n_base:] / unit[n_base:, None]
-    return InformationBlocks(bb=info[:n_base, :n_base], bg=info[:n_base, n_base:],
-                             gg=info[n_base:, n_base:], gamma_cov=numerics.inv_spd(tail @ tail.T))
+    tail = lower[p:, p:] / unit[p:, None]
+    scale = fits.scale[p:]
+    return numerics.inv_spd(tail @ tail.T) / np.outer(scale, scale)

@@ -162,9 +162,8 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     chi-square mixture reference; ``stats`` is ``reclass.half_nris(pair)``."""
     data = pair.data
     statistic = data.n * stats.mnri_smooth
-    var_train = information_blocks(pair.train_fits.expanded, data.p).gamma_cov
-    var_test = information_blocks(pair.test_fits.expanded, data.p).gamma_cov
-    weights = mixture_weights(var_train, var_test)
+    weights = mixture_weights(information_blocks(pair.train_fits),
+                              information_blocks(pair.test_fits))
     k = k_constant(data.ybar)
     reference = ChisqMixtureRef(scale=k / 2.0, weights=weights)
     return _result(statistic, reference)

@@ -36,6 +36,7 @@ def build_manual_fits(y, xv, zv, base_coef, expanded_coef, link=LOGIT):
         constant=manual([constant_eta], np.ones((n, 1))),
         link=link,
         data=data,
+        scale=np.ones(data.p + data.q),
     )
 
 

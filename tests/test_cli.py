@@ -399,17 +399,28 @@ class TestCompare:
             "fit error: expanded model: Fisher scoring did not converge in 1 iterations\n"
         )
 
-    def test_singular_raw_information_is_fit_error(self, tmp_path, capsys):
-        # A base column offset by 1.7e9 with unit spread fits, in standardized
-        # columns, but the train/test reference needs the information for the
-        # raw columns, which is singular to working precision.
-        columns = invariance_cohort(7)
-        path = write_columns(tmp_path / "a.csv", {**columns, "age": columns["age"] + 1.7e9})
-        argv = ["compare", path, "--outcome", "y", "--base", "age,bmi", "--new", "m1,m2"]
-        assert run(capsys, argv)[0] == 0
-        code, out, err = run(capsys, argv + ["--test-file", path])
-        assert (code, out) == (3, "")
-        assert err.startswith("fit error: expanded model: singular information: Cholesky pivot")
+    @pytest.mark.parametrize("offset", [1e6, 1.7e9])
+    def test_offset_base_column_in_train_test_mode(self, tmp_path, capsys, offset):
+        # A base column offset far beyond its unit spread fits in standardized
+        # columns, where the train/test reference also reads the information.
+        # The shifted ages themselves round at offset * eps, so only the
+        # smaller offset is held to the unshifted p-value.
+        p_values = []
+        for shift in (0.0, offset):
+            paths = [
+                write_columns(tmp_path / f"{tag}_{shift}.csv", {**cols, "age": cols["age"] + shift})
+                for tag, cols in (("train", invariance_cohort(7)), ("test", invariance_cohort(8)))
+            ]
+            code, out, err = run(capsys, [
+                "compare", paths[0], "--outcome", "y", "--base", "age,bmi", "--new", "m1,m2",
+                "--test-file", paths[1],
+            ])
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["mode"] == "train_test"
+            p_values.append(report["mnri_test"]["p_value"])
+        if offset == 1e6:
+            assert abs(p_values[1] - p_values[0]) <= 1e-8 * p_values[0], p_values
 
     def test_mismatched_test_header(self, demo_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
@@ -908,13 +919,7 @@ class TestCompareInvariance:
             path = write_columns(tmp_path / f"train_{tag}.csv", recode(train))
             outs.append(self.compare(capsys, path, link, test_file=test_file, extra=spline))
         assert json.loads(outs[1])["mode"] == mode
-        # The train/test reference takes its weights from the information held
-        # for the raw columns, whose Schur complement keeps a rounding error of
-        # about eps * (offset / spread)^2: 1e-9 relative for age + 2000.
-        p_rtol = 1e-10 if mode == "single" else 1e-8
-        got, want = invariant_numbers(outs[1]), invariant_numbers(outs[0])
-        for g, w, rtol in zip(got, want, [1e-10] * 5 + [p_rtol]):
-            assert abs(g - w) <= rtol * abs(w), (g, w)
+        assert_same_numbers(outs[1], outs[0])
 
     def test_train_test_shuffled(self, tmp_path, capsys, link):
         train, test = invariance_cohort(7), invariance_cohort(8)

@@ -13,6 +13,7 @@ from mnri.glm import (
     PROBIT,
     Dataset,
     FittedModel,
+    NestedFits,
     fit,
     fit_nested,
     information_blocks,
@@ -524,28 +525,53 @@ class TestScoreResiduals:
             assert abs(r.sum()) <= 1e-6
 
 
+def correlated_data(n=300, seed=14):
+    """q = 2 new columns correlated with the base column x1."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.standard_normal(n)
+    z = rng.standard_normal((n, 2)) + 0.4 * x1[:, None]
+    eta = 0.2 + 0.6 * x1 + 0.3 * z[:, 0] - 0.2 * z[:, 1]
+    y = (rng.random(n) < LOGIT.prob(eta)).astype(float)
+    return Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=z)
+
+
+def fits_with_information(data, info, scale):
+    """NestedFits whose expanded fit holds ``info`` as its information for
+    the standardized columns, with column scales ``scale``; every other
+    field is a placeholder."""
+    model = FittedModel(
+        coefficients=np.zeros(info.shape[0]),
+        linear_predictor=np.zeros(data.n),
+        fitted_probs=np.full(data.n, 0.5),
+        loglik=0.0,
+        expected_information=info,
+        iterations=0,
+    )
+    return NestedFits(expanded=model, base=model, constant=model, link=LOGIT, data=data,
+                      scale=np.asarray(scale, dtype=float))
+
+
 class TestInformationBlocks:
     def test_hand_computed_blocks(self):
-        # p = q = 1 so every block is scalar arithmetic on the weights.
+        # p = q = 1 so the Schur complement is scalar arithmetic on the
+        # weights, in the raw z units.
         y = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
         x = np.ones((8, 1))
         z = np.array([0.5, -1.0, 2.0, 0.3, -0.7, 1.1, -1.6, 0.2])[:, None]
-        model = fit(y, np.hstack([x, z]), LOGIT)
-        blocks = information_blocks(model, 1)
-        w = model.fitted_probs * (1 - model.fitted_probs)
+        fits = fit_nested(Dataset(y=y, x=x, z=z), LOGIT)
+        w = fits.expanded.fitted_probs * (1 - fits.expanded.fitted_probs)
         n = 8
         bb = np.sum(w) / n
         bg = np.sum(w * z[:, 0]) / n
         gg = np.sum(w * z[:, 0] ** 2) / n
-        assert abs(blocks.bb[0, 0] - bb) <= 1e-12
-        assert abs(blocks.bg[0, 0] - bg) <= 1e-12
-        assert abs(blocks.gg[0, 0] - gg) <= 1e-12
-        assert abs(blocks.gamma_cov[0, 0] - 1.0 / (gg - bg**2 / bb)) <= 1e-10
+        gamma_cov = information_blocks(fits)
+        assert abs(gamma_cov[0, 0] - 1.0 / (gg - bg**2 / bb)) <= 1e-10
 
     def test_orthogonal_blocks(self):
         # z made exactly orthogonal to the x columns under the information
         # weights: the off-diagonal block vanishes and the gamma covariance
-        # is just the inverse of the gamma block.
+        # is the inverse of the gamma block, divided by the square of the
+        # column's scale.
         rng = np.random.default_rng(55)
         n = 120
         x = np.column_stack([np.ones(n), rng.standard_normal(n)])
@@ -554,37 +580,36 @@ class TestInformationBlocks:
         w = probs * (1 - probs)
         z_orth = z - x @ np.linalg.solve(x.T @ (x * w[:, None]), x.T @ (w * z))
         design = np.column_stack([x, z_orth])
-        model = FittedModel(
-            coefficients=np.zeros(3),
-            linear_predictor=np.log(probs / (1 - probs)),
-            fitted_probs=probs,
-            loglik=0.0,
-            expected_information=design.T @ (design * w[:, None]),
-            iterations=0,
-        )
-        blocks = information_blocks(model, 2)
-        assert np.abs(blocks.bg).max() <= 1e-12
-        np.testing.assert_allclose(
-            blocks.gamma_cov, np.linalg.inv(blocks.gg), rtol=1e-10
-        )
+        info = design.T @ (design * w[:, None])
+        assert np.abs(info[:2, 2:]).max() <= 1e-12 * n
+        y = (rng.random(n) < probs).astype(float)
+        data = Dataset(y=y, x=x, z=z_orth[:, None])
+        gamma_cov = information_blocks(fits_with_information(data, info, [1.0, 1.0, 4.0]))
+        np.testing.assert_allclose(gamma_cov, n / info[2:, 2:] / 16.0, rtol=1e-10)
 
-    def test_singular_raw_information_tagged_expanded(self):
+    def test_singular_information_tagged_expanded(self):
+        # The new column repeats the base one, so the standardized
+        # information is singular.
         data = make_data(n=200)
-        fits = fit_nested(Dataset(y=data.y, x=data.x, z=data.z + 1.7e9), LOGIT)
+        design = np.column_stack([data.x, data.x[:, 1]])
+        w = np.full(200, 0.25)
+        info = design.T @ (design * w[:, None])
         with pytest.raises(RankDeficient) as excinfo:
-            information_blocks(fits.expanded, 2)
+            information_blocks(fits_with_information(data, info, np.ones(3)))
         assert excinfo.value.model == "expanded"
         assert str(excinfo.value).startswith("expanded model: singular information: ")
 
     def test_gamma_cov_symmetric_positive_definite(self):
-        rng = np.random.default_rng(14)
-        n = 300
-        x1 = rng.standard_normal(n)
-        z = rng.standard_normal((n, 2)) + 0.4 * x1[:, None]
-        eta = 0.2 + 0.6 * x1 + 0.3 * z[:, 0] - 0.2 * z[:, 1]
-        y = (rng.random(n) < LOGIT.prob(eta)).astype(float)
-        data = Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=z)
-        fits = fit_nested(data, LOGIT)
-        blocks = information_blocks(fits.expanded, 2)
-        np.testing.assert_allclose(blocks.gamma_cov, blocks.gamma_cov.T, atol=1e-12)
-        assert np.all(np.linalg.eigvalsh(blocks.gamma_cov) > 0)
+        gamma_cov = information_blocks(fit_nested(correlated_data(), LOGIT))
+        np.testing.assert_allclose(gamma_cov, gamma_cov.T, atol=1e-12)
+        assert np.all(np.linalg.eigvalsh(gamma_cov) > 0)
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT], ids=["logit", "probit"])
+    def test_affine_recoding_divides_by_square(self, link):
+        # z -> a z + b multiplies g_hat by 1/a whatever b, so its covariance
+        # by 1/a^2.
+        data = correlated_data()
+        recoded = Dataset(y=data.y, x=data.x, z=10.0 * data.z + 2000.0)
+        want = information_blocks(fit_nested(data, link)) / 100.0
+        got = information_blocks(fit_nested(recoded, link))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -8,7 +8,7 @@ from scipy import stats
 
 from mnri import inference, numerics, reclass
 from mnri.errors import DegenerateOutcome, NotPositiveDefinite
-from mnri.glm import LOGIT, Dataset, fit_nested
+from mnri.glm import LOGIT, PROBIT, Dataset, fit_nested, information_blocks
 from mnri.inference import (
     ChisqMixtureRef,
     NormalRef,
@@ -210,6 +210,52 @@ class TestTrainTestTest:
             mc = float(np.mean(q > t))
             se = math.sqrt(mc * (1 - mc) / q.shape[0])
             assert abs(ref.p_value(t) - mc) <= 3 * se
+
+
+def local_alternative(n, seed, link):
+    """Fits on n rows with q = 2 new columns of spread 10 and g = 2/sqrt(n)
+    per unit of spread on the first, none on the second."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.standard_normal(n)
+    z = rng.standard_normal((n, 2))
+    eta = -0.3 + 0.8 * x1 + 2.0 / math.sqrt(n) * z[:, 0]
+    y = (rng.random(n) < link.prob(eta)).astype(float)
+    return fit_nested(Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=10.0 * z), link)
+
+
+class TestCrossWaldEquivalence:
+    """Phi(d) - 1/2 = phi(0) d + O(d^3) and sum_i r_i x_i = 0 at the test base
+    MLE make n T~ / k^ the cross score g_train' U_test, and U_test is
+    n Gamma_test^-1 g_test up to O_p(n^-1/2): so n T~ / k^ approaches the
+    cross-Wald form n g_train' Gamma_test^-1 g_test, Gamma_test the test
+    sample's gamma covariance. The bounds are 3 times the medians of
+    |n T~ / k^ - cross-Wald| over 40 seeds measured at n = 200 and 200 000
+    (0.024 and 3e-5 logit, 0.045 and 0.0014 probit), interpolated
+    geometrically to n = 2000 and 20 000."""
+
+    SEEDS = range(9)
+    BOUNDS = {"logit": (0.0078, 8.4e-4), "probit": (0.042, 0.013)}
+
+    def median_gap(self, n, link):
+        gaps = []
+        for seed in self.SEEDS:
+            train = local_alternative(n, 2 * seed, link)
+            test = local_alternative(n, 2 * seed + 1, link)
+            pair = TrainTestPair(train_fits=train, test_fits=test)
+            result = mnri_train_test_test(pair, reclass.half_nris(pair))
+            scaled = result.statistic / (2.0 * result.reference.scale)  # the scale is k^/2
+            p = test.data.p
+            g_train, g_test = train.expanded.coefficients[p:], test.expanded.coefficients[p:]
+            cross_wald = n * g_train @ np.linalg.solve(information_blocks(test), g_test)
+            gaps.append(abs(scaled - cross_wald))
+        return float(np.median(gaps))
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT], ids=["logit", "probit"])
+    def test_gap_small_and_shrinking(self, link):
+        gaps = [self.median_gap(n, link) for n in (2000, 20_000)]
+        assert gaps[0] <= self.BOUNDS[link.kind][0], gaps
+        assert gaps[1] <= self.BOUNDS[link.kind][1], gaps
+        assert gaps[1] < gaps[0], gaps
 
 
 class TestLegacyNormalTest:

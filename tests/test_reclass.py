@@ -350,5 +350,5 @@ def build_null_train(fits):
     )
     return NestedFits(
         expanded=expanded, base=base, constant=fits.constant,
-        link=fits.link, data=fits.data,
+        link=fits.link, data=fits.data, scale=np.ones(coef.shape[0]),
     )
