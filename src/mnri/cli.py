@@ -91,7 +91,7 @@ def _read_numeric(path: str) -> tuple[list[str], dict[str, np.ndarray]] | None:
         if body.translate(None, _NUMERIC_BYTES):
             return None
         # The reader takes a second line only if the header's quote is open.
-        reader = csv.reader([data[: ends[0] + 1].decode("utf-8"), ""])
+        reader = csv.reader([data[: ends[0] + 1].decode("utf-8-sig"), ""])
         header = next(reader)
         if reader.line_num != 1 or len(set(header)) != len(header):
             return None
@@ -116,7 +116,7 @@ def _read_table(path: str) -> tuple[list[str], dict]:
 
 def _read_cells(path: str) -> tuple[list[str], dict[str, list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)

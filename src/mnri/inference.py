@@ -136,13 +136,23 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     pairs +/- sqrt(mu_j) where mu_j solves the symmetric generalized
     eigenproblem var_train v = mu var_test v. Returned interleaved
     (+w1, -w1, +w2, -w2, ...) by descending magnitude.
+
+    The matrices may come from outside the program, so they are checked
+    here: ValueError unless both are square with equal shape, finite, and
+    symmetric to within ``1e-8 * (1 + max|entry|)``; NotPositiveDefinite
+    unless both pass the pivot rule of ``numerics.cholesky_spd``.
     """
     a = np.atleast_2d(np.asarray(var_gamma_train, dtype=float))
     b = np.atleast_2d(np.asarray(var_gamma_test, dtype=float))
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("variance matrices must be square with equal shape")
-    numerics.cholesky_spd(a)
-    numerics.cholesky_spd(b)
+    for m in (a, b):
+        # Finite first, so that the difference below meets no inf - inf.
+        if not np.isfinite(m).all():
+            raise ValueError("variance matrices must be finite")
+        if not (abs(m - m.T) <= 1e-8 * (1.0 + abs(m).max())).all():
+            raise ValueError("variance matrices must be symmetric")
+        numerics.cholesky_spd(m)
 
     if (a == b).all():
         # Identity ratio: the +/-1 pairs are exact, not just within rounding.

@@ -1,11 +1,12 @@
 """Deterministic numerical kernels.
 
 Symmetric positive definite solves (LAPACK Cholesky with a relative pivot
-check), normal/chi-square distribution functions, and tail probabilities
-of weighted chi-square mixtures: a single +/- pair by its closed
-product-normal law, any other weights by Rice's saddlepoint contour
-integral, both to full relative precision. Everything here is a pure
-function of its inputs and safe to call concurrently.
+check; as in LAPACK, only the lower triangle is read, so callers pass
+symmetric matrices), normal/chi-square distribution functions, and tail
+probabilities of weighted chi-square mixtures: a single +/- pair by its
+closed product-normal law, any other weights by Rice's saddlepoint
+contour integral, both to full relative precision. Everything here is a
+pure function of its inputs and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -69,32 +70,18 @@ class MixtureSpec:
             raise ValueError("mixture scale must be positive and finite")
 
 
-def _as_symmetric(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    # np.allclose(a, a.T, rtol=0, atol=atol), inlined. atol is finite exactly
-    # when every entry is, and then one comparison decides; inf and NaN
-    # entries take allclose's own rules.
-    atol = 1e-8 * (1.0 + abs(a).max())
-    if math.isfinite(atol):
-        close = (abs(a - a.T) <= atol).all()
-    else:
-        with np.errstate(invalid="ignore"):
-            close = ((a == a.T) | ((abs(a - a.T) <= atol) & np.isfinite(a.T))).all()
-    if not close:
-        raise ValueError("matrix must be symmetric")
-    return a
-
-
 def cholesky_spd(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Factored by LAPACK ``dpotrf``. Raises NotPositiveDefinite when a pivot
-    falls at or below ``1e-12 * max(diag)``, which for regression
+    Factored by LAPACK ``dpotrf``, which reads only the lower triangle: as
+    with ``numpy.linalg.cholesky``, the caller passes a symmetric matrix and
+    the upper triangle is not checked. Raises NotPositiveDefinite when a
+    pivot falls at or below ``1e-12 * max(diag)``, which for regression
     information matrices signals collinear covariates.
     """
-    a = _as_symmetric(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     tol = _SPD_PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
     lower, info = lapack.dpotrf(a, lower=1, clean=1)
     diagonal = lower.diagonal()
@@ -117,7 +104,8 @@ def cholesky_spd(a) -> np.ndarray:
 
 
 def solve_spd(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``."""
+    """Solve ``a @ x = b`` for symmetric positive definite ``a``, of which
+    only the lower triangle is read."""
     x, _ = lapack.dpotrs(cholesky_spd(a), np.asarray(b, dtype=float), lower=1)
     return x
 

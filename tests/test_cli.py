@@ -504,6 +504,40 @@ FAST_PATH_INPUTS = {
 }
 
 
+def column_first(lines, j):
+    """``lines`` with field ``j`` of every line moved to the front."""
+    rows = [line.split(",") for line in lines]
+    return [",".join([row[j], *row[:j], *row[j + 1:]]) for row in rows]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, is not part
+    of the first column's name."""
+
+    @pytest.mark.parametrize("text_id", [False, True], ids=["fast-path", "text-column"])
+    def test_first_column_is_found(self, tmp_path, capsys, text_id):
+        lines = column_first(cohort_lines(), 1)  # y, id, a, b
+        if text_id:
+            lines = with_cell(lines, 7, 1, "s7")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(as_bytes(lines))
+        marked.write_bytes(b"\xef\xbb\xbf" + as_bytes(lines))
+        assert (cli._read_numeric(str(marked)) is None) == text_id
+        args = ["--outcome", "y", "--base", "a", "--new", "b"]
+        code, out, err = run(capsys, ["compare", str(marked), *args])
+        assert (code, err) == (0, "")
+        assert out == run(capsys, ["compare", str(plain), *args])[1]
+
+    def test_spline_on_first_column(self, tmp_path, capsys):
+        lines = column_first(cohort_lines(60), 2)  # a, id, y, b
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(as_bytes(lines))
+        marked.write_bytes(b"\xef\xbb\xbf" + as_bytes(lines))
+        code, out, err = run(capsys, ["spline", str(marked), "--column", "a", "--knots", "4"])
+        assert (code, err) == (0, "")
+        assert out == run(capsys, ["spline", str(plain), "--column", "a", "--knots", "4"])[1]
+
+
 def read_fast(directory, cells):
     """The fast path's read of a file whose column v holds ``cells``."""
     path = directory / "cells.csv"

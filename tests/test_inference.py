@@ -1,9 +1,11 @@
 """Tests for reference distributions and p-values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from mnri import inference, numerics, reclass
@@ -21,6 +23,7 @@ from mnri.inference import test_mnri_single as mnri_single_test
 from mnri.inference import test_mnri_train_test as mnri_train_test_test
 from mnri.inference import test_nri_normal_legacy as nri_legacy_test
 from mnri.reclass import TrainTestPair
+from matrix_cases import asymmetry_cases
 
 
 def fitted(n=200, seed=0, gamma=0.4):
@@ -166,6 +169,60 @@ class TestMixtureWeights:
         with pytest.raises(NotPositiveDefinite):
             mixture_weights([[1.0]], [[-1.0]])
 
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_asymmetry_beyond_atol_rejected(self, slot):
+        var = np.array([[2.0, 1.0], [1.0 + 1e-6, 2.0]])
+        pair = [np.diag([2.0, 3.0])] * 2
+        pair[slot] = var
+        with pytest.raises(ValueError, match="^variance matrices must be symmetric$"):
+            mixture_weights(*pair)
+
+    def test_asymmetry_within_atol_accepted(self):
+        var = np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]])
+        np.testing.assert_array_equal(mixture_weights(var, var), [1.0, -1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)], [(1, 1)]],
+                             ids=["off-diagonal", "mirrored", "diagonal"])
+    def test_non_finite_rejected(self, value, cells):
+        var = np.array([[2.0, 1.0], [1.0, 2.0]])
+        for cell in cells:
+            var[cell] = value
+        with pytest.raises(ValueError, match="^variance matrices must be finite$"):
+            mixture_weights(np.eye(2), var)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.eye(2), np.eye(3)),
+        (np.eye(2), [[1.0]]),
+    ])
+    def test_shapes_rejected(self, a, b):
+        with pytest.raises(ValueError, match="square with equal shape"):
+            mixture_weights(a, b)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=asymmetry_cases())
+    def test_entry_check_matches_allclose(self, case):
+        # A symmetric but indefinite matrix raises NotPositiveDefinite, not
+        # a ValueError, so the verdicts are told apart by message.
+        m = np.array(case)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if not np.isfinite(m).all():
+                expected = "variance matrices must be finite"
+            elif not np.allclose(m, m.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(m).max())):
+                expected = "variance matrices must be symmetric"
+            else:
+                expected = None
+            try:
+                mixture_weights(case, case)
+                message = None
+            except NotPositiveDefinite:
+                message = None
+            except ValueError as error:
+                message = str(error)
+        assert message == expected
+
 
 class TestSingleSampleTest:
     def test_statistic_and_reference(self):
@@ -256,6 +313,34 @@ class TestCrossWaldEquivalence:
         assert gaps[0] <= self.BOUNDS[link.kind][0], gaps
         assert gaps[1] <= self.BOUNDS[link.kind][1], gaps
         assert gaps[1] < gaps[0], gaps
+
+
+class TestLikelihoodRatioEquivalence:
+    """The single-sample half of TestCrossWaldEquivalence: at the base MLE
+    n T~ / k^ is the Rao score statistic for gamma up to O_p(n^-1), and
+    under local alternatives the score and likelihood-ratio statistics
+    differ by O_p(n^-1/2). The bounds are 3 times the medians of
+    |n T~ / k^ - LR|, LR = 2 (l_expanded - l_base), over these seeds (logit
+    0.0067 and 5.8e-5, probit 0.0016 and 2.5e-5 at n = 2000 and 20 000)."""
+
+    SEEDS = range(9)
+    BOUNDS = {"logit": (0.020, 1.8e-4), "probit": (0.0048, 7.6e-5)}
+
+    def median_gap(self, n, link):
+        gaps = []
+        for seed in self.SEEDS:
+            fits = local_alternative(n, 2 * seed, link)
+            result = mnri_single_test(fits, reclass.half_nris(fits))
+            lr = 2.0 * (fits.expanded.loglik - fits.base.loglik)
+            gaps.append(abs(result.statistic / result.reference.k - lr))
+        return float(np.median(gaps))
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT], ids=["logit", "probit"])
+    def test_gap_small_and_shrinking(self, link):
+        gaps = [self.median_gap(n, link) for n in (2000, 20_000)]
+        assert gaps[0] <= self.BOUNDS[link.kind][0], gaps
+        assert gaps[1] <= self.BOUNDS[link.kind][1], gaps
+        assert gaps[1] <= gaps[0] / 10.0, gaps
 
 
 class TestLegacyNormalTest:

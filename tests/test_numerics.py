@@ -2,7 +2,6 @@
 
 import math
 import time
-import warnings
 
 import mpmath
 import numpy as np
@@ -25,53 +24,8 @@ from mnri.numerics import (
     norm_pdf,
     solve_spd,
 )
+from matrix_cases import random_cell, symmetric_matrix
 from mixture_reference import two_pair_tail
-
-
-_EDGE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324]
-
-
-def _entries():
-    return st.one_of(
-        st.floats(-10.0, 10.0),
-        st.floats(1e306, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
-        st.sampled_from(_EDGE_ENTRIES),
-    )
-
-
-def _symmetric(draw, k):
-    a = np.zeros((k, k))
-    a[np.tril_indices(k)] = draw(st.lists(_entries(), min_size=k * (k + 1) // 2,
-                                          max_size=k * (k + 1) // 2))
-    return np.tril(a) + np.tril(a, -1).T
-
-
-def _cell(draw, k):
-    return draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
-
-
-@st.composite
-def asymmetry_cases(draw):
-    """Square matrices, 1x1 to 6x6, symmetric up to a few entries moved off
-    their mirror by about atol: just inside, at, or just outside it. Some
-    entries are near +/-1e308; some matrices get a NaN or +/-inf entry,
-    alone or mirrored."""
-    k = draw(st.integers(1, 6))
-    a = _symmetric(draw, k)
-    with np.errstate(all="ignore"):
-        atol = 1e-8 * (1.0 + np.abs(a).max())
-        for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
-            i = draw(st.integers(1, k - 1))
-            j = draw(st.integers(0, i - 1))
-            factor = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 1e6]))
-            sign = draw(st.sampled_from([1.0, -1.0]))
-            a[i, j] = a[j, i] + sign * factor * atol
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        i, j = _cell(draw, k)
-        a[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        if draw(st.booleans()):
-            a[j, i] = a[i, j]
-    return a.tolist()
 
 
 def full_pivot_rule(a):
@@ -108,9 +62,9 @@ def pivot_cases(draw):
         j = draw(st.integers(0, k - 1))
         a[j, j] = big * 1e-12 * draw(st.sampled_from([1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.0 + 1e-15]))
     else:
-        a = _symmetric(draw, k)
+        a = symmetric_matrix(draw, k)
         for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-            i, j = _cell(draw, k)
+            i, j = random_cell(draw, k)
             a[i, j] = a[j, i] = draw(st.sampled_from([np.inf, -np.inf]))
     return a.tolist()
 
@@ -150,49 +104,16 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite, match="at index 1"):
             cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), [1.0, 1.0])
+    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
+    def test_non_square_rejected(self, a):
+        # Unchecked, dpotrf would raise f2py's error, not a ValueError.
+        with pytest.raises(ValueError, match="^matrix must be square, got shape"):
+            cholesky_spd(a)
 
-    @pytest.mark.parametrize(
-        "a, symmetric",
-        [
-            ([[2.0, 1.0], [1.0 + 1e-9, 2.0]], True),  # within atol
-            ([[2.0, 1.0], [1.0 + 1e-6, 2.0]], False),  # beyond atol
-            ([[2.0, np.nan], [np.nan, 2.0]], False),
-            ([[np.inf, -np.inf], [-np.inf, 1.0]], True),
-            ([[1.0, np.inf], [5.0, 1.0]], False),
-            ([[np.inf]], True),
-            ([[np.nan]], False),
-            ([[1e308, 1.7e308], [-1.7e308, 1e308]], False),  # a - a.T overflows
-            ([[1e308, 1.0], [1.0 + 1e299, 1e308]], True),  # atol near 1e300
-            ([[1.0, 2.0], [2.0, np.nan]], False),  # NaN only on the diagonal
-        ],
-    )
-    @pytest.mark.filterwarnings("ignore:One of rtol or atol is not valid")
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_symmetry_check_matches_allclose(self, a, symmetric):
-        a = np.array(a)
-        atol = 1e-8 * (1.0 + np.abs(a).max())
-        assert np.allclose(a, a.T, rtol=0.0, atol=atol) == symmetric
-        if symmetric:
-            np.testing.assert_array_equal(numerics._as_symmetric(a), a)
-        else:
-            with pytest.raises(ValueError, match="must be symmetric"):
-                numerics._as_symmetric(a)
-
-    @settings(max_examples=400, deadline=None)
-    @given(case=asymmetry_cases())
-    def test_symmetry_check_matches_allclose_property(self, case):
-        a = np.array(case)
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore", RuntimeWarning)
-            expected = np.allclose(a, a.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(a).max()))
-            if expected:
-                np.testing.assert_array_equal(numerics._as_symmetric(a), a)
-            else:
-                with pytest.raises(ValueError, match="^matrix must be symmetric$"):
-                    numerics._as_symmetric(a)
+    def test_reads_only_the_lower_triangle(self):
+        # LAPACK's contract: the caller passes a symmetric matrix.
+        expected = cholesky_spd([[4.0, 2.0], [2.0, 5.0]])
+        assert cholesky_spd([[4.0, 99.0], [2.0, 5.0]]).tobytes() == expected.tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(case=pivot_cases())
