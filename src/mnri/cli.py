@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -68,8 +69,9 @@ def _read_numeric(path: str) -> tuple[list[str], dict[str, np.ndarray]] | None:
     for any file it cannot vouch that ``_read_cells`` reads to the same
     finite values.
 
-    It vouches only when the file decodes, ends in a newline, has no line
-    longer than ``csv.field_size_limit()`` and no ``\\r`` outside ``\\r\\n``;
+    The end of the file ends its last line, as it does for ``csv``. It
+    vouches only when the file decodes, has no line longer than
+    ``csv.field_size_limit()`` and no ``\\r`` outside ``\\r\\n``;
     the header fits on its first line, with distinct names; and every data
     line holds only ``_NUMERIC_BYTES``. Each newline then ends one row for
     both readers and each comma splits a field, and a field of those bytes
@@ -79,10 +81,11 @@ def _read_numeric(path: str) -> tuple[list[str], dict[str, np.ndarray]] | None:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
+        if not data.endswith(b"\n"):
+            data += b"\n"
         ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
         if (
             ends.size < 2
-            or ends[-1] != len(data) - 1
             or np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit()
             or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
         ):
@@ -381,9 +384,20 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise DataError(f"invalid simulation grid: {exc}") from exc
 
+    created = False
     if args.out is not None:  # fail before the grid runs; appending keeps an existing file
+        created = not os.path.exists(args.out)
         _write_output("", args.out, "a")
-    rows = sim.run_grid(configs, workers=args.workers)
+    try:
+        _write_output(_grid_csv(sim.run_grid(configs, workers=args.workers)), args.out)
+    except BaseException:
+        if created:  # a failed run leaves no file behind
+            os.remove(args.out)
+        raise
+    return EXIT_OK
+
+
+def _grid_csv(rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(
@@ -403,8 +417,7 @@ def cmd_simulate(args) -> int:
                 repr(row.mc_se_mnri), repr(row.mc_se_nri), row.redraws,
             ]
         )
-    _write_output(buffer.getvalue(), args.out)
-    return EXIT_OK
+    return buffer.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:

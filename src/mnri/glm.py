@@ -11,7 +11,7 @@ scoring on the Bernoulli log-likelihood with step-halving. The inverse
 link is evaluated once per iterate: the probabilities of an accepted step
 feed the next score, the next information and, at convergence, the fitted
 model. Fits carry the expected information evaluated at the MLE, from
-which ``information_blocks`` forms the covariance of the new coefficients.
+which ``information_blocks`` profiles out the base coefficients.
 
 ``fit`` runs on a design as given. ``fit_nested`` fits the triple on the
 expanded design standardized once, so that convergence and the separation
@@ -316,13 +316,13 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
 
 
 def information_blocks(fits: NestedFits) -> np.ndarray:
-    """The asymptotic covariance of sqrt(n) (g_hat - g0) for the raw z
-    columns: the gg block of the inverse per-observation information,
-    (I_gg - I_gb I_bb^-1 I_bg)^-1, with entry (i, j) divided by s_i s_j.
-    The z rows of J^-1 are diag(1/s_z), so the shift drops out. The Schur
-    complement is the trailing block of L L' for L the Cholesky factor of
-    the standardized information at unit diagonal; a vanishing pivot is
-    RankDeficient."""
+    """The per-observation information on g for the raw z columns with b
+    profiled out, I_gg - I_gb I_bb^-1 I_bg of the expanded fit's
+    information / n, the inverse of the asymptotic covariance of
+    sqrt(n) (g_hat - g0): the trailing block of L L' for L the Cholesky
+    factor of the standardized information at unit diagonal, with entry
+    (i, j) multiplied by s_i s_j, as the z rows of J^-1 are diag(1/s_z).
+    A vanishing pivot is RankDeficient."""
     p = fits.data.p
     info = fits.expanded.expected_information / fits.data.n
     unit = 1.0 / np.sqrt(info.diagonal())
@@ -332,4 +332,4 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
         raise RankDeficient(f"expanded model: singular information: {exc}", "expanded") from exc
     tail = lower[p:, p:] / unit[p:, None]
     scale = fits.scale[p:]
-    return numerics.inv_spd(tail @ tail.T) / np.outer(scale, scale)
+    return (tail @ tail.T) * np.outer(scale, scale)

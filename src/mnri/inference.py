@@ -6,7 +6,7 @@ Three references are implemented:
   ``n T`` compared with ``k chi2_q``, ``k = phi(0) / (pi (1-pi))``;
 * a weighted chi-square mixture ``(k/2) sum lambda_j chi2_1j`` for the
   train/test statistic, with the 2q eigenvalue weights coming in +/-
-  pairs from the two gamma-coefficient covariance estimates. For q = 1
+  pairs from the two samples' gamma-coefficient information. For q = 1
   ``numerics.mixture_tail`` evaluates the single pair by the closed
   product-normal law; for q >= 2 by Rice's saddlepoint contour integral,
   both to full relative precision;
@@ -135,32 +135,38 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     and C the off-diagonal coupling by D = var_test^-1; they come in +/-
     pairs +/- sqrt(mu_j) where mu_j solves the symmetric generalized
     eigenproblem var_train v = mu var_test v. Returned interleaved
-    (+w1, -w1, +w2, -w2, ...) by descending magnitude.
+    (+w1, -w1, +w2, -w2, ...) by descending magnitude. The pencil of the
+    inverses has the same mu, so the arguments may equally be the two
+    information matrices in the opposite order, (info_test, info_train).
 
     The matrices may come from outside the program, so they are checked
     here: ValueError unless both are square with equal shape, finite, and
     symmetric to within ``1e-8 * (1 + max|entry|)``; NotPositiveDefinite
-    unless both pass the pivot rule of ``numerics.cholesky_spd``.
+    unless both pass the pivot rule of ``numerics.cholesky_spd``;
+    ValueError when a ratio mu_j overflows a double.
     """
     a = np.atleast_2d(np.asarray(var_gamma_train, dtype=float))
     b = np.atleast_2d(np.asarray(var_gamma_test, dtype=float))
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ValueError("variance matrices must be square with equal shape")
     for m in (a, b):
-        # Finite first, so that the difference below meets no inf - inf.
+        # Finite first, so that the difference below meets no inf - inf;
+        # halved, so that it cannot overflow, with the tolerance halved too.
         if not np.isfinite(m).all():
             raise ValueError("variance matrices must be finite")
-        if not (abs(m - m.T) <= 1e-8 * (1.0 + abs(m).max())).all():
+        if not (abs(0.5 * m - 0.5 * m.T) <= 0.5e-8 * (1.0 + abs(m).max())).all():
             raise ValueError("variance matrices must be symmetric")
         numerics.cholesky_spd(m)
 
     if (a == b).all():
         # Identity ratio: the +/-1 pairs are exact, not just within rounding.
         roots = np.ones(a.shape[0])
-    elif a.shape[0] == 1:
-        roots = np.sqrt(a[0] / b[0])
     else:
-        roots = np.sqrt(eigh(a, b, eigvals_only=True))
+        with np.errstate(over="ignore"):
+            mu = a[0] / b[0] if a.shape[0] == 1 else eigh(a, b, eigvals_only=True)
+        if not np.isfinite(mu).all():
+            raise ValueError("variance ratio overflows a double")
+        roots = np.sqrt(mu)
     weights = np.empty(2 * roots.shape[0])
     weights[0::2] = np.sort(roots)[::-1]
     weights[1::2] = -weights[0::2]
@@ -172,8 +178,9 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     chi-square mixture reference; ``stats`` is ``reclass.half_nris(pair)``."""
     data = pair.data
     statistic = data.n * stats.mnri_smooth
-    weights = mixture_weights(information_blocks(pair.train_fits),
-                              information_blocks(pair.test_fits))
+    # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
+    weights = mixture_weights(information_blocks(pair.test_fits),
+                              information_blocks(pair.train_fits))
     k = k_constant(data.ybar)
     reference = ChisqMixtureRef(scale=k / 2.0, weights=weights)
     return _result(statistic, reference)

@@ -1,12 +1,13 @@
 """Deterministic numerical kernels.
 
-Symmetric positive definite solves (LAPACK Cholesky with a relative pivot
-check; as in LAPACK, only the lower triangle is read, so callers pass
-symmetric matrices), normal/chi-square distribution functions, and tail
-probabilities of weighted chi-square mixtures: a single +/- pair by its
-closed product-normal law, any other weights by Rice's saddlepoint
-contour integral, both to full relative precision. Everything here is a
-pure function of its inputs and safe to call concurrently.
+Symmetric positive definite factorizations and solves (LAPACK Cholesky
+with a relative pivot check; as in LAPACK, only the lower triangle is
+read, so callers pass symmetric matrices), normal/chi-square distribution
+functions, and tail probabilities of weighted chi-square mixtures: a
+single +/- pair by its closed product-normal law, any other weights by
+Rice's saddlepoint contour integral, both to full relative precision.
+Everything here is a pure function of its inputs and safe to call
+concurrently.
 """
 from __future__ import annotations
 
@@ -108,13 +109,6 @@ def solve_spd(a, b) -> np.ndarray:
     only the lower triangle is read."""
     x, _ = lapack.dpotrs(cholesky_spd(a), np.asarray(b, dtype=float), lower=1)
     return x
-
-
-def inv_spd(a) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
-    a = np.asarray(a, dtype=float)
-    inv = solve_spd(a, np.eye(a.shape[0]))
-    return 0.5 * (inv + inv.T)
 
 
 def norm_pdf(x):

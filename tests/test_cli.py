@@ -478,7 +478,7 @@ FAST_PATH_INPUTS = {
         ).encode(),
         False,
     ),
-    "no-final-newline": (lambda lines: as_bytes(lines)[:-1], False),
+    "no-final-newline": (lambda lines: as_bytes(lines)[:-1], True),
     "trailing-cr": (lambda lines: as_bytes(lines) + b"\r", False),
     "quoted-numbers": (
         lambda lines: as_bytes(with_cell(with_cell(lines, 12, 2, '"0.25"'), 13, 1, '"0"')),
@@ -816,6 +816,23 @@ class TestSimulateCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("fit error: ") and "budget" in err
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new", "existing"])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, existing):
+        target = tmp_path / "sim.csv"
+        if existing is not None:
+            target.write_bytes(existing)
+        code, out, _ = run(
+            capsys,
+            ["simulate", "--n", "50", "--pi0", "0.02", "--mu-x", "0",
+             "--rho", "0", "--reps", "20", "--out", str(target)],
+        )
+        assert code == 3
+        assert out == ""
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == existing
 
     @pytest.mark.parametrize("mu_x", ["nan", "inf"])
     def test_non_finite_mu_x_exit_two(self, capsys, mu_x):

@@ -564,14 +564,14 @@ class TestInformationBlocks:
         bb = np.sum(w) / n
         bg = np.sum(w * z[:, 0]) / n
         gg = np.sum(w * z[:, 0] ** 2) / n
-        gamma_cov = information_blocks(fits)
-        assert abs(gamma_cov[0, 0] - 1.0 / (gg - bg**2 / bb)) <= 1e-10
+        gamma_info = information_blocks(fits)
+        assert abs(gamma_info[0, 0] - (gg - bg**2 / bb)) <= 1e-10
 
     def test_orthogonal_blocks(self):
         # z made exactly orthogonal to the x columns under the information
-        # weights: the off-diagonal block vanishes and the gamma covariance
-        # is the inverse of the gamma block, divided by the square of the
-        # column's scale.
+        # weights: the off-diagonal block vanishes and the gamma information
+        # is the gamma block per observation, multiplied by the square of
+        # the column's scale.
         rng = np.random.default_rng(55)
         n = 120
         x = np.column_stack([np.ones(n), rng.standard_normal(n)])
@@ -584,8 +584,8 @@ class TestInformationBlocks:
         assert np.abs(info[:2, 2:]).max() <= 1e-12 * n
         y = (rng.random(n) < probs).astype(float)
         data = Dataset(y=y, x=x, z=z_orth[:, None])
-        gamma_cov = information_blocks(fits_with_information(data, info, [1.0, 1.0, 4.0]))
-        np.testing.assert_allclose(gamma_cov, n / info[2:, 2:] / 16.0, rtol=1e-10)
+        gamma_info = information_blocks(fits_with_information(data, info, [1.0, 1.0, 4.0]))
+        np.testing.assert_allclose(gamma_info, info[2:, 2:] / n * 16.0, rtol=1e-10)
 
     def test_singular_information_tagged_expanded(self):
         # The new column repeats the base one, so the standardized
@@ -605,11 +605,11 @@ class TestInformationBlocks:
         assert np.all(np.linalg.eigvalsh(gamma_cov) > 0)
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT], ids=["logit", "probit"])
-    def test_affine_recoding_divides_by_square(self, link):
+    def test_affine_recoding_multiplies_by_square(self, link):
         # z -> a z + b multiplies g_hat by 1/a whatever b, so its covariance
-        # by 1/a^2.
+        # by 1/a^2 and its information by a^2.
         data = correlated_data()
         recoded = Dataset(y=data.y, x=data.x, z=10.0 * data.z + 2000.0)
-        want = information_blocks(fit_nested(data, link)) / 100.0
+        want = information_blocks(fit_nested(data, link)) * 100.0
         got = information_blocks(fit_nested(recoded, link))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

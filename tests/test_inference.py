@@ -165,6 +165,19 @@ class TestMixtureWeights:
         w2 = mixture_weights(m.T @ var_a @ m, m.T @ var_b @ m)
         np.testing.assert_allclose(np.sort(w1), np.sort(w2), atol=1e-8)
 
+    def test_asymmetry_at_double_range_rejected_without_overflow(self):
+        # m - m.T would overflow here; the suite turns the warning into an error.
+        with pytest.raises(ValueError, match="^variance matrices must be symmetric$"):
+            mixture_weights([[1.0, 1.7e308], [-1.7e308, 1.0]], np.eye(2))
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1.7e308]], [[1e-300]]),
+        (np.diag([1.7e308, 1e308]), np.diag([1e-300, 1e-300])),
+    ], ids=["q1", "q2"])
+    def test_overflowing_ratio_rejected(self, a, b):
+        with pytest.raises(ValueError, match="^variance ratio overflows a double$"):
+            mixture_weights(a, b)
+
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             mixture_weights([[1.0]], [[-1.0]])
@@ -285,7 +298,8 @@ class TestCrossWaldEquivalence:
     MLE make n T~ / k^ the cross score g_train' U_test, and U_test is
     n Gamma_test^-1 g_test up to O_p(n^-1/2): so n T~ / k^ approaches the
     cross-Wald form n g_train' Gamma_test^-1 g_test, Gamma_test the test
-    sample's gamma covariance. The bounds are 3 times the medians of
+    sample's gamma covariance, whose inverse ``information_blocks`` gives.
+    The bounds are 3 times the medians of
     |n T~ / k^ - cross-Wald| over 40 seeds measured at n = 200 and 200 000
     (0.024 and 3e-5 logit, 0.045 and 0.0014 probit), interpolated
     geometrically to n = 2000 and 20 000."""
@@ -303,7 +317,7 @@ class TestCrossWaldEquivalence:
             scaled = result.statistic / (2.0 * result.reference.scale)  # the scale is k^/2
             p = test.data.p
             g_train, g_test = train.expanded.coefficients[p:], test.expanded.coefficients[p:]
-            cross_wald = n * g_train @ np.linalg.solve(information_blocks(test), g_test)
+            cross_wald = n * g_train @ information_blocks(test) @ g_test
             gaps.append(abs(scaled - cross_wald))
         return float(np.median(gaps))
 

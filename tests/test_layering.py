@@ -1,0 +1,54 @@
+"""The package's modules import each other in one direction only.
+
+The layers run errors < numerics < glm < reclass < inference < sim < cli,
+with spline beside them, above errors and below cli. A module may import
+only modules below it, so no import cycle can form. ``cli`` alone may
+import the package itself, for ``__version__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mnri"
+CHAIN = ("errors", "numerics", "glm", "reclass", "inference", "sim", "cli")
+
+# Each module and the modules it may import; "__init__" is the package.
+ALLOWED = {name: set(CHAIN[:i]) for i, name in enumerate(CHAIN)}
+ALLOWED["spline"] = {"errors"}
+ALLOWED["cli"] |= {"spline", "__init__"}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules ``path`` imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.level == 1, f"{path.name}: import reaches above the package"
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import name: a module, or a name of the package
+                found |= {a.name if a.name in ALLOWED else "__init__" for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "mnri":
+            parts = node.module.split(".")
+            found.add(parts[1] if len(parts) > 1 else "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "mnri":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def test_every_module_has_a_layer():
+    assert set(MODULES) == set(ALLOWED)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_only_lower_layers(module):
+    imported = package_imports(PACKAGE / f"{module}.py")
+    assert imported <= ALLOWED[module], sorted(imported - ALLOWED[module])

@@ -18,7 +18,6 @@ from mnri.numerics import (
     chisq_cdf,
     chisq_sf,
     cholesky_spd,
-    inv_spd,
     mixture_tail,
     norm_cdf,
     norm_pdf,
@@ -90,7 +89,7 @@ class TestSolveSpd:
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 4))
         a = m @ m.T + np.eye(4)
-        inv = inv_spd(a)
+        inv = solve_spd(a, np.eye(4))
         np.testing.assert_allclose(a @ inv, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(inv, inv.T)
 
@@ -366,11 +365,7 @@ class TestPairTail:
         lo, hi = sorted((t1, t2))
         assert mixture_tail(lo, spec) >= mixture_tail(hi, spec)
 
-    def test_skips_quadrature(self, monkeypatch):
-        def no_quad(*args, **kwargs):
-            raise AssertionError("the +/- pair must not reach quad")
-
-        monkeypatch.setattr(integrate, "quad", no_quad)
+    def test_probabilities_in_unit_interval(self):
         for spec in (MixtureSpec((1.0, -1.0), 0.8), MixtureSpec((-2.5, 0.0, 2.5), 0.3)):
             for t in (-50.0, -1.0, 0.0, 1e-9, 3.0, 400.0):
                 assert 0.0 <= mixture_tail(t, spec) <= 1.0
@@ -414,7 +409,7 @@ class TestChisqEnvelope:
         assert 0.0 < mixture_tail(400.0, self.spec) <= bound
         assert mixture_tail(-400.0, self.spec) >= 1.0 - bound
 
-    def test_underflowing_bound_skips_quadrature(self):
+    def test_underflowing_bound_skips_contour_sum(self):
         # The Chernoff bound at the saddle search's start underflows here, so
         # the tail is exactly 0 (or 1) at once, with no contour sum.
         start = time.perf_counter()
