@@ -293,8 +293,8 @@ def cmd_compare(args) -> int:
         "sign_norm": stats.sign_norm,
         "ties": stats.ties,
         "scale": "classical" if args.classical_scale else "half",
-        "mnri_test": mnri_result.to_dict(),
-        "nri_test_legacy": legacy_result.to_dict(),
+        "mnri_test": asdict(mnri_result),
+        "nri_test_legacy": asdict(legacy_result),
         "mode": "single" if n_train is None else "train_test",
         "n": fits.data.n,
         "n_events": int(fits.data.y.sum()),

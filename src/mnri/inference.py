@@ -14,13 +14,13 @@ Three references are implemented:
   even though its null distribution is in fact non-normal, asymmetric,
   and yields an inflated test.
 
-Each TestResult stores a self-contained reference descriptor: recomputing
-the p-value from the stored statistic and descriptor reproduces it exactly.
+Each TestResult carries its reference as the plain dict the ``compare``
+report writes; ``TestResult`` gives the recipe that turns that dict and
+the statistic back into the p-value, exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.linalg import eigh
@@ -35,72 +35,22 @@ _PHI0 = float(numerics.norm_pdf(0.0))
 
 
 @dataclass(frozen=True)
-class ScaledChisqRef:
-    """Upper tail of k * chi-square with q degrees of freedom."""
-
-    k: float
-    q: int
-
-    def p_value(self, statistic: float) -> float:
-        return numerics.chisq_sf(max(float(statistic), 0.0) / self.k, self.q)
-
-    def to_dict(self) -> dict:
-        return {"kind": "scaled_chisq", "k": self.k, "q": self.q}
-
-
-@dataclass(frozen=True)
-class ChisqMixtureRef(MixtureSpec):
-    """Upper tail of scale * sum_j weights[j] * chi2_1j, validated as a MixtureSpec."""
-
-    def p_value(self, statistic: float) -> float:
-        return numerics.mixture_tail(float(statistic), self)
-
-    def to_dict(self) -> dict:
-        return {"kind": "chisq_mixture", "scale": self.scale, "weights": list(self.weights)}
-
-
-@dataclass(frozen=True)
-class NormalRef:
-    """Two-sided normal reference with the given variance."""
-
-    variance: float
-
-    def p_value(self, statistic: float) -> float:
-        z = abs(float(statistic)) / np.sqrt(self.variance)
-        return 2.0 * numerics.norm_cdf(-z)
-
-    def to_dict(self) -> dict:
-        return {"kind": "normal", "variance": self.variance}
-
-
-Reference = Union[ScaledChisqRef, ChisqMixtureRef, NormalRef]
-
-
-def reference_from_dict(d: dict) -> Reference:
-    kind = d["kind"]
-    if kind == "scaled_chisq":
-        return ScaledChisqRef(k=d["k"], q=int(d["q"]))
-    if kind == "chisq_mixture":
-        return ChisqMixtureRef(scale=d["scale"], weights=d["weights"])
-    if kind == "normal":
-        return NormalRef(variance=d["variance"])
-    raise ValueError(f"unknown reference kind {kind!r}")
-
-
-@dataclass(frozen=True)
 class TestResult:
+    """A test's statistic t, its reference and its p-value.
+
+    ``reference`` is the plain dict the ``compare`` report writes. Its kind
+    names the recipe that gives ``p_value`` from it, in ``numerics`` terms:
+
+    * ``{"kind": "scaled_chisq", "k", "q"}``: ``chisq_sf(max(t, 0) / k, q)``;
+    * ``{"kind": "chisq_mixture", "scale", "weights"}``:
+      ``mixture_tail(t, MixtureSpec(weights, scale))``;
+    * ``{"kind": "normal", "variance"}``: ``2 norm_cdf(-|t| / sqrt(variance))``.
+    """
+
     statistic: float
-    reference: Reference
+    reference: dict
     p_value: float
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "reference": self.reference.to_dict(),
-            "p_value": self.p_value,
-            "notes": self.notes,
-        }
 
 
 def k_constant(pi_hat: float) -> float:
@@ -110,22 +60,14 @@ def k_constant(pi_hat: float) -> float:
     return _PHI0 / (pi_hat * (1.0 - pi_hat))
 
 
-def _result(statistic: float, reference: Reference, notes: str = "") -> TestResult:
-    return TestResult(
-        statistic=statistic,
-        reference=reference,
-        p_value=reference.p_value(statistic),
-        notes=notes,
-    )
-
-
 def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     """One-sided test of the smooth mNRI against its scaled chi-square
     null reference; only large positive statistics are meaningful.
     ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``."""
     statistic = fits.data.n * stats.mnri_smooth
-    reference = ScaledChisqRef(k=k_constant(fits.data.ybar), q=fits.data.q)
-    return _result(statistic, reference)
+    k, q = k_constant(fits.data.ybar), fits.data.q
+    p_value = numerics.chisq_sf(max(statistic, 0.0) / k, q)
+    return TestResult(statistic, {"kind": "scaled_chisq", "k": k, "q": q}, p_value)
 
 
 def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
@@ -143,7 +85,7 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     here: ValueError unless both are square with equal shape, finite, and
     symmetric to within ``1e-8 * (1 + max|entry|)``; NotPositiveDefinite
     unless both pass the pivot rule of ``numerics.cholesky_spd``;
-    ValueError when a ratio mu_j overflows a double.
+    ValueError when a weight sqrt(mu_j) overflows a double.
     """
     a = np.atleast_2d(np.asarray(var_gamma_train, dtype=float))
     b = np.atleast_2d(np.asarray(var_gamma_test, dtype=float))
@@ -162,11 +104,16 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
         # Identity ratio: the +/-1 pairs are exact, not just within rounding.
         roots = np.ones(a.shape[0])
     else:
+        # Scaling each matrix by an even power of two is exact and keeps the
+        # ratios mu_j from under- or overflowing; the roots take back the
+        # square root of the factor, exactly too.
+        e_a, e_b = (2 * (np.frexp(abs(m).max())[1] // 2) for m in (a, b))
+        a, b = np.ldexp(a, -e_a), np.ldexp(b, -e_b)
+        mu = a[0] / b[0] if a.shape[0] == 1 else eigh(a, b, eigvals_only=True)
         with np.errstate(over="ignore"):
-            mu = a[0] / b[0] if a.shape[0] == 1 else eigh(a, b, eigvals_only=True)
-        if not np.isfinite(mu).all():
-            raise ValueError("variance ratio overflows a double")
-        roots = np.sqrt(mu)
+            roots = np.ldexp(np.sqrt(mu), (e_a - e_b) // 2)
+        if not np.isfinite(roots).all():
+            raise ValueError("mixture weight overflows a double")
     weights = np.empty(2 * roots.shape[0])
     weights[0::2] = np.sort(roots)[::-1]
     weights[1::2] = -weights[0::2]
@@ -181,9 +128,9 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
     weights = mixture_weights(information_blocks(pair.test_fits),
                               information_blocks(pair.train_fits))
-    k = k_constant(data.ybar)
-    reference = ChisqMixtureRef(scale=k / 2.0, weights=weights)
-    return _result(statistic, reference)
+    spec = MixtureSpec(weights=weights, scale=k_constant(data.ybar) / 2.0)
+    reference = {"kind": "chisq_mixture", "scale": spec.scale, "weights": list(spec.weights)}
+    return TestResult(statistic, reference, numerics.mixture_tail(statistic, spec))
 
 
 _LEGACY_NOTE = (
@@ -203,4 +150,6 @@ def test_nri_normal_legacy(
     n1 = int(np.count_nonzero(data.y == 1.0))
     n0 = int(np.count_nonzero(data.y == 0.0))  # a Dataset holds both classes
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
-    return _result(stats.nri_hard, NormalRef(variance=variance), notes=_LEGACY_NOTE)
+    p_value = 2.0 * numerics.norm_cdf(-abs(stats.nri_hard) / np.sqrt(variance))
+    reference = {"kind": "normal", "variance": variance}
+    return TestResult(stats.nri_hard, reference, p_value, _LEGACY_NOTE)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnri import __version__, cli, glm
+from mnri import __version__, cli, glm, numerics, reclass
 from mnri.cli import main
 from mnri.errors import ExcessiveFitFailures
-from mnri.inference import reference_from_dict
 from mixture_reference import two_pair_tail
 
 
@@ -44,6 +44,20 @@ def demo_csv(tmp_path):
         [[y[i], x[i], z[i], marker[i]] for i in range(n)],
     )
     return str(path)
+
+
+def write_marker_cohorts(tmp_path):
+    """Training and test CSVs of 300 rows each: outcome y, base age and
+    two informative markers m1, m2."""
+    paths = []
+    for name, seed in (("train.csv", 101), ("test.csv", 201)):
+        rng = np.random.default_rng(seed)
+        age, m1, m2 = rng.standard_normal((3, 300))
+        probs = 1.0 / (1.0 + np.exp(-(-0.3 + 0.5 * age + 1.2 * m1 - 1.0 * m2)))
+        y = (rng.random(300) < probs).astype(int)
+        write_csv(tmp_path / name, ["y", "age", "m1", "m2"], zip(y, age, m1, m2))
+        paths.append(str(tmp_path / name))
+    return paths
 
 
 # Two rows: enough for every check that fails before the data are fitted.
@@ -99,6 +113,51 @@ class TestCompare:
         assert 0.0 <= report["mnri_test"]["p_value"] <= 1.0
         assert "invalid" in report["nri_test_legacy"]["notes"]
 
+    @pytest.mark.parametrize("case", ["single", "single-negative", "train_test-q1",
+                                      "train_test-q2"])
+    def test_references_give_p_values(self, case, tmp_path, capsys, monkeypatch):
+        # Each reference is pinned in its written key order, and its p-value
+        # is recomputed from the parsed JSON by the README's recipe, exactly.
+        # No fit tried gives a negative single-sample statistic, so one is
+        # made by negating the statistics the report is built from.
+        train, test = write_marker_cohorts(tmp_path)
+        q = 2 if case.endswith("q2") else 1
+        argv = ["compare", train, "--outcome", "y", "--base", "age",
+                "--new", "m1,m2" if q == 2 else "m1"]
+        if case.startswith("train_test"):
+            argv += ["--test-file", test]
+        if case == "single-negative":
+            build_report = reclass.build_report
+
+            def negated(fits):
+                stats = build_report(fits)
+                return dataclasses.replace(stats, mnri_smooth=-stats.mnri_smooth)
+
+            monkeypatch.setattr(reclass, "build_report", negated)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        mnri_kind = "chisq_mixture" if case.startswith("train_test") else "scaled_chisq"
+        kinds = {"mnri_test": mnri_kind, "nri_test_legacy": "normal"}
+        for block, kind in kinds.items():
+            t, reference = report[block]["statistic"], report[block]["reference"]
+            assert reference["kind"] == kind
+            if kind == "scaled_chisq":
+                assert list(reference) == ["kind", "k", "q"]
+                assert type(reference["q"]) is int
+                assert reference["q"] == q
+                assert (t < 0) == (case == "single-negative")
+                p_value = numerics.chisq_sf(max(t, 0) / reference["k"], reference["q"])
+            elif kind == "chisq_mixture":
+                assert list(reference) == ["kind", "scale", "weights"]
+                assert len(reference["weights"]) == 2 * q
+                spec = numerics.MixtureSpec(reference["weights"], reference["scale"])
+                p_value = numerics.mixture_tail(t, spec)
+            else:
+                assert list(reference) == ["kind", "variance"]
+                p_value = 2 * numerics.norm_cdf(-abs(t) / math.sqrt(reference["variance"]))
+            assert p_value == report[block]["p_value"]
+
     def test_deterministic_output(self, demo_csv, capsys):
         argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]
         _, out1, _ = run(capsys, argv)
@@ -138,14 +197,7 @@ class TestCompare:
     def test_two_new_columns_train_test_tail(self, tmp_path, capsys):
         # Two new covariates give two +/- pairs of mixture weights; with a
         # strong signal the p-value lies far below 1e-12.
-        paths = []
-        for name, seed in (("train.csv", 101), ("test.csv", 201)):
-            rng = np.random.default_rng(seed)
-            age, m1, m2 = rng.standard_normal((3, 300))
-            probs = 1.0 / (1.0 + np.exp(-(-0.3 + 0.5 * age + 1.2 * m1 - 1.0 * m2)))
-            y = (rng.random(300) < probs).astype(int)
-            write_csv(tmp_path / name, ["y", "age", "m1", "m2"], zip(y, age, m1, m2))
-            paths.append(str(tmp_path / name))
+        paths = write_marker_cohorts(tmp_path)
         code, out, _ = run(capsys, ["compare", paths[0], "--outcome", "y", "--base", "age",
                                     "--new", "m1,m2", "--test-file", paths[1]])
         assert code == 0
@@ -156,7 +208,6 @@ class TestCompare:
         exact = two_pair_tail(statistic, scale * weights[0], scale * weights[2])
         assert 0.0 < result["p_value"] < 1e-12
         assert abs(result["p_value"] - exact) <= 1e-9 * exact
-        assert reference_from_dict(reference).p_value(statistic) == result["p_value"]
 
     def test_classical_scale_doubles_statistics(self, demo_csv, capsys):
         argv = ["compare", demo_csv, "--outcome", "status", "--base", "age", "--new", "noise"]

@@ -11,14 +11,7 @@ from scipy import stats
 from mnri import inference, numerics, reclass
 from mnri.errors import DegenerateOutcome, NotPositiveDefinite
 from mnri.glm import LOGIT, PROBIT, Dataset, fit_nested, information_blocks
-from mnri.inference import (
-    ChisqMixtureRef,
-    NormalRef,
-    ScaledChisqRef,
-    k_constant,
-    mixture_weights,
-    reference_from_dict,
-)
+from mnri.inference import k_constant, mixture_weights
 from mnri.inference import test_mnri_single as mnri_single_test
 from mnri.inference import test_mnri_train_test as mnri_train_test_test
 from mnri.inference import test_nri_normal_legacy as nri_legacy_test
@@ -34,6 +27,20 @@ def fitted(n=200, seed=0, gamma=0.4):
     y = (rng.random(n) < LOGIT.prob(eta)).astype(float)
     data = Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=z1[:, None])
     return fit_nested(data, LOGIT)
+
+
+def given_stats(mnri_smooth=0.0, nri_hard=0.0):
+    """Statistics set by hand: the mNRI tests read only ``mnri_smooth`` and
+    the legacy test only ``nri_hard``."""
+    return reclass.HalfNRIs(
+        nri_hard=nri_hard, nri_smooth=0.0, mnri_hard=0.0, mnri_smooth=mnri_smooth
+    )
+
+
+def balanced_fits(manual_fits):
+    """Fits on n1 = n0 = 100 rows: legacy variance 1/400 + 1/400 = 0.005."""
+    v = np.linspace(-1.0, 1.0, 200)
+    return manual_fits([1.0, 0.0] * 100, v, v[::-1], [0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 class TestKConstant:
@@ -59,55 +66,50 @@ class TestKConstant:
 
 
 class TestReferences:
+    """The p-values of the three tests at statistics set by hand."""
+
     def test_scaled_chisq_quantile(self):
-        ref = ScaledChisqRef(k=k_constant(0.4), q=1)
-        statistic = ref.k * 3.841459
-        assert abs(ref.p_value(statistic) - 0.05) <= 1e-4
+        fits = fitted()
+        k = k_constant(fits.data.ybar)
+        result = mnri_single_test(fits, given_stats(k * 3.841459 / fits.data.n))
+        assert abs(result.p_value - 0.05) <= 1e-4
 
     def test_scaled_chisq_boundary(self):
-        ref = ScaledChisqRef(k=1.2, q=2)
-        assert ref.p_value(0.0) == 1.0
-        assert ref.p_value(-5.0) == 1.0  # one-sided upper tail
+        fits = local_alternative(200, 0, LOGIT)
+        for statistic in (0.0, -5.0):  # one-sided upper tail
+            result = mnri_single_test(fits, given_stats(statistic / fits.data.n))
+            assert result.reference["q"] == 2
+            assert result.statistic == statistic
+            assert result.p_value == 1.0
 
-    def test_normal_ref_worked_example(self):
-        # n1 = n0 = 100: variance 0.005; 1.959964 * sqrt(0.005) = 0.13859...
-        ref = NormalRef(variance=0.005)
-        assert abs(ref.p_value(0.1386) - 0.05) <= 1e-3
-        assert ref.p_value(0.0) == 1.0
+    def test_normal_ref_worked_example(self, manual_fits):
+        # 1.959964 * sqrt(0.005) = 0.13859...
+        fits = balanced_fits(manual_fits)
+        result = nri_legacy_test(fits, given_stats(nri_hard=0.1386))
+        assert result.reference == {"kind": "normal", "variance": 0.005}
+        assert abs(result.p_value - 0.05) <= 1e-3
+        assert nri_legacy_test(fits, given_stats(nri_hard=0.0)).p_value == 1.0
 
-    def test_far_tail_pvalues_keep_precision(self):
+    def test_far_tail_pvalues_keep_precision(self, manual_fits):
         # 1 - cdf rounds both of these to exactly 0.
-        chisq = ScaledChisqRef(k=1.6, q=1).p_value(200.0)
-        normal = NormalRef(variance=1.0).p_value(9.0)
-        assert chisq > 0.0 and normal > 0.0
-        assert chisq == pytest.approx(stats.chi2.sf(125.0, 1), rel=1e-10)
-        assert normal == pytest.approx(2.0 * stats.norm.sf(9.0), rel=1e-10)
+        fits = fitted()
+        k = k_constant(fits.data.ybar)
+        chisq = mnri_single_test(fits, given_stats(125.0 * k / fits.data.n))
+        normal = nri_legacy_test(
+            balanced_fits(manual_fits), given_stats(nri_hard=9.0 * math.sqrt(0.005))
+        )
+        assert chisq.p_value > 0.0 and normal.p_value > 0.0
+        assert chisq.p_value == pytest.approx(stats.chi2.sf(chisq.statistic / k, 1), rel=1e-10)
+        assert normal.p_value == pytest.approx(
+            2.0 * stats.norm.sf(normal.statistic / math.sqrt(0.005)), rel=1e-10
+        )
 
     def test_mixture_ref_symmetric(self):
-        ref = ChisqMixtureRef(scale=0.8, weights=(1.0, -1.0))
-        assert ref.p_value(0.0) == 0.5
-
-    def test_mixture_ref_is_validated_mixture_spec(self):
-        ref = ChisqMixtureRef(scale=0.8, weights=(1.0, -1.0))
-        assert isinstance(ref, numerics.MixtureSpec)
-        assert ref.p_value(2.0) == numerics.mixture_tail(2.0, ref)
-        for scale, weights in [
-            (0.8, ()), (0.8, (1.0, math.nan)), (0.8, (math.inf, -1.0)),
-            (0.0, (1.0, -1.0)), (-0.8, (1.0, -1.0)), (math.nan, (1.0, -1.0)),
-        ]:
-            with pytest.raises(ValueError):
-                ChisqMixtureRef(scale=scale, weights=weights)
-
-    def test_round_trip_serialization(self):
-        refs = [
-            ScaledChisqRef(k=1.5, q=2),
-            ChisqMixtureRef(scale=0.7, weights=(2.0, -2.0, 1.0, -1.0)),
-            NormalRef(variance=0.003),
-        ]
-        for ref in refs:
-            clone = reference_from_dict(ref.to_dict())
-            assert clone == ref
-            assert clone.p_value(1.3) == ref.p_value(1.3)
+        fits = fitted(seed=8)
+        pair = TrainTestPair(train_fits=fits, test_fits=fits)
+        result = mnri_train_test_test(pair, given_stats(0.0))
+        assert result.reference["weights"] == [1.0, -1.0]
+        assert result.p_value == 0.5
 
 
 class TestMixtureWeights:
@@ -171,12 +173,25 @@ class TestMixtureWeights:
             mixture_weights([[1.0, 1.7e308], [-1.7e308, 1.0]], np.eye(2))
 
     @pytest.mark.parametrize("a, b", [
-        ([[1.7e308]], [[1e-300]]),
-        (np.diag([1.7e308, 1e308]), np.diag([1e-300, 1e-300])),
+        ([[1.7e308]], [[5e-324]]),
+        (np.diag([1.7e308, 1e308]), np.diag([5e-324, 5e-324])),
     ], ids=["q1", "q2"])
     def test_overflowing_ratio_rejected(self, a, b):
-        with pytest.raises(ValueError, match="^variance ratio overflows a double$"):
+        # sqrt(1.7e308 / 5e-324) ~ 1.8e316: the weight itself leaves the range.
+        with pytest.raises(ValueError, match="^mixture weight overflows a double$"):
             mixture_weights(a, b)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ([[1e-300]], [[1.7e308]], [1e-150 / math.sqrt(1.7e308)]),
+        ([[1.7e308]], [[1e-300]], [math.sqrt(1.7e308) / 1e-150]),
+        (np.diag([1e-300, 1e-300]), np.diag([1.7e308, 1e308]),
+         [1e-150 / 1e154, 1e-150 / math.sqrt(1.7e308)]),
+    ], ids=["q1-underflowing-ratio", "q1-overflowing-ratio", "q2-underflowing-ratio"])
+    def test_representable_weight_kept_at_double_range(self, a, b, expected):
+        # The ratio of the variances leaves the double range; its root does not.
+        weights = mixture_weights(a, b)
+        np.testing.assert_allclose(weights[0::2], expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(weights[1::2], -weights[0::2])
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
@@ -242,8 +257,9 @@ class TestSingleSampleTest:
         fits = fitted(seed=5)
         result = mnri_single_test(fits, reclass.half_nris(fits))
         assert abs(result.statistic - fits.data.n * reclass.half_nris(fits).mnri_smooth) <= 1e-12
-        assert result.reference == ScaledChisqRef(k=k_constant(fits.data.ybar), q=1)
-        assert result.p_value == result.reference.p_value(result.statistic)
+        k = k_constant(fits.data.ybar)
+        assert result.reference == {"kind": "scaled_chisq", "k": k, "q": 1}
+        assert result.p_value == numerics.chisq_sf(max(result.statistic, 0) / k, 1)
 
     def test_detects_informative_marker(self):
         fits = fitted(n=800, seed=6, gamma=0.8)
@@ -257,9 +273,11 @@ class TestTrainTestTest:
         fits = fitted(seed=8)
         pair = TrainTestPair(train_fits=fits, test_fits=fits)
         result = mnri_train_test_test(pair, reclass.half_nris(pair))
-        weights = result.reference.weights
-        np.testing.assert_array_equal(weights, [1.0, -1.0])
-        assert result.reference.scale == k_constant(fits.data.ybar) / 2.0
+        assert result.reference == {
+            "kind": "chisq_mixture",
+            "scale": k_constant(fits.data.ybar) / 2.0,
+            "weights": [1.0, -1.0],
+        }
 
     def test_statistic_value(self):
         train = fitted(seed=9)
@@ -268,18 +286,23 @@ class TestTrainTestTest:
         result = mnri_train_test_test(pair, reclass.half_nris(pair))
         expected = test.data.n * reclass.half_nris(pair).mnri_smooth
         assert abs(result.statistic - expected) <= 1e-12
-        assert result.p_value == result.reference.p_value(result.statistic)
+        spec = numerics.MixtureSpec(result.reference["weights"], result.reference["scale"])
+        assert result.p_value == numerics.mixture_tail(result.statistic, spec)
 
     def test_unit_weights_match_difference_monte_carlo(self):
-        # (k/2)(chi2 - chi2') tail vs simulation, k = 2.
-        ref = ChisqMixtureRef(scale=1.0, weights=(1.0, -1.0))
+        # One sample on both sides: unit weights, so the statistic at t k/2
+        # has the tail of chi2 - chi2' at t; compared with simulation.
+        fits = fitted(seed=8)
+        pair = TrainTestPair(train_fits=fits, test_fits=fits)
+        scale = k_constant(fits.data.ybar) / 2.0
         rng = np.random.default_rng(11)
         draws = rng.standard_normal((1_000_000, 2)) ** 2
         q = draws[:, 0] - draws[:, 1]
         for t in (-2.0, 0.0, 1.0, 3.5):
+            result = mnri_train_test_test(pair, given_stats(t * scale / fits.data.n))
             mc = float(np.mean(q > t))
             se = math.sqrt(mc * (1 - mc) / q.shape[0])
-            assert abs(ref.p_value(t) - mc) <= 3 * se
+            assert abs(result.p_value - mc) <= 3 * se
 
 
 def local_alternative(n, seed, link):
@@ -314,7 +337,7 @@ class TestCrossWaldEquivalence:
             test = local_alternative(n, 2 * seed + 1, link)
             pair = TrainTestPair(train_fits=train, test_fits=test)
             result = mnri_train_test_test(pair, reclass.half_nris(pair))
-            scaled = result.statistic / (2.0 * result.reference.scale)  # the scale is k^/2
+            scaled = result.statistic / (2.0 * result.reference["scale"])  # the scale is k^/2
             p = test.data.p
             g_train, g_test = train.expanded.coefficients[p:], test.expanded.coefficients[p:]
             cross_wald = n * g_train @ information_blocks(test) @ g_test
@@ -346,7 +369,7 @@ class TestLikelihoodRatioEquivalence:
             fits = local_alternative(n, 2 * seed, link)
             result = mnri_single_test(fits, reclass.half_nris(fits))
             lr = 2.0 * (fits.expanded.loglik - fits.base.loglik)
-            gaps.append(abs(result.statistic / result.reference.k - lr))
+            gaps.append(abs(result.statistic / result.reference["k"] - lr))
         return float(np.median(gaps))
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT], ids=["logit", "probit"])
@@ -375,9 +398,9 @@ class TestLegacyNormalTest:
         result = nri_legacy_test(fits, reclass.half_nris(fits))
         n1 = int(fits.data.y.sum())
         n0 = fits.data.n - n1
-        assert result.reference == NormalRef(
-            variance=1.0 / (4 * n1) + 1.0 / (4 * n0)
-        )
+        assert result.reference == {
+            "kind": "normal", "variance": 1.0 / (4 * n1) + 1.0 / (4 * n0)
+        }
         assert "invalid" in result.notes
 
     def test_train_test_uses_training_coefficients_on_test_data(self):
@@ -391,7 +414,9 @@ class TestLegacyNormalTest:
         for seed in (15, 16):
             fits = fitted(seed=seed)
             result = nri_legacy_test(fits, reclass.half_nris(fits))
-            assert result.reference.p_value(result.statistic) == result.p_value
+            variance = result.reference["variance"]
+            t = result.statistic
+            assert 2 * numerics.norm_cdf(-abs(t) / math.sqrt(variance)) == result.p_value
 
 
 class TestNullDiagnostic:

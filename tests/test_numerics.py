@@ -314,12 +314,12 @@ class TestMixtureTail:
             mixture_tail(math.nan, MixtureSpec((1.3, -0.7), 0.8))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MixtureSpec((), 1.0)
-        with pytest.raises(ValueError):
-            MixtureSpec((1.0, float("nan")), 1.0)
-        with pytest.raises(ValueError):
-            MixtureSpec((1.0,), 0.0)
+        for weights, scale in [
+            ((), 1.0), ((1.0, math.nan), 1.0), ((math.inf, -1.0), 1.0),
+            ((1.0,), 0.0), ((1.0, -1.0), -0.8), ((1.0, -1.0), math.nan),
+        ]:
+            with pytest.raises(ValueError):
+                MixtureSpec(weights, scale)
 
 
 def _pair_tail_mpmath(t, c):
