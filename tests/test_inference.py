@@ -111,6 +111,23 @@ class TestReferences:
         assert result.reference["weights"] == [1.0, -1.0]
         assert result.p_value == 0.5
 
+    def test_mixture_ref_is_validated_mixture_spec(self):
+        fits = fitted(seed=8)
+        pair = TrainTestPair(train_fits=fits, test_fits=fits)
+        result = mnri_train_test_test(pair, given_stats(2.0 / fits.data.n))
+        ref = result.reference
+        spec = numerics.MixtureSpec(ref["weights"], ref["scale"])
+        assert spec.scale == k_constant(fits.data.ybar) / 2.0
+        assert result.p_value == numerics.mixture_tail(result.statistic, spec)
+        # The recipe rebuilds the spec, so a descriptor no MixtureSpec
+        # accepts cannot give a p-value.
+        for scale, weights in [
+            (0.8, []), (0.8, [1.0, math.nan]), (0.8, [math.inf, -1.0]),
+            (0.0, [1.0, -1.0]), (-0.8, [1.0, -1.0]), (math.nan, [1.0, -1.0]),
+        ]:
+            with pytest.raises(ValueError):
+                numerics.MixtureSpec(weights, scale)
+
 
 class TestMixtureWeights:
     def test_equal_variances_exact_unit_pairs(self):
