@@ -45,7 +45,7 @@ from .reclass import (
     sign_decomposition,
 )
 from .sim import SimConfig, SimTableRow, gen_replicate, run_cell, run_grid
-from .spline import SplineBasis, default_knots, rcs_basis
+from .spline import default_knots, rcs_basis
 
 __all__ = [
     "__version__",
@@ -60,5 +60,5 @@ __all__ = [
     "HalfNRIs", "ReclassReport", "TrainTestPair", "build_report",
     "extended_indicator", "half_nris", "mad_probabilities", "sign_decomposition",
     "SimConfig", "SimTableRow", "gen_replicate", "run_cell", "run_grid",
-    "SplineBasis", "default_knots", "rcs_basis",
+    "default_knots", "rcs_basis",
 ]

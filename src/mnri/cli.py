@@ -31,7 +31,7 @@ from .errors import (
 )
 from .glm import Dataset, Link
 from .reclass import TrainTestPair
-from .spline import KNOT_QUANTILES, SplineBasis
+from .spline import KNOT_QUANTILES, default_knots, rcs_basis
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -165,15 +165,15 @@ def _numeric_column(columns: dict, name: str, path: str) -> np.ndarray:
     raise DataError(f"{path}: non-finite value in column {name!r}")
 
 
-def _build_dataset(columns, spec: ColumnSpec, path: str, bases=None) -> tuple[Dataset, dict]:
+def _build_dataset(columns, spec: ColumnSpec, path: str, knots=None) -> tuple[Dataset, dict]:
     """Convert each column ``spec`` uses, once, into a Dataset. Returns it with
-    the spline bases: fitted on this file unless a training file's are given."""
+    its spline knots by column: placed on this file unless given a training file's."""
     converted = {}
-    if bases is None:
-        bases = {}
+    if knots is None:
+        knots = {}
         for col, k in spec.spline.items():
             converted[col] = _numeric_column(columns, col, path)
-            bases[col] = SplineBasis.from_data(converted[col], k)
+            knots[col] = default_knots(converted[col], k)
 
     y = _numeric_column(columns, spec.outcome, path)
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -187,8 +187,8 @@ def _build_dataset(columns, spec: ColumnSpec, path: str, bases=None) -> tuple[Da
             values = converted[name] if name in converted else _numeric_column(columns, name, path)
             if values.min() == values.max():
                 raise DataError(f"{path}: column {name!r} is constant")
-            if name in bases:
-                blocks.append(bases[name].design(values))
+            if name in knots:
+                blocks.append(rcs_basis(values, knots[name]))
             else:
                 blocks.append(values[:, None])
         return np.hstack(blocks) if blocks else np.empty((y.shape[0], 0))
@@ -196,7 +196,7 @@ def _build_dataset(columns, spec: ColumnSpec, path: str, bases=None) -> tuple[Da
     x = np.hstack([np.ones((y.shape[0], 1)), expand(spec.base)])
     z = expand(spec.new)
     try:
-        return Dataset(y=y, x=x, z=z), bases
+        return Dataset(y=y, x=x, z=z), knots
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -256,7 +256,7 @@ def cmd_compare(args) -> int:
         raise DataError("compare needs at least one --new column")
     link = Link(args.link)
     header, columns = _read_table(args.input)
-    train_data, bases = _build_dataset(columns, spec, args.input)
+    train_data, knots = _build_dataset(columns, spec, args.input)
     fits = glm.fit_nested(train_data, link)
     subject, test_mnri, n_train = fits, inference.test_mnri_single, None
     if args.test_file is not None:
@@ -265,7 +265,7 @@ def cmd_compare(args) -> int:
             raise DataError(f"{args.test_file}: header differs from {args.input}")
         # Spline knots come from the primary (training) data so both samples
         # share one covariate specification.
-        test_data, _ = _build_dataset(test_columns, spec, args.test_file, bases)
+        test_data, _ = _build_dataset(test_columns, spec, args.test_file, knots)
         test_fits = glm.fit_nested(test_data, link)
         subject = TrainTestPair(train_fits=fits, test_fits=test_fits)
         fits, test_mnri, n_train = test_fits, inference.test_mnri_train_test, train_data.n
@@ -330,16 +330,16 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_spline(args) -> int:
-    knots = _knot_count(args.knots, "--knots")
+    k = _knot_count(args.knots, "--knots")
     header, columns = _read_cells(args.input)  # the output echoes each raw cell
     values = _numeric_column(columns, args.column, args.input)
-    basis = SplineBasis.from_data(values, knots)
-    design = basis.design(values)
+    knots = default_knots(values, k)
+    design = rcs_basis(values, knots)
 
     buffer = io.StringIO()
-    buffer.write("# knots: " + ",".join(repr(float(t)) for t in basis.knots) + "\n")
+    buffer.write("# knots: " + ",".join(repr(float(t)) for t in knots) + "\n")
     writer = csv.writer(buffer, lineterminator="\n")
-    extra = [f"{args.column}_rcs{j + 1}" for j in range(basis.columns)]
+    extra = [f"{args.column}_rcs{j + 1}" for j in range(design.shape[1])]
     writer.writerow(header + extra)
     writer.writerows(zip(*(columns[name] for name in header), *design.T.tolist()))
     _write_output(buffer.getvalue(), args.out)

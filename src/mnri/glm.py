@@ -151,10 +151,6 @@ class FittedModel:
     expected_information: np.ndarray  # summed over observations, at the MLE
     iterations: int
 
-    @property
-    def n(self) -> int:
-        return self.fitted_probs.shape[0]
-
 
 @dataclass(frozen=True)
 class NestedFits:

@@ -126,8 +126,14 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     data = pair.data
     statistic = data.n * stats.mnri_smooth
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
-    weights = mixture_weights(information_blocks(pair.test_fits),
-                              information_blocks(pair.train_fits))
+    s_test, s_train = information_blocks(pair.test_fits), information_blocks(pair.train_fits)
+    # The blocks are in raw z units, so their diagonals may span any range,
+    # and the pivot rule of mixture_weights is relative to the largest entry.
+    # D S D for one power-of-two diagonal D brings the training diagonal near
+    # 1 and leaves the pencil's roots exactly as they are.
+    d = np.ldexp(1.0, -(np.frexp(s_train.diagonal())[1] // 2))
+    dd = np.outer(d, d)
+    weights = mixture_weights(s_test * dd, s_train * dd)
     spec = MixtureSpec(weights=weights, scale=k_constant(data.ybar) / 2.0)
     reference = {"kind": "chisq_mixture", "scale": spec.scale, "weights": list(spec.weights)}
     return TestResult(statistic, reference, numerics.mixture_tail(statistic, spec))

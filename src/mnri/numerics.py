@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import gammainc, gammaincc, iti0k0, k0e, ndtr, roots_laguerre
+from scipy.special import gammaincc, iti0k0, k0e, ndtr, roots_laguerre
 
 from .errors import IntegrationFailure, NotPositiveDefinite
 
@@ -133,17 +133,10 @@ def _chisq_args(x, q: int) -> tuple[float, np.ndarray]:
     return q / 2.0, x / 2.0
 
 
-def chisq_cdf(x, q: int):
-    """Chi-square distribution function with ``q`` degrees of freedom,
-    i.e. the regularized lower incomplete gamma P(q/2, x/2)."""
-    out = gammainc(*_chisq_args(x, q))
-    return out if out.ndim else float(out)
-
-
 def chisq_sf(x, q: int):
     """Chi-square upper tail with ``q`` degrees of freedom, the regularized
-    upper incomplete gamma Q(q/2, x/2); unlike ``1 - chisq_cdf`` it keeps
-    full relative precision far into the tail."""
+    upper incomplete gamma Q(q/2, x/2), taken directly, not as one minus the
+    distribution function, so it keeps full relative precision far into the tail."""
     out = gammaincc(*_chisq_args(x, q))
     return out if out.ndim else float(out)
 

@@ -75,8 +75,7 @@ class TrainTestPair:
 
 def extended_indicator(u):
     """Indicator of u > 0, extended to take the value 1/2 at exact ties."""
-    u = np.asarray(u, dtype=float)
-    out = np.where(u > 0.0, 1.0, np.where(u < 0.0, 0.0, 0.5))
+    out = np.heaviside(np.asarray(u, dtype=float), 0.5)
     return out if out.ndim else float(out)
 
 

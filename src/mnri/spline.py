@@ -14,8 +14,6 @@ itself. Fitting does not rely on it, as ``glm.fit_nested`` standardizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TooFewDistinctValues
@@ -48,14 +46,15 @@ def default_knots(x, k: int = 4) -> np.ndarray:
 def rcs_basis(x, knots) -> np.ndarray:
     """Design matrix of the restricted cubic spline: column 1 is x, the
     remaining k-2 columns are the range-normalized restricted cubic terms
-    (each exactly zero at and below the first knot)."""
+    (each exactly zero at and below the first knot). Knots from any sample,
+    such as training knots for test rows, are checked here."""
     x = np.asarray(x, dtype=float)
     knots = np.asarray(knots, dtype=float)
-    k = knots.shape[0]
-    if k < 3:
-        raise ValueError("need at least 3 knots")
+    if knots.ndim != 1 or knots.shape[0] < 3:
+        raise ValueError("need a vector of at least 3 knots")
     if not np.all(np.diff(knots) > 0):
         raise ValueError("knots must be strictly increasing")
+    k = knots.shape[0]
 
     def plus_cube(v):
         return np.maximum(v, 0.0) ** 3
@@ -72,27 +71,3 @@ def rcs_basis(x, knots) -> np.ndarray:
         columns.append(term / norm)
     return np.column_stack(columns)
 
-
-@dataclass(frozen=True)
-class SplineBasis:
-    """A fitted knot set, reusable across datasets (e.g. train and test)."""
-
-    knots: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        if knots.ndim != 1 or knots.shape[0] < 3 or not np.all(np.diff(knots) > 0):
-            raise ValueError("knots must be a strictly increasing vector of length >= 3")
-        knots.flags.writeable = False
-        object.__setattr__(self, "knots", knots)
-
-    @classmethod
-    def from_data(cls, x, k: int = 4) -> "SplineBasis":
-        return cls(default_knots(x, k))
-
-    @property
-    def columns(self) -> int:
-        return self.knots.shape[0] - 1
-
-    def design(self, x) -> np.ndarray:
-        return rcs_basis(x, self.knots)

@@ -1,13 +1,22 @@
-"""An independent reference for the tail of two +/- pairs of chi-square
-weights, the train/test mixture with two new covariates."""
+"""Independent references for the mixture tails: the chi-square distribution
+function, and the tail of two +/- pairs of chi-square weights, the
+train/test mixture with two new covariates."""
 
 import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import k0
+from scipy.special import gammainc, k0
 
-from mnri.numerics import _pair_tail
+from mnri.numerics import _chisq_args, _pair_tail
+
+
+def chisq_cdf(x, q: int):
+    """Chi-square distribution function with ``q`` degrees of freedom, i.e.
+    the regularized lower incomplete gamma P(q/2, x/2); it takes the
+    arguments ``numerics.chisq_sf`` takes."""
+    out = gammainc(*_chisq_args(x, q))
+    return out if out.ndim else float(out)
 
 
 def two_pair_tail(t, c1, c2):

@@ -22,8 +22,9 @@ from scipy.special import expit
 
 from mnri import glm, inference, numerics, reclass, sim
 from mnri.glm import LOGIT, Dataset
-from mnri.numerics import MixtureSpec, chisq_cdf, mixture_tail, norm_cdf
+from mnri.numerics import MixtureSpec, mixture_tail, norm_cdf
 from mnri.reclass import extended_indicator
+from mixture_reference import chisq_cdf
 from null_statistics import collect_null_statistics, null_distribution_diagnostic
 from propriety import propriety_mc_check
 

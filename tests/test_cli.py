@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnri import __version__, cli, glm, numerics, reclass
+from mnri import __version__, cli, glm, inference, numerics, reclass
 from mnri.cli import main
 from mnri.errors import ExcessiveFitFailures
+from mnri.glm import Dataset
+from mnri.spline import default_knots, rcs_basis
 from mixture_reference import two_pair_tail
 
 
@@ -449,6 +451,44 @@ class TestCompare:
         assert err == (
             "fit error: expanded model: Fisher scoring did not converge in 1 iterations\n"
         )
+
+    def test_train_test_spline_takes_training_knots(self, tmp_path, capsys):
+        # The marker's quantiles differ between the files, so knots placed on
+        # the test file would give another design; the report must be the
+        # one built on the training file's knots, to the last bit.
+        rng = np.random.default_rng(303)
+        samples = {}
+        for name, (centre, spread) in {"train": (0.0, 1.0), "test": (3.0, 2.0)}.items():
+            age, noise = rng.standard_normal((2, 400))
+            marker = centre + spread * noise
+            probs = 1.0 / (1.0 + np.exp(-(-0.3 + 0.6 * age + 0.4 * noise + 0.5 * noise**2)))
+            y = (rng.random(400) < probs).astype(float)
+            samples[name] = {"y": y, "age": age, "marker": marker}
+        paths = [write_columns(tmp_path / f"{name}.csv", cols) for name, cols in samples.items()]
+        code, out, err = run(capsys, [
+            "compare", paths[0], "--outcome", "y", "--base", "age", "--new", "marker",
+            "--spline", "marker=4", "--test-file", paths[1],
+        ])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+
+        knots = default_knots(samples["train"]["marker"], 4)
+        assert (abs(knots - default_knots(samples["test"]["marker"], 4)) > 0.5).all()
+        train_fits, test_fits = (
+            glm.fit_nested(Dataset(
+                y=cols["y"], x=np.column_stack([np.ones(400), cols["age"]]),
+                z=rcs_basis(cols["marker"], knots),
+            ), glm.LOGIT)
+            for cols in samples.values()
+        )
+        pair = reclass.TrainTestPair(train_fits=train_fits, test_fits=test_fits)
+        stats = reclass.half_nris(pair)
+        for block, result in (
+            ("mnri_test", inference.test_mnri_train_test(pair, stats)),
+            ("nri_test_legacy", inference.test_nri_normal_legacy(pair, stats)),
+        ):
+            assert report[block] == json.loads(json.dumps(dataclasses.asdict(result)))
+        assert len(report["mnri_test"]["reference"]["weights"]) == 6
 
     @pytest.mark.parametrize("offset", [1e6, 1.7e9])
     def test_offset_base_column_in_train_test_mode(self, tmp_path, capsys, offset):
@@ -986,9 +1026,12 @@ class TestCompareInvariance:
     # Each covariate recoded as a * value + b, as a change of units and origin
     # (a calendar year, a marker in other units) recodes it.
     AFFINE = {"age": (1.0, 2000.0), "bmi": (1e4, 50.0), "m1": (1e-4, 0.0), "m2": (1.0, -300.0)}
+    # New covariates whose units differ by 10^12, which puts the diagonals of
+    # their information far apart.
+    WIDE = {"m1": (1e6, 0.0), "m2": (1e-6, 0.0)}
 
-    def recode(self, columns):
-        return {**columns, **{name: a * columns[name] + b for name, (a, b) in self.AFFINE.items()}}
+    def recode(self, columns, affine=AFFINE):
+        return {**columns, **{name: a * columns[name] + b for name, (a, b) in affine.items()}}
 
     @pytest.mark.parametrize(
         "change", ["shuffle-rows", "permute-columns", "relabel-outcome", "affine"]
@@ -1021,6 +1064,17 @@ class TestCompareInvariance:
             path = write_columns(tmp_path / f"train_{tag}.csv", recode(train))
             outs.append(self.compare(capsys, path, link, test_file=test_file, extra=spline))
         assert json.loads(outs[1])["mode"] == mode
+        assert_same_numbers(outs[1], outs[0])
+
+    def test_train_test_wide_units(self, tmp_path, capsys, link):
+        train, test = invariance_cohort(7), invariance_cohort(8)
+        outs = []
+        for tag, affine in (("raw", {}), ("wide", self.WIDE)):
+            outs.append(self.compare(
+                capsys, write_columns(tmp_path / f"train_{tag}.csv", self.recode(train, affine)),
+                link, test_file=write_columns(tmp_path / f"test_{tag}.csv", self.recode(test, affine)),
+            ))
+        assert json.loads(outs[1])["mode"] == "train_test"
         assert_same_numbers(outs[1], outs[0])
 
     def test_train_test_shuffled(self, tmp_path, capsys, link):

@@ -3,10 +3,12 @@
 The layers run errors < numerics < glm < reclass < inference < sim < cli,
 with spline beside them, above errors and below cli. A module may import
 only modules below it, so no import cycle can form. ``cli`` alone may
-import the package itself, for ``__version__``.
+import the package itself, for ``__version__``. The package's public names,
+listed in its imports and again in ``__all__``, are pinned here too.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,23 @@ def test_every_module_has_a_layer():
 def test_imports_only_lower_layers(module):
     imported = package_imports(PACKAGE / f"{module}.py")
     assert imported <= ALLOWED[module], sorted(imported - ALLOWED[module])
+
+
+def test_public_names_resolve():
+    # The package's names are listed twice, in its imports and in __all__.
+    # Each listed name must resolve, once, and star-import as that object;
+    # each imported public name must be listed.
+    import mnri
+
+    namespace = {}
+    exec("from mnri import *", namespace)
+    del namespace["__builtins__"]
+    assert len(set(mnri.__all__)) == len(mnri.__all__)
+    assert sorted(namespace) == sorted(mnri.__all__)
+    for name, value in namespace.items():
+        assert value is getattr(mnri, name), name
+    public = {
+        name for name, value in vars(mnri).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public | {"__version__"} == set(mnri.__all__)

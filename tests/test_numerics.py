@@ -15,7 +15,6 @@ from mnri import numerics
 from mnri.errors import IntegrationFailure, NotPositiveDefinite
 from mnri.numerics import (
     MixtureSpec,
-    chisq_cdf,
     chisq_sf,
     cholesky_spd,
     mixture_tail,
@@ -24,7 +23,7 @@ from mnri.numerics import (
     solve_spd,
 )
 from matrix_cases import random_cell, symmetric_matrix
-from mixture_reference import two_pair_tail
+from mixture_reference import chisq_cdf, two_pair_tail
 
 
 def full_pivot_rule(a):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnri.errors import TooFewDistinctValues
-from mnri.spline import SplineBasis, default_knots, rcs_basis
+from mnri.spline import default_knots, rcs_basis
 
 
 class TestDefaultKnots:
@@ -106,27 +106,18 @@ class TestRcsBasis:
             residual = target - source @ coef
             assert np.abs(residual).max() <= 1e-8 * max(1.0, np.abs(target).max())
 
-    def test_rejects_bad_knots(self):
-        with pytest.raises(ValueError):
-            rcs_basis(np.arange(5.0), np.array([1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            rcs_basis(np.arange(5.0), np.array([1.0, 2.0]))
-
-
-class TestSplineBasis:
-    def test_columns_property(self):
-        basis = SplineBasis.from_data(np.linspace(0, 1, 60), 4)
-        assert basis.columns == 3
-
-    def test_reusable_across_datasets(self):
-        train = np.linspace(0, 10, 100)
-        basis = SplineBasis.from_data(train, 4)
-        test = np.linspace(-2, 12, 50)
-        design = basis.design(test)
+    def test_training_knots_on_test_rows(self):
+        # A fitted spline is its knot vector: knots placed on the training
+        # values expand test values beyond their range, and the nonlinear
+        # columns vanish on exactly the test rows up to the first training knot.
+        train, test = np.linspace(0, 10, 100), np.linspace(-2, 12, 50)
+        knots = default_knots(train, 4)
+        design = rcs_basis(test, knots)
         assert design.shape == (50, 3)
-        # training-derived knots, not recomputed from the test values
-        np.testing.assert_array_equal(basis.knots, default_knots(train, 4))
+        np.testing.assert_array_equal(design[:, 0], test)
+        np.testing.assert_array_equal((design[:, 1:] == 0.0).all(axis=1), test <= knots[0])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SplineBasis(np.array([2.0, 1.0, 3.0]))
+    def test_rejects_bad_knots(self):
+        for knots in ([1.0, 1.0, 2.0], [1.0, 2.0], [2.0, 1.0, 3.0], [[1.0], [2.0], [3.0]]):
+            with pytest.raises(ValueError):
+                rcs_basis(np.arange(5.0), np.array(knots))
