@@ -118,6 +118,21 @@ class TestRcsBasis:
         np.testing.assert_array_equal((design[:, 1:] == 0.0).all(axis=1), test <= knots[0])
 
     def test_rejects_bad_knots(self):
-        for knots in ([1.0, 1.0, 2.0], [1.0, 2.0], [2.0, 1.0, 3.0], [[1.0], [2.0], [3.0]]):
+        for knots in ([1.0, 1.0, 2.0], [1.0, 2.0], [[1.0], [2.0], [3.0]]):
             with pytest.raises(ValueError):
                 rcs_basis(np.arange(5.0), np.array(knots))
+
+
+class TestSplineBasis:
+    """A fitted spline basis is its knot vector; rcs_basis expands values on it."""
+
+    def test_columns_property(self):
+        x = np.linspace(0, 1, 60)
+        assert rcs_basis(x, default_knots(x, 4)).shape[1] == 3
+        # any knot vector, not only the quantile rule's k in {3, 4, 5}
+        for k in range(3, 9):
+            assert rcs_basis(x, np.linspace(0.0, 1.0, k)).shape[1] == k - 1
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            rcs_basis(np.arange(5.0), np.array([2.0, 1.0, 3.0]))
