@@ -107,7 +107,8 @@ def _read_numeric(path: str) -> tuple[list[str], dict[str, np.ndarray]] | None:
         return None
     if table.shape != (ends.size - 1, len(header)) or not np.isfinite(table).all():
         return None
-    return header, dict(zip(header, table.T.copy()))
+    # One array per column: a column kept (a Dataset's y) holds only itself.
+    return header, {name: table[:, j].copy() for j, name in enumerate(header)}
 
 
 def _read_table(path: str) -> tuple[list[str], dict]:
@@ -201,6 +202,19 @@ def _build_dataset(columns, spec: ColumnSpec, path: str, knots=None) -> tuple[Da
         raise DataError(f"{path}: {exc}") from None
 
 
+def _load_dataset(
+    path: str, spec: ColumnSpec, knots=None, primary=None
+) -> tuple[list[str], Dataset, dict]:
+    """Read ``path`` and convert it as ``_build_dataset`` does. Returns the
+    header, the Dataset and its knots; the parsed columns are dropped on
+    return, so only the Dataset's arrays outlive the call. ``primary`` is
+    the (path, header) of the file whose header this one must repeat."""
+    header, columns = _read_table(path)
+    if primary is not None and header != primary[1]:
+        raise DataError(f"{path}: header differs from {primary[0]}")
+    return (header, *_build_dataset(columns, spec, path, knots))
+
+
 def _knot_count(k: int, flag: str) -> int:
     if k not in KNOT_QUANTILES:
         raise DataError(f"{flag} knot count must be one of {sorted(KNOT_QUANTILES)}, got {k}")
@@ -255,17 +269,13 @@ def cmd_compare(args) -> int:
     if not spec.new:
         raise DataError("compare needs at least one --new column")
     link = Link(args.link)
-    header, columns = _read_table(args.input)
-    train_data, knots = _build_dataset(columns, spec, args.input)
+    header, train_data, knots = _load_dataset(args.input, spec)
     fits = glm.fit_nested(train_data, link)
     subject, test_mnri, n_train = fits, inference.test_mnri_single, None
     if args.test_file is not None:
-        test_header, test_columns = _read_table(args.test_file)
-        if test_header != header:
-            raise DataError(f"{args.test_file}: header differs from {args.input}")
         # Spline knots come from the primary (training) data so both samples
         # share one covariate specification.
-        test_data, _ = _build_dataset(test_columns, spec, args.test_file, knots)
+        _, test_data, _ = _load_dataset(args.test_file, spec, knots, (args.input, header))
         test_fits = glm.fit_nested(test_data, link)
         subject = TrainTestPair(train_fits=fits, test_fits=test_fits)
         fits, test_mnri, n_train = test_fits, inference.test_mnri_train_test, train_data.n
@@ -310,8 +320,7 @@ def cmd_compare(args) -> int:
 def cmd_plotdata(args) -> int:
     spec = _column_spec(args)
     link = Link(args.link)
-    _, columns = _read_table(args.input)
-    data, _ = _build_dataset(columns, spec, args.input)
+    _, data, _ = _load_dataset(args.input, spec)
     fits = glm.fit_nested(data, link)
 
     buffer = io.StringIO()

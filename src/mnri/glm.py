@@ -13,15 +13,20 @@ feed the next score, the next information and, at convergence, the fitted
 model. Fits carry the expected information evaluated at the MLE, from
 which ``information_blocks`` profiles out the base coefficients.
 
-``fit`` runs on a design as given. ``fit_nested`` fits the triple on the
-expanded design standardized once, so that convergence and the separation
-rule do not depend on the covariates' units. It reports the coefficients
-for the raw columns and keeps the information in the standardized ones,
-with the scale of each column. Each fit starts as close to its MLE as is
-known: the expanded fit from b = 0; the base fit from the expanded fit's
-b-part, close to the base MLE under the null or a weak new covariate
-(b = 0 when q = 0); the constant fit from its MLE G^-1(ybar), so it stops
-after one step.
+``fit`` runs on a design as given, in any memory layout. It builds the
+information X'WX over blocks of ``_INFO_ROWS`` rows, so no array the size
+of the design is made per iteration; a design of at most that many rows is
+one block. ``fit_nested`` fits the triple on the expanded design
+standardized once, so that convergence and the separation rule do not
+depend on the covariates' units. The standardized design is one array in
+column-major order: the base fit reads its leading columns in place, and
+every product with the design runs on contiguous columns. It reports the
+coefficients for the raw columns and keeps the information in the
+standardized ones, with the scale of each column. Each fit starts as close
+to its MLE as is known: the expanded fit from b = 0; the base fit from the
+expanded fit's b-part, close to the base MLE under the null or a weak new
+covariate (b = 0 when q = 0); the constant fit from its MLE G^-1(ybar), so
+it stops after one step.
 """
 from __future__ import annotations
 
@@ -49,6 +54,9 @@ _SCORE_TOL = 1e-8
 _STEP_TOL = 1e-8
 _MAX_ITER = 100
 _SEPARATION_NORM = 1e3
+# Rows per block of the information X'WX: each block's weighted copy is
+# small enough to stay in cache, and a large design makes no full-size one.
+_INFO_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,16 @@ def _bernoulli_loglik(y, one_minus_y, probs) -> float:
     return float(y @ np.log(p) + one_minus_y @ np.log1p(-p))
 
 
+def _information(design, w) -> np.ndarray:
+    """X'WX for W = diag(w), summed over blocks of ``_INFO_ROWS`` rows."""
+    block = design[:_INFO_ROWS]
+    info = block.T @ (block * w[:_INFO_ROWS, None])
+    for start in range(_INFO_ROWS, design.shape[0], _INFO_ROWS):
+        block = design[start:start + _INFO_ROWS]
+        info += block.T @ (block * w[start:start + _INFO_ROWS, None])
+    return info
+
+
 def fit(y, design, link: Link, *, start=None) -> FittedModel:
     """Fisher-scoring maximum likelihood for one binary-response model.
 
@@ -217,7 +235,7 @@ def fit(y, design, link: Link, *, start=None) -> FittedModel:
     for iteration in range(_MAX_ITER + 1):
         residual, w = link.score_and_weight(eta, y, probs)
         score = design.T @ residual
-        info = design.T @ (design * w[:, None])
+        info = _information(design, w)
         if abs(score).max() <= _SCORE_TOL and last_step_norm <= _STEP_TOL:
             break
         if iteration == _MAX_ITER:
@@ -287,26 +305,30 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
 
     Fisher scoring runs on [x, z] with each column but the intercept
     centred at its mean and divided by its root mean square about it (or by
-    1 when that is 0). The expanded and base coefficients are restated for
-    the raw columns; their information stays standardized. The base fit
-    starts from the expanded fit's b-part (zeros when q = 0); the constant
-    fit from its MLE, G^-1(ybar)."""
-    design = np.hstack([data.x, data.z])
+    1 when that is 0). That design is built once, in column-major order,
+    and standardized in place; the base fit runs on its leading p columns,
+    a view. The expanded and base coefficients are restated for the raw
+    columns; their information stays standardized. The base fit starts
+    from the expanded fit's b-part (zeros when q = 0); the constant fit
+    from its MLE, G^-1(ybar)."""
+    p = data.p
+    design = np.empty((data.n, p + data.q), order="F")
+    design[:, :p] = data.x
+    design[:, p:] = data.z
     ones = data.x[:, 0]  # the intercept column: column sums are ones @ columns
     shift = ones @ design / data.n
     shift[0] = 0.0
     design -= shift
-    scale = np.sqrt(ones @ (design * design) / data.n)
+    scale = np.sqrt(np.einsum("ij,ij->j", design, design) / data.n)
     scale[scale == 0.0] = 1.0
     design /= scale
     expanded = _fit_tagged(data.y, design, link, "expanded")
-    base_start = expanded.coefficients[: data.p] if data.q else None
-    # A copy, not a strided view: the base fit's products run faster on it.
-    base = _fit_tagged(data.y, design[:, : data.p].copy(), link, "base", base_start)
+    base_start = expanded.coefficients[:p] if data.q else None
+    base = _fit_tagged(data.y, design[:, :p], link, "base", base_start)
     constant_start = [link.eta(data.ybar)]
     constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant", constant_start)
     expanded = _to_raw(expanded, shift, scale)
-    base = _to_raw(base, shift[: data.p], scale[: data.p])
+    base = _to_raw(base, shift[:p], scale[:p])
     return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data,
                       scale=scale)
 

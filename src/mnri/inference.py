@@ -70,6 +70,12 @@ def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     return TestResult(statistic, {"kind": "scaled_chisq", "k": k, "q": q}, p_value)
 
 
+def _unit_max(m):
+    """m times 4^-k, exactly, for the k that puts max|entry| in [1/4, 1); and 2k."""
+    e = 2 * (np.frexp(abs(m).max())[1] // 2)
+    return np.ldexp(m, -e), e
+
+
 def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     """Mixture weights for the train/test reference distribution.
 
@@ -84,8 +90,12 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     The matrices may come from outside the program, so they are checked
     here: ValueError unless both are square with equal shape, finite, and
     symmetric to within ``1e-8 * (1 + max|entry|)``; NotPositiveDefinite
-    unless both pass the pivot rule of ``numerics.cholesky_spd``;
-    ValueError when a weight sqrt(mu_j) overflows a double.
+    unless both pass the pivot rule of ``numerics.cholesky_spd`` once scaled
+    to D M D, for the power-of-two diagonal D that brings the second
+    matrix's diagonal near 1. That congruence leaves the mu_j exactly as
+    they are, and the rule, relative to the largest diagonal entry, then
+    holds for blocks in any units; ValueError when a weight sqrt(mu_j)
+    overflows a double.
     """
     a = np.atleast_2d(np.asarray(var_gamma_train, dtype=float))
     b = np.atleast_2d(np.asarray(var_gamma_test, dtype=float))
@@ -98,20 +108,25 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
             raise ValueError("variance matrices must be finite")
         if not (abs(0.5 * m - 0.5 * m.T) <= 0.5e-8 * (1.0 + abs(m).max())).all():
             raise ValueError("variance matrices must be symmetric")
+    identical = (a == b).all()
+
+    # Every scaling is by powers of two, so exact. Each matrix is brought to
+    # a largest entry near 1, which keeps the ratios mu_j from under- or
+    # overflowing, before and after the congruence by D; the roots take back
+    # the square root of the net factor, exactly too.
+    (a, e_a), (b, e_b) = _unit_max(a), _unit_max(b)
+    d = np.ldexp(1.0, -(np.frexp(b.diagonal())[1] // 2))
+    (a, f_a), (b, f_b) = _unit_max(a * d * d[:, None]), _unit_max(b * d * d[:, None])
+    for m in (a, b):
         numerics.cholesky_spd(m)
 
-    if (a == b).all():
+    if identical:
         # Identity ratio: the +/-1 pairs are exact, not just within rounding.
         roots = np.ones(a.shape[0])
     else:
-        # Scaling each matrix by an even power of two is exact and keeps the
-        # ratios mu_j from under- or overflowing; the roots take back the
-        # square root of the factor, exactly too.
-        e_a, e_b = (2 * (np.frexp(abs(m).max())[1] // 2) for m in (a, b))
-        a, b = np.ldexp(a, -e_a), np.ldexp(b, -e_b)
         mu = a[0] / b[0] if a.shape[0] == 1 else eigh(a, b, eigvals_only=True)
         with np.errstate(over="ignore"):
-            roots = np.ldexp(np.sqrt(mu), (e_a - e_b) // 2)
+            roots = np.ldexp(np.sqrt(mu), (e_a + f_a - e_b - f_b) // 2)
         if not np.isfinite(roots).all():
             raise ValueError("mixture weight overflows a double")
     weights = np.empty(2 * roots.shape[0])
@@ -126,14 +141,8 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     data = pair.data
     statistic = data.n * stats.mnri_smooth
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
-    s_test, s_train = information_blocks(pair.test_fits), information_blocks(pair.train_fits)
-    # The blocks are in raw z units, so their diagonals may span any range,
-    # and the pivot rule of mixture_weights is relative to the largest entry.
-    # D S D for one power-of-two diagonal D brings the training diagonal near
-    # 1 and leaves the pencil's roots exactly as they are.
-    d = np.ldexp(1.0, -(np.frexp(s_train.diagonal())[1] // 2))
-    dd = np.outer(d, d)
-    weights = mixture_weights(s_test * dd, s_train * dd)
+    weights = mixture_weights(information_blocks(pair.test_fits),
+                              information_blocks(pair.train_fits))
     spec = MixtureSpec(weights=weights, scale=k_constant(data.ybar) / 2.0)
     reference = {"kind": "chisq_mixture", "scale": spec.scale, "weights": list(spec.weights)}
     return TestResult(statistic, reference, numerics.mixture_tail(statistic, spec))

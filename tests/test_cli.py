@@ -662,6 +662,15 @@ class TestFastPath:
         assert all(column.flags["C_CONTIGUOUS"] for column in columns.values())
         assert cli._numeric_column(columns, "a", str(path)) is columns["a"]
 
+    def test_columns_do_not_share_memory(self, tmp_path):
+        # A Dataset keeps the outcome column; it must not keep the whole table.
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(as_bytes(cohort_lines(5)))
+        columns = list(cli._read_numeric(str(path))[1].values())
+        for i, column in enumerate(columns):
+            assert column.base is None
+            assert not any(np.shares_memory(column, other) for other in columns[i + 1:])
+
     @pytest.mark.parametrize(
         "content",
         [b"y,a,b\n", b"y,a,b\r", b"y,a,b\n\n\n", b"y,a,b\r0,1,2\r1,2,3\r"],
@@ -1076,6 +1085,26 @@ class TestCompareInvariance:
             ))
         assert json.loads(outs[1])["mode"] == "train_test"
         assert_same_numbers(outs[1], outs[0])
+
+    def test_library_weights_match_compare(self, tmp_path, capsys, link):
+        # mixture_weights takes the raw information blocks, in any units,
+        # and gives the weights compare writes, bit for bit.
+        train, test = (self.recode(invariance_cohort(seed), self.WIDE) for seed in (7, 8))
+        out = self.compare(
+            capsys, write_columns(tmp_path / "train.csv", train), link,
+            test_file=write_columns(tmp_path / "test.csv", test),
+        )
+
+        def fits(columns):
+            y, n = columns["y"], len(columns["y"])
+            x = np.column_stack([np.ones(n), columns["age"], columns["bmi"]])
+            z = np.column_stack([columns["m1"], columns["m2"]])
+            return glm.fit_nested(Dataset(y=y, x=x, z=z), glm.Link(link))
+
+        weights = inference.mixture_weights(
+            glm.information_blocks(fits(test)), glm.information_blocks(fits(train))
+        )
+        assert weights.tolist() == json.loads(out)["mnri_test"]["reference"]["weights"]
 
     def test_train_test_shuffled(self, tmp_path, capsys, link):
         train, test = invariance_cohort(7), invariance_cohort(8)

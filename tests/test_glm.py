@@ -1,6 +1,7 @@
 """Tests for nested binary-response model fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,6 +496,64 @@ class TestFitNested:
             "expanded model: Fisher scoring did not converge in 1 iterations"
         )
         assert excinfo.value.model == "expanded"
+
+
+def wide_logit_data(n, m, seed=3):
+    """A logit design of n rows and m columns, the first the constant 1,
+    with small true coefficients, and its outcomes."""
+    rng = np.random.default_rng(seed)
+    design = rng.standard_normal((n, m))
+    design[:, 0] = 1.0
+    y = (rng.random(n) < expit(design @ (0.1 * rng.standard_normal(m)))).astype(float)
+    return y, design
+
+
+def traced_peak(call):
+    """Bytes allocated at the peak of ``call()`` beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargeDesigns:
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_layouts_and_block_counts_agree(self, monkeypatch, link):
+        # Three blocks of rows and a remainder, against one product over all rows.
+        y, design = wide_logit_data(2 * glm._INFO_ROWS + 17, 5)
+        layouts = {
+            "C": design,
+            "F": np.asfortranarray(design),
+            "strided": np.repeat(design, 2, axis=1)[:, ::2],
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(glm, "_information", lambda x, w: x.T @ (x * w[:, None]))
+            reference = fit(y, design, link)
+        for layout, x in layouts.items():
+            assert np.array_equal(x, design), layout
+            got = fit(y, x, link)
+            for name in ("coefficients", "expected_information"):
+                want = getattr(reference, name)
+                error = abs(getattr(got, name) - want).max() / abs(want).max()
+                assert error <= 1e-12, (layout, name, error)
+
+    N, M = 5 * glm._INFO_ROWS, 64
+
+    def test_fit_makes_no_design_sized_temporary(self):
+        # One weighted copy of the design per iteration would reach n m 8 bytes.
+        y, design = wide_logit_data(self.N, self.M)
+        assert traced_peak(lambda: fit(y, design, LOGIT)) < design.nbytes / 2
+
+    def test_fit_nested_makes_one_standardized_design(self):
+        # A second design-sized array (a copy to standardize, a squared
+        # design, a copy of the base columns) would pass 1.5 designs.
+        y, design = wide_logit_data(self.N, self.M)
+        data = Dataset(y=y, x=design[:, : self.M // 2], z=design[:, self.M // 2:])
+        del design
+        assert traced_peak(lambda: fit_nested(data, LOGIT)) < 1.5 * self.N * self.M * 8
 
 
 class TestScoreResiduals:
