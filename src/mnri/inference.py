@@ -7,9 +7,9 @@ Three references are implemented:
 * a weighted chi-square mixture ``(k/2) sum lambda_j chi2_1j`` for the
   train/test statistic, with the 2q eigenvalue weights coming in +/-
   pairs from the two samples' gamma-coefficient information. For q = 1
-  ``numerics.mixture_tail`` evaluates the single pair by the closed
-  product-normal law; for q >= 2 by Rice's saddlepoint contour integral,
-  both to full relative precision;
+  ``numerics.mixture_tail`` sums the pair's tail (1/pi) int_a^inf K0,
+  a = |t| / 2c, by the trapezoid rule, within about 1e-15 (1 + a)
+  relative; for q >= 2 it takes Rice's saddlepoint contour integral;
 * the legacy normal reference for the hard NRI, retained for comparison
   even though its null distribution is in fact non-normal, asymmetric,
   and yields an inflated test.

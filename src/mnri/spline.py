@@ -54,19 +54,20 @@ def rcs_basis(x, knots) -> np.ndarray:
         raise ValueError("need a vector of at least 3 knots")
     if not np.all(np.diff(knots) > 0):
         raise ValueError("knots must be strictly increasing")
-    k = knots.shape[0]
 
     def plus_cube(v):
-        return np.maximum(v, 0.0) ** 3
+        v = np.maximum(v, 0.0)
+        return v * v * v
 
     t_last, t_prev = knots[-1], knots[-2]
     norm = (knots[-1] - knots[0]) ** 2
+    cube_prev, cube_last = plus_cube(x - t_prev), plus_cube(x - t_last)
     columns = [x]
-    for j in range(k - 2):
+    for t_j in knots[:-2]:
         term = (
-            plus_cube(x - knots[j])
-            - plus_cube(x - t_prev) * (t_last - knots[j]) / (t_last - t_prev)
-            + plus_cube(x - t_last) * (t_prev - knots[j]) / (t_last - t_prev)
+            plus_cube(x - t_j)
+            - cube_prev * (t_last - t_j) / (t_last - t_prev)
+            + cube_last * (t_prev - t_j) / (t_last - t_prev)
         )
         columns.append(term / norm)
     return np.column_stack(columns)

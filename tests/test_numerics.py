@@ -339,25 +339,29 @@ def _pair_tail_mpmath(t, c):
 
 class TestPairTail:
     """The single +/- pair c (chi2_1 - chi2_1'), the train/test reference
-    with one new covariate, which takes the closed product-normal path."""
+    with one new covariate, whose tail (1/pi) int_a^inf K0, a = |t| / 2c, is
+    one trapezoid sum, within 1e-15 (1 + a) relative of mpmath: 1 + a is the
+    tail's condition number in t, as a carries the rounding of |t| / 2c."""
 
     def test_matches_mpmath_relative(self):
         checked = 0
         for c in (0.05, 0.8, 3.0):
             spec = MixtureSpec((1.0, -1.0), c)
-            for size in (1e-9, 0.5, 3.1, 3.3, 5.0, 20.0, 40.0, 80.0, 400.0):
+            # 0.15, 2.4 (and 3.1) and 9.0 put a in [1, 2) at c = 0.05, 0.8 and 3.0.
+            for size in (1e-9, 0.15, 0.5, 2.4, 3.1, 3.3, 5.0, 9.0, 20.0, 40.0, 80.0, 400.0):
                 for t in (size, -size):
                     exact = _pair_tail_mpmath(t, c)
                     if exact < mpmath.mpf("1e-300"):
                         continue
                     p = mixture_tail(t, spec)
-                    assert abs(p - exact) <= 1e-10 * exact, (t, c, p, exact)
+                    a = abs(t) / (2.0 * c)
+                    assert abs(p - exact) <= 1e-15 * (1.0 + a) * exact, (t, c, p, exact)
                     checked += 1
-        assert checked == 52  # only t = +80 and +400 at c = 0.05 fall below 1e-300
+        assert checked == 70  # only t = +80 and +400 at c = 0.05 fall below 1e-300
 
     @settings(max_examples=200, deadline=None)
     @given(t1=st.floats(-2000, 2000), t2=st.floats(-2000, 2000))
-    @example(t1=3.9999999999999996, t2=4.0)  # the two formulas meet at |t| / 2c = 2
+    @example(t1=3.9999999999999996, t2=4.0)  # neighbouring doubles at a = |t| / 2c = 2
     @example(t1=-4.0, t2=-3.9999999999999996)
     def test_monotone_in_threshold(self, t1, t2):
         spec = MixtureSpec((1.0, -1.0), 1.0)
@@ -376,14 +380,14 @@ class TestPairTail:
         for c in (0.05, 0.8, 3.0):
             weights = np.array([c, -c])
             for t in np.concatenate([np.linspace(-20.0, 20.0, 41), sizes, -sizes]):
-                closed = mixture_tail(float(t), MixtureSpec((1.0, -1.0), c))
-                if closed < 1e-300:
+                pair = mixture_tail(float(t), MixtureSpec((1.0, -1.0), c))
+                if pair < 1e-300:
                     continue
                 if t < 0.0:
                     general = 1.0 - numerics._saddle_tail(-t, -weights)
                 else:
                     general = numerics._saddle_tail(t, weights)
-                assert abs(general - closed) <= 1e-10 * closed, (c, t, general, closed)
+                assert abs(general - pair) <= 1e-10 * pair, (c, t, general, pair)
 
     def test_extreme_thresholds(self):
         # |t| / 2c overflows to inf here; the tail is 0 (or 1) to double precision.
