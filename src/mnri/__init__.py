@@ -33,7 +33,7 @@ from .inference import (
     test_mnri_train_test,
     test_nri_normal_legacy,
 )
-from .numerics import MixtureSpec, mixture_tail
+from .numerics import mixture_tail
 from .reclass import (
     HalfNRIs,
     ReclassReport,
@@ -56,7 +56,7 @@ __all__ = [
     "fit", "fit_nested",
     "TestResult", "k_constant", "mixture_weights", "test_mnri_single",
     "test_mnri_train_test", "test_nri_normal_legacy",
-    "MixtureSpec", "mixture_tail",
+    "mixture_tail",
     "HalfNRIs", "ReclassReport", "TrainTestPair", "build_report",
     "extended_indicator", "half_nris", "mad_probabilities", "sign_decomposition",
     "SimConfig", "SimTableRow", "gen_replicate", "run_cell", "run_grid",

@@ -305,16 +305,20 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
 
     Fisher scoring runs on [x, z] with each column but the intercept
     centred at its mean and divided by its root mean square about it (or by
-    1 when that is 0). That design is built once, in column-major order,
-    and standardized in place; the base fit runs on its leading p columns,
-    a view. The expanded and base coefficients are restated for the raw
-    columns; their information stays standardized. The base fit starts
-    from the expanded fit's b-part (zeros when q = 0); the constant fit
-    from its MLE, G^-1(ybar)."""
+    1 when that is 0), taken after an exact power-of-two scaling that keeps
+    its squares in range in any units. That design is built once, in
+    column-major order, and standardized in place; the base fit runs on its
+    leading p columns, a view. The expanded and base coefficients are
+    restated for the raw columns; their information stays standardized. The
+    base fit starts from the expanded fit's b-part (zeros when q = 0); the
+    constant fit from its MLE, G^-1(ybar)."""
     p = data.p
     design = np.empty((data.n, p + data.q), order="F")
     design[:, :p] = data.x
     design[:, p:] = data.z
+    # Largest |entry| into [1/2, 1): exact, so in-range columns keep every bit.
+    power = np.frexp(np.maximum(design.max(axis=0), -design.min(axis=0)))[1]
+    design *= np.ldexp(1.0, -power)
     ones = data.x[:, 0]  # the intercept column: column sums are ones @ columns
     shift = ones @ design / data.n
     shift[0] = 0.0
@@ -322,6 +326,7 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
     scale = np.sqrt(np.einsum("ij,ij->j", design, design) / data.n)
     scale[scale == 0.0] = 1.0
     design /= scale
+    shift, scale = np.ldexp(shift, power), np.ldexp(scale, power)
     expanded = _fit_tagged(data.y, design, link, "expanded")
     base_start = expanded.coefficients[:p] if data.q else None
     base = _fit_tagged(data.y, design[:, :p], link, "base", base_start)
@@ -340,7 +345,8 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     sqrt(n) (g_hat - g0): the trailing block of L L' for L the Cholesky
     factor of the standardized information at unit diagonal, with entry
     (i, j) multiplied by s_i s_j, as the z rows of J^-1 are diag(1/s_z).
-    A vanishing pivot is RankDeficient."""
+    A vanishing pivot is RankDeficient; z columns in units whose s_i s_j
+    leave the double range are a FitError."""
     p = fits.data.p
     info = fits.expanded.expected_information / fits.data.n
     unit = 1.0 / np.sqrt(info.diagonal())
@@ -350,4 +356,9 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
         raise RankDeficient(f"expanded model: singular information: {exc}", "expanded") from exc
     tail = lower[p:, p:] / unit[p:, None]
     scale = fits.scale[p:]
-    return (tail @ tail.T) * np.outer(scale, scale)
+    with np.errstate(over="ignore"):
+        blocks = (tail @ tail.T) * np.outer(scale, scale)
+    if not (np.isfinite(blocks).all() and blocks.diagonal().min() > 0.0):
+        raise FitError("expanded model: information on the new columns leaves the double "
+                       "range in their units", "expanded")
+    return blocks

@@ -6,10 +6,10 @@ Three references are implemented:
   ``n T`` compared with ``k chi2_q``, ``k = phi(0) / (pi (1-pi))``;
 * a weighted chi-square mixture ``(k/2) sum lambda_j chi2_1j`` for the
   train/test statistic, with the 2q eigenvalue weights coming in +/-
-  pairs from the two samples' gamma-coefficient information. For q = 1
-  ``numerics.mixture_tail`` sums the pair's tail (1/pi) int_a^inf K0,
-  a = |t| / 2c, by the trapezoid rule, within about 1e-15 (1 + a)
-  relative; for q >= 2 it takes Rice's saddlepoint contour integral;
+  pairs from the two samples' gamma-coefficient information; for q = 1
+  ``numerics.mixture_tail(t, weights, k/2)`` sums the pair's tail (1/pi)
+  int_a^inf K0, a = |t| / 2c, by the trapezoid rule, within about 1e-15
+  (1 + a) relative; for q >= 2 it takes Rice's saddlepoint contour integral;
 * the legacy normal reference for the hard NRI, retained for comparison
   even though its null distribution is in fact non-normal, asymmetric,
   and yields an inflated test.
@@ -28,7 +28,6 @@ from scipy.linalg import eigh
 from . import numerics
 from .errors import DegenerateOutcome
 from .glm import NestedFits, information_blocks
-from .numerics import MixtureSpec
 from .reclass import HalfNRIs, TrainTestPair
 
 _PHI0 = float(numerics.norm_pdf(0.0))
@@ -39,11 +38,12 @@ class TestResult:
     """A test's statistic t, its reference and its p-value.
 
     ``reference`` is the plain dict the ``compare`` report writes. Its kind
-    names the recipe that gives ``p_value`` from it, in ``numerics`` terms:
+    names the recipe that gives ``p_value`` from it, one ``numerics`` call
+    on the dict's fields:
 
     * ``{"kind": "scaled_chisq", "k", "q"}``: ``chisq_sf(max(t, 0) / k, q)``;
     * ``{"kind": "chisq_mixture", "scale", "weights"}``:
-      ``mixture_tail(t, MixtureSpec(weights, scale))``;
+      ``mixture_tail(t, weights, scale)``, which checks the weights and scale;
     * ``{"kind": "normal", "variance"}``: ``2 norm_cdf(-|t| / sqrt(variance))``.
     """
 
@@ -143,9 +143,9 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
     weights = mixture_weights(information_blocks(pair.test_fits),
                               information_blocks(pair.train_fits))
-    spec = MixtureSpec(weights=weights, scale=k_constant(data.ybar) / 2.0)
-    reference = {"kind": "chisq_mixture", "scale": spec.scale, "weights": list(spec.weights)}
-    return TestResult(statistic, reference, numerics.mixture_tail(statistic, spec))
+    scale = k_constant(data.ybar) / 2.0
+    reference = {"kind": "chisq_mixture", "scale": scale, "weights": weights.tolist()}
+    return TestResult(statistic, reference, numerics.mixture_tail(statistic, weights, scale))
 
 
 _LEGACY_NOTE = (

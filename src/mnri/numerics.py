@@ -3,16 +3,15 @@
 Symmetric positive definite factorizations and solves (LAPACK Cholesky
 with a relative pivot check; as in LAPACK, only the lower triangle is
 read, so callers pass symmetric matrices), normal/chi-square distribution
-functions, and tail probabilities of weighted chi-square mixtures: a
-single +/- pair by one trapezoid sum, within about 1e-15 (1 + |t| / 2c)
-relative, any other weights by Rice's saddlepoint contour integral.
+functions, and tail probabilities of weighted chi-square mixtures given
+by their weights and scale: a single +/- pair by one trapezoid sum, within
+about 1e-15 (1 + |t| / 2c) relative, any other weights by Rice's integral.
 Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -39,26 +38,6 @@ _CONTOUR_NODES = 1 << 14
 # A probability below e^_LOG_UNDERFLOW rounds to 0.0.
 _LOG_UNDERFLOW = math.log(5e-324) - 1.0
 _DOUBLE_MAX = float(np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """A scaled mixture ``scale * sum_j weights[j] * chi2_1j`` of independent
-    one-degree-of-freedom chi-square variables. Weights may be negative."""
-
-    weights: tuple[float, ...]
-    scale: float
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "scale", float(self.scale))
-        if len(weights) == 0:
-            raise ValueError("mixture needs at least one weight")
-        if not all(map(math.isfinite, weights)):
-            raise ValueError("mixture weights must be finite")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("mixture scale must be positive and finite")
 
 
 def cholesky_spd(a) -> np.ndarray:
@@ -114,20 +93,17 @@ def norm_cdf(x):
     return out if out.ndim else float(out)
 
 
-def _chisq_args(x, q: int) -> tuple[float, np.ndarray]:
+def chisq_sf(x, q: int):
+    """Chi-square upper tail with ``q`` degrees of freedom, the regularized
+    upper incomplete gamma Q(q/2, x/2), taken directly, not as one minus the
+    distribution function, so it keeps full relative precision far into the tail.
+    Raises ValueError unless q is a positive integer and x is nonnegative."""
     if q < 1 or int(q) != q:
         raise ValueError(f"degrees of freedom must be a positive integer, got {q}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("chi-square argument must be nonnegative")
-    return q / 2.0, x / 2.0
-
-
-def chisq_sf(x, q: int):
-    """Chi-square upper tail with ``q`` degrees of freedom, the regularized
-    upper incomplete gamma Q(q/2, x/2), taken directly, not as one minus the
-    distribution function, so it keeps full relative precision far into the tail."""
-    out = gammaincc(*_chisq_args(x, q))
+    out = gammaincc(q / 2.0, x / 2.0)
     return out if out.ndim else float(out)
 
 
@@ -138,10 +114,12 @@ def _pair_tail(t: float, c: float) -> float:
     product has density K0(|x|) / pi (Craig 1936). With a = |t| / 2c the
     tail is (1/pi) int_a^inf K0 = e^-a / pi int_0^inf e^(-2a sinh^2(s/2))
     / cosh s ds. That integrand is analytic in |Im s| < pi/2, so one
-    trapezoid sum of step 1/4, or 1/(4 sqrt(a)) for a > 1 where it narrows
-    as e^(-a s^2 / 2), converges exponentially for every a (Trefethen &
-    Weideman 2014, SIAM Rev. 56:385). With e^-a applied in log scale it is
-    within about 1e-15 (1 + a) relative, 1 + a being its condition number.
+    trapezoid sum of step 1/4, or 1/(4 sqrt(2^e)) for 1 < a < 2^e <= 2a,
+    where it narrows as e^(-a s^2 / 2), converges exponentially for every a
+    (Trefethen & Weideman 2014, SIAM Rev. 56:385). With e^-a applied in log
+    scale it is within about 1e-15 (1 + a) relative, 1 + a being its
+    condition number. With the nodes fixed within each octave of a, rounding
+    can reverse the tail in t only where a crosses a power of two.
     """
     a = abs(t) / (2.0 * c)
     if a == 0.0:
@@ -149,7 +127,7 @@ def _pair_tail(t: float, c: float) -> float:
     # The tail is at most e^-a / 2: 0 past _LOG_UNDERFLOW, as when a = inf.
     upper = 0.0
     if -a >= _LOG_UNDERFLOW:
-        h = 0.25 if a <= 1.0 else 0.25 / math.sqrt(a)
+        h = 0.25 if a <= 1.0 else 0.25 / math.sqrt(math.ldexp(1.0, math.frexp(a)[1]))
         # The sum ends where the integrand, 1 at s = 0, is below e^-45: 1 / cosh s
         # <= 2 e^-s is past 45 + log 2, e^(-2a sinh^2(s/2)) past the other end.
         end = min(45.0 + math.log(2.0), 2.0 * math.asinh(math.sqrt(22.5 / a)))
@@ -159,16 +137,19 @@ def _pair_tail(t: float, c: float) -> float:
     return upper if t >= 0.0 else 1.0 - upper
 
 
-def mixture_tail(t: float, spec: MixtureSpec) -> float:
-    """Upper tail probability ``P(scale * sum_j w_j chi2_1j > t)``.
+def mixture_tail(t: float, weights, scale: float) -> float:
+    """Upper tail probability ``P(scale * sum_j weights[j] chi2_1j > t)``,
+    the chi2_1j independent, for the fields of a ``chisq_mixture`` reference.
 
-    One +/- pair, c (chi2_1 - chi2_1'), as in every train/test reference with
-    one new covariate, has the product-normal tail (1/pi) int_a^inf K0,
-    a = |t| / 2c, taken as one trapezoid sum (``_pair_tail``) within about
-    1e-15 (1 + a) relative, and exactly 1/2 at t = 0. Any other weights take
-    Rice's saddlepoint contour integral (``_saddle_tail``), a negative t as
-    one minus the tail of -Q beyond -t. Both keep relative precision until
-    the tail leaves the double range, where they return exactly 0 (or 1);
+    Raises ValueError when t is NaN, when the weights are none or not all
+    finite (any sign), or when the scale is not positive and finite. One +/-
+    pair, c (chi2_1 - chi2_1'), as in every train/test reference with one new
+    covariate, has the product-normal tail (1/pi) int_a^inf K0, a = |t| / 2c,
+    taken as one trapezoid sum (``_pair_tail``) within about 1e-15 (1 + a)
+    relative, and exactly 1/2 at t = 0. Any other weights take Rice's
+    saddlepoint contour integral (``_saddle_tail``), a negative t as one
+    minus the tail of -Q beyond -t. Both keep relative precision until the
+    tail leaves the double range, where they return exactly 0 (or 1);
     one-signed weights give 0 or 1 beyond their support. Below t = 0 that
     holds for the complement; the tail itself is then at least P(Q > 0),
     which is 1/2 for the symmetric train/test mixtures. Raises
@@ -177,7 +158,12 @@ def mixture_tail(t: float, spec: MixtureSpec) -> float:
     t = float(t)
     if np.isnan(t):
         raise ValueError("mixture tail threshold is NaN")
-    weights = np.asarray(spec.weights, dtype=float) * spec.scale
+    weights = np.asarray(weights, dtype=float)
+    if weights.size == 0 or not np.isfinite(weights).all():
+        raise ValueError("mixture weights must be one or more finite numbers")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError("mixture scale must be positive and finite")
+    weights = weights * scale
     weights = weights[weights != 0.0]
     if weights.size == 0 or np.isinf(t):
         return float(t < 0.0)

@@ -1,15 +1,14 @@
 """Independent references for the mixture tails: the chi-square distribution
 function, the tail of one +/- pair of chi-square weights by scipy's Bessel
 functions, and the tail of two such pairs, the train/test mixture with two
-new covariates."""
+new covariates. It imports nothing from ``mnri``, so that no reference
+shares code with the program it checks."""
 
 import math
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, iti0k0, k0, k0e, roots_laguerre
-
-from mnri.numerics import _chisq_args
 
 # Gauss-Laguerre rule for int_0^inf e^-y f(y) dy on the pair's far tail. At
 # a = 2, 20 nodes are 7e-11 (relative) off; 40 agree with 60 and with mpmath
@@ -19,9 +18,15 @@ _LAGUERRE_NODES, _LAGUERRE_WEIGHTS = roots_laguerre(40)
 
 def chisq_cdf(x, q: int):
     """Chi-square distribution function with ``q`` degrees of freedom, i.e.
-    the regularized lower incomplete gamma P(q/2, x/2); it takes the
-    arguments ``numerics.chisq_sf`` takes."""
-    out = gammainc(*_chisq_args(x, q))
+    the regularized lower incomplete gamma P(q/2, x/2). Raises ValueError
+    unless q is a positive integer and x is nonnegative, as
+    ``numerics.chisq_sf`` does."""
+    if q < 1 or int(q) != q:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {q}")
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError("chi-square argument must be nonnegative")
+    out = gammainc(q / 2.0, x / 2.0)
     return out if out.ndim else float(out)
 
 

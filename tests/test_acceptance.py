@@ -22,7 +22,7 @@ from scipy.special import expit
 
 from mnri import glm, inference, numerics, reclass, sim
 from mnri.glm import LOGIT, Dataset
-from mnri.numerics import MixtureSpec, mixture_tail, norm_cdf
+from mnri.numerics import mixture_tail, norm_cdf
 from mnri.reclass import extended_indicator
 from mixture_reference import chisq_cdf
 from null_statistics import collect_null_statistics, null_distribution_diagnostic
@@ -197,12 +197,11 @@ def test_criterion_4_mixture_machinery():
     for weights in ((1.0, -1.0), (2.0, -2.0, 0.5, -0.5)):
         draws = rng.standard_normal((1_000_000, len(weights))) ** 2
         q = (k / 2.0) * (draws @ np.asarray(weights))
-        spec = MixtureSpec(weights, k / 2.0)
         worst = 0.0
         for t in (-2.0, 0.0, 1.0, 3.0):
             mc = float(np.mean(q > t))
             se = math.sqrt(mc * (1 - mc) / q.shape[0])
-            gap_se = abs(mixture_tail(t, spec) - mc) / se
+            gap_se = abs(mixture_tail(t, weights, k / 2.0) - mc) / se
             worst = max(worst, gap_se)
         all_ok &= worst <= 3.0
         details.append(f"{weights}: worst gap {worst:.2f} SE")
@@ -335,9 +334,8 @@ def test_criterion_9_distribution_accuracy():
     norm_gap = abs(norm_cdf(1.959964) - 0.975)
     worst_mix = 0.0
     for m, w in ((1, 1.0), (2, 1.0), (3, 0.7)):
-        spec = MixtureSpec((w,) * m, 1.0)
         for t in np.arange(0.5, 20.5, 0.5):
-            gap = abs(mixture_tail(float(t), spec) - (1.0 - chisq_cdf(t / w, m)))
+            gap = abs(mixture_tail(float(t), (w,) * m, 1.0) - (1.0 - chisq_cdf(t / w, m)))
             worst_mix = max(worst_mix, gap)
     ok = chisq_gap <= 1e-5 and norm_gap <= 1e-6 and worst_mix <= 1e-5
     announce(9, "distribution-function accuracy", ok,

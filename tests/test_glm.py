@@ -8,7 +8,7 @@ import pytest
 from scipy.special import expit
 
 from mnri import glm, numerics, sim
-from mnri.errors import DegenerateOutcome, NoConvergence, RankDeficient, Separation
+from mnri.errors import DegenerateOutcome, FitError, NoConvergence, RankDeficient, Separation
 from mnri.glm import (
     LOGIT,
     PROBIT,
@@ -458,6 +458,35 @@ class TestFitNested:
                 assert_close(a * got.coefficients[slope], want.coefficients[slope])
         for name, want in vars(half_nris(centred)).items():
             assert_close(getattr(half_nris(recoded), name), want)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    @pytest.mark.parametrize("column", [1, 2], ids=["x", "z"])
+    def test_any_units_give_the_same_fit(self, column, power):
+        # A covariate times 2^600 (or 2^-600) has squares past the double
+        # range, so its root mean square overflowed (underflowed) and the
+        # expanded design looked rank deficient. Every scaling of a column
+        # is by a power of two, so the fits are the same to the bit, the
+        # covariate's slope divided by 2^power.
+        data = make_data(n=300, seed=5)
+        design = np.column_stack([data.x, data.z])
+        design[:, column] = np.ldexp(design[:, column], power)
+        rescaled = Dataset(y=data.y, x=design[:, :2], z=design[:, 2:])
+        got, want = fit_nested(rescaled, LOGIT), fit_nested(data, LOGIT)
+        for g, w in ((got.expanded, want.expanded), (got.base, want.base)):
+            np.testing.assert_array_equal(g.fitted_probs, w.fitted_probs)
+            assert g.loglik == w.loglik
+            coefficients = w.coefficients.copy()
+            if column < coefficients.shape[0]:
+                coefficients[column] = np.ldexp(coefficients[column], -power)
+            np.testing.assert_array_equal(g.coefficients, coefficients)
+        assert half_nris(got) == half_nris(want)
+        if column == 1:
+            np.testing.assert_array_equal(information_blocks(got), information_blocks(want))
+        else:
+            # The information on z itself, times 2^(2 power), is out of range.
+            with pytest.raises(FitError, match="leaves the double range") as excinfo:
+                information_blocks(got)
+            assert excinfo.value.model == "expanded"
 
     @pytest.mark.parametrize("value", [3.0, 0.1, 2000.3])
     def test_constant_z_tagged_expanded(self, value):

@@ -116,17 +116,17 @@ class TestReferences:
         pair = TrainTestPair(train_fits=fits, test_fits=fits)
         result = mnri_train_test_test(pair, given_stats(2.0 / fits.data.n))
         ref = result.reference
-        spec = numerics.MixtureSpec(ref["weights"], ref["scale"])
-        assert spec.scale == k_constant(fits.data.ybar) / 2.0
-        assert result.p_value == numerics.mixture_tail(result.statistic, spec)
-        # The recipe rebuilds the spec, so a descriptor no MixtureSpec
-        # accepts cannot give a p-value.
+        assert ref["scale"] == k_constant(fits.data.ybar) / 2.0
+        p_value = numerics.mixture_tail(result.statistic, ref["weights"], ref["scale"])
+        assert result.p_value == p_value
+        # The recipe checks the dict's fields, so a descriptor with malformed
+        # weights or scale cannot give a p-value.
         for scale, weights in [
             (0.8, []), (0.8, [1.0, math.nan]), (0.8, [math.inf, -1.0]),
             (0.0, [1.0, -1.0]), (-0.8, [1.0, -1.0]), (math.nan, [1.0, -1.0]),
         ]:
             with pytest.raises(ValueError):
-                numerics.MixtureSpec(weights, scale)
+                numerics.mixture_tail(result.statistic, weights, scale)
 
 
 class TestMixtureWeights:
@@ -303,8 +303,9 @@ class TestTrainTestTest:
         result = mnri_train_test_test(pair, reclass.half_nris(pair))
         expected = test.data.n * reclass.half_nris(pair).mnri_smooth
         assert abs(result.statistic - expected) <= 1e-12
-        spec = numerics.MixtureSpec(result.reference["weights"], result.reference["scale"])
-        assert result.p_value == numerics.mixture_tail(result.statistic, spec)
+        ref = result.reference
+        p_value = numerics.mixture_tail(result.statistic, ref["weights"], ref["scale"])
+        assert result.p_value == p_value
 
     def test_unit_weights_match_difference_monte_carlo(self):
         # One sample on both sides: unit weights, so the statistic at t k/2

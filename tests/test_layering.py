@@ -4,7 +4,9 @@ The layers run errors < numerics < glm < reclass < inference < sim < cli,
 with spline beside them, above errors and below cli. A module may import
 only modules below it, so no import cycle can form. ``cli`` alone may
 import the package itself, for ``__version__``. The package's public names,
-listed in its imports and again in ``__all__``, are pinned here too.
+listed in its imports and again in ``__all__``, are pinned here too, as
+is the independence of the tests' mixture-tail references, which import
+nothing from the package.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mnri"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mnri"
 CHAIN = ("errors", "numerics", "glm", "reclass", "inference", "sim", "cli")
 
 # Each module and the modules it may import; "__init__" is the package.
@@ -74,3 +77,8 @@ def test_public_names_resolve():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public | {"__version__"} == set(mnri.__all__)
+
+
+def test_mixture_reference_imports_nothing_from_the_package():
+    # The references check the program's tails, so they share none of its code.
+    assert package_imports(TESTS / "mixture_reference.py") == set()

@@ -14,7 +14,6 @@ from scipy.linalg import lapack
 from mnri import numerics
 from mnri.errors import IntegrationFailure, NotPositiveDefinite
 from mnri.numerics import (
-    MixtureSpec,
     chisq_sf,
     cholesky_spd,
     mixture_tail,
@@ -218,28 +217,28 @@ class TestChisqSf:
 
 class TestMixtureTail:
     def test_single_weight_reduces_to_chi1(self):
-        p = mixture_tail(3.841459, MixtureSpec((1.0,), 1.0))
+        p = mixture_tail(3.841459, (1.0,), 1.0)
         assert abs(p - 0.05) <= 1e-4
 
     def test_two_equal_weights_closed_form(self):
         for t in [0.5, 2.0, 7.3, 15.0]:
-            p = mixture_tail(t, MixtureSpec((1.0, 1.0), 1.0))
+            p = mixture_tail(t, (1.0, 1.0), 1.0)
             assert abs(p - math.exp(-t / 2.0)) <= 1e-8
 
     def test_symmetric_difference_at_zero(self):
-        assert mixture_tail(0.0, MixtureSpec((1.0, -1.0), 1.0)) == 0.5
+        assert mixture_tail(0.0, (1.0, -1.0), 1.0) == 0.5
 
     def test_all_equal_weights_grid(self):
         # Equal positive weights w give w * chi2_m.
         for m, w in [(1, 1.0), (3, 0.5), (4, 2.0)]:
-            spec = MixtureSpec((w,) * m, 1.0)
+            weights, scale = (w,) * m, 1.0
             for t in np.arange(0.5, 20.5, 0.5):
                 expected = 1.0 - chisq_cdf(t / w, m)
-                assert abs(mixture_tail(float(t), spec) - expected) <= 1e-5
+                assert abs(mixture_tail(float(t), weights, scale) - expected) <= 1e-5
 
     def test_scale_parameter(self):
         # P(s * chi2_1 > t) = P(chi2_1 > t/s)
-        p = mixture_tail(3.0, MixtureSpec((1.0,), 0.8))
+        p = mixture_tail(3.0, (1.0,), 0.8)
         expected = 1.0 - chisq_cdf(3.0 / 0.8, 1)
         assert abs(p - expected) <= 1e-8
 
@@ -249,26 +248,25 @@ class TestMixtureTail:
         scale = 0.9
         draws = rng.standard_normal((1_000_000, 4))
         q = scale * (draws**2 @ weights)
-        spec = MixtureSpec(tuple(weights), scale)
         for t in [-1.0, 0.0, 1.5, 4.0]:
             mc = float(np.mean(q > t))
             se = math.sqrt(mc * (1.0 - mc) / q.shape[0])
-            assert abs(mixture_tail(t, spec) - mc) <= 3.0 * se
+            assert abs(mixture_tail(t, weights, scale) - mc) <= 3.0 * se
 
     def test_negative_t_all_positive_weights(self):
-        assert abs(mixture_tail(-1.0, MixtureSpec((1.0,), 1.0)) - 1.0) <= 1e-9
+        assert abs(mixture_tail(-1.0, (1.0,), 1.0) - 1.0) <= 1e-9
 
     def test_bounds(self):
-        spec = MixtureSpec((1.5, -0.3, 0.2), 1.0)
+        weights, scale = (1.5, -0.3, 0.2), 1.0
         for t in [-50.0, -5.0, 0.0, 5.0, 50.0, 500.0]:
-            p = mixture_tail(t, spec)
+            p = mixture_tail(t, weights, scale)
             assert 0.0 <= p <= 1.0
 
     def test_small_thresholds_match_direct_integral(self):
         # Q = a X - b Y with X, Y ~ chi2_1, so P(Q > t) averages
         # P(chi2_1 > (t + b Y) / a) over Y = Z^2, Z standard normal.
         a, b = 1.3 * 0.8, 0.7 * 0.8
-        spec = MixtureSpec((1.3, -0.7), 0.8)
+        weights, scale = (1.3, -0.7), 0.8
         for size in [0.0, 1e-9, 2e-8, 1.19e-7, 1e-5, 1e-3, 1.0]:
             for t in (size, -size):
                 def integrand(z):
@@ -279,15 +277,15 @@ class TestMixtureTail:
                     integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
                     for lo, hi in ((0.0, kink), (kink, np.inf))
                 )
-                assert abs(mixture_tail(t, spec) - direct) <= 1e-8
+                assert abs(mixture_tail(t, weights, scale) - direct) <= 1e-8
 
     def test_scale_invariance(self):
         # P(c Q > c t) = P(Q > t) for any c > 0, at t = 0 too.
         for t in [0.0, 1.19e-7, -1.0, 3.0]:
-            expected = mixture_tail(t, MixtureSpec((1.3, -0.7), 0.8))
+            expected = mixture_tail(t, (1.3, -0.7), 0.8)
             for c in (1e-6, 1e6):
-                scaled = MixtureSpec((1.3 * c, -0.7 * c), 0.8)
-                assert abs(mixture_tail(c * t, scaled) - expected) <= 1e-8
+                scaled = mixture_tail(c * t, (1.3 * c, -0.7 * c), 0.8)
+                assert abs(scaled - expected) <= 1e-8
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -299,26 +297,26 @@ class TestMixtureTail:
     @example(t1=1.19e-7, t2=0.0)
     @example(t1=-1.19e-7, t2=0.0)
     def test_monotone_in_threshold(self, t1, t2):
-        spec = MixtureSpec((1.3, -0.7), 0.8)
+        weights, scale = (1.3, -0.7), 0.8
         lo, hi = sorted((t1, t2))
-        assert mixture_tail(lo, spec) >= mixture_tail(hi, spec) - 1e-9
+        assert mixture_tail(lo, weights, scale) >= mixture_tail(hi, weights, scale) - 1e-9
 
     def test_infinite_thresholds(self):
-        spec = MixtureSpec((1.3, -0.7), 0.8)
-        assert mixture_tail(math.inf, spec) == 0.0
-        assert mixture_tail(-math.inf, spec) == 1.0
+        weights, scale = (1.3, -0.7), 0.8
+        assert mixture_tail(math.inf, weights, scale) == 0.0
+        assert mixture_tail(-math.inf, weights, scale) == 1.0
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold is NaN"):
-            mixture_tail(math.nan, MixtureSpec((1.3, -0.7), 0.8))
+            mixture_tail(math.nan, (1.3, -0.7), 0.8)
 
     def test_spec_validation(self):
         for weights, scale in [
             ((), 1.0), ((1.0, math.nan), 1.0), ((math.inf, -1.0), 1.0),
             ((1.0,), 0.0), ((1.0, -1.0), -0.8), ((1.0, -1.0), math.nan),
         ]:
-            with pytest.raises(ValueError):
-                MixtureSpec(weights, scale)
+            with pytest.raises(ValueError, match="^mixture (weights|scale)"):
+                mixture_tail(1.0, weights, scale)
 
 
 def _pair_tail_mpmath(t, c):
@@ -346,14 +344,14 @@ class TestPairTail:
     def test_matches_mpmath_relative(self):
         checked = 0
         for c in (0.05, 0.8, 3.0):
-            spec = MixtureSpec((1.0, -1.0), c)
+            weights, scale = (1.0, -1.0), c
             # 0.15, 2.4 (and 3.1) and 9.0 put a in [1, 2) at c = 0.05, 0.8 and 3.0.
             for size in (1e-9, 0.15, 0.5, 2.4, 3.1, 3.3, 5.0, 9.0, 20.0, 40.0, 80.0, 400.0):
                 for t in (size, -size):
                     exact = _pair_tail_mpmath(t, c)
                     if exact < mpmath.mpf("1e-300"):
                         continue
-                    p = mixture_tail(t, spec)
+                    p = mixture_tail(t, weights, scale)
                     a = abs(t) / (2.0 * c)
                     assert abs(p - exact) <= 1e-15 * (1.0 + a) * exact, (t, c, p, exact)
                     checked += 1
@@ -364,14 +362,23 @@ class TestPairTail:
     @example(t1=3.9999999999999996, t2=4.0)  # neighbouring doubles at a = |t| / 2c = 2
     @example(t1=-4.0, t2=-3.9999999999999996)
     def test_monotone_in_threshold(self, t1, t2):
-        spec = MixtureSpec((1.0, -1.0), 1.0)
+        weights, scale = (1.0, -1.0), 1.0
         lo, hi = sorted((t1, t2))
-        assert mixture_tail(lo, spec) >= mixture_tail(hi, spec)
+        assert mixture_tail(lo, weights, scale) >= mixture_tail(hi, weights, scale)
+
+    def test_monotone_between_neighbouring_doubles(self):
+        # A step that moved with a let the sum's rounding reverse the tail
+        # over one ulp of t (t = 2.805 at c = 1). Fixed within each octave of
+        # a, it can reverse only where a crosses a power of two.
+        for c in (1.0, 0.8, 0.05, 3.0):
+            for t in np.linspace(-10.0, 10.0, 20001):
+                above = np.nextafter(t, math.inf)
+                assert mixture_tail(t, (1.0, -1.0), c) >= mixture_tail(above, (1.0, -1.0), c), (c, t)
 
     def test_probabilities_in_unit_interval(self):
-        for spec in (MixtureSpec((1.0, -1.0), 0.8), MixtureSpec((-2.5, 0.0, 2.5), 0.3)):
+        for weights, scale in (((1.0, -1.0), 0.8), ((-2.5, 0.0, 2.5), 0.3)):
             for t in (-50.0, -1.0, 0.0, 1e-9, 3.0, 400.0):
-                assert 0.0 <= mixture_tail(t, spec) <= 1.0
+                assert 0.0 <= mixture_tail(t, weights, scale) <= 1.0
 
     def test_agrees_with_general_path(self):
         # The saddlepoint path run on the pair, mirrored below t = 0 as
@@ -380,7 +387,7 @@ class TestPairTail:
         for c in (0.05, 0.8, 3.0):
             weights = np.array([c, -c])
             for t in np.concatenate([np.linspace(-20.0, 20.0, 41), sizes, -sizes]):
-                pair = mixture_tail(float(t), MixtureSpec((1.0, -1.0), c))
+                pair = mixture_tail(float(t), (1.0, -1.0), c)
                 if pair < 1e-300:
                     continue
                 if t < 0.0:
@@ -391,9 +398,9 @@ class TestPairTail:
 
     def test_extreme_thresholds(self):
         # |t| / 2c overflows to inf here; the tail is 0 (or 1) to double precision.
-        spec = MixtureSpec((1.0, -1.0), 0.05)
-        assert mixture_tail(1e308, spec) == 0.0
-        assert mixture_tail(-1e308, spec) == 1.0
+        weights, scale = (1.0, -1.0), 0.05
+        assert mixture_tail(1e308, weights, scale) == 0.0
+        assert mixture_tail(-1e308, weights, scale) == 1.0
 
 
 class TestChisqEnvelope:
@@ -404,49 +411,49 @@ class TestChisqEnvelope:
     under that bound. Past the double range it is exactly 0 (or 1), and
     one-signed weights give exactly 0 or 1 beyond their support."""
 
-    spec = MixtureSpec((2.0, -2.0, 0.5, -0.5), 0.8)
+    weights, scale = (2.0, -2.0, 0.5, -0.5), 0.8
 
     def test_far_tail_within_bound(self):
         # The tail is 1.9e-56 here, the bound 5.2e-55.
         bound = chisq_sf(400.0 / (2.0 * 0.8), 2)
-        assert 0.0 < mixture_tail(400.0, self.spec) <= bound
-        assert mixture_tail(-400.0, self.spec) >= 1.0 - bound
+        assert 0.0 < mixture_tail(400.0, self.weights, self.scale) <= bound
+        assert mixture_tail(-400.0, self.weights, self.scale) >= 1.0 - bound
 
     def test_underflowing_bound_skips_contour_sum(self):
         # The Chernoff bound at the saddle search's start underflows here, so
         # the tail is exactly 0 (or 1) at once, with no contour sum.
         start = time.perf_counter()
-        assert mixture_tail(1e6, self.spec) == 0.0
-        assert mixture_tail(-1e6, self.spec) == 1.0
+        assert mixture_tail(1e6, self.weights, self.scale) == 0.0
+        assert mixture_tail(-1e6, self.weights, self.scale) == 1.0
         assert time.perf_counter() - start < 1.0
 
     def test_one_signed_weights_exact_beyond_support(self):
         # All weights positive: Q > 0 surely, so P(Q > t) = 1 for t < 0.
-        assert mixture_tail(-1e-3, MixtureSpec((1.0, 0.5), 1.0)) == 1.0
-        assert mixture_tail(1e-3, MixtureSpec((-1.0, -0.5), 1.0)) == 0.0
+        assert mixture_tail(-1e-3, (1.0, 0.5), 1.0) == 1.0
+        assert mixture_tail(1e-3, (-1.0, -0.5), 1.0) == 0.0
 
 
 class TestSaddleTail:
     """Weights other than one +/- pair, which take the saddlepoint contour
     integral, against independent references to 1e-9 relative."""
 
-    spec = MixtureSpec((2.0, -2.0, 0.5, -0.5), 0.8)
+    weights, scale = (2.0, -2.0, 0.5, -0.5), 0.8
 
     def test_two_pairs_match_convolution(self):
         for t in (-50.0, -20.0, -3.0, -0.5, 0.0, 0.5, 3.0, 20.0, 60.0, 100.0, 150.0, 400.0):
             exact = two_pair_tail(t, 2.0 * 0.8, 0.5 * 0.8)
-            p = mixture_tail(t, self.spec)
+            p = mixture_tail(t, self.weights, self.scale)
             assert abs(p - exact) <= 1e-9 * exact, (t, p, exact)
 
     def test_equal_weights_match_chisq(self):
         checked = 0
         for m in (1, 2, 3, 4, 6, 10, 20):
-            spec = MixtureSpec((1.0,) * m, 1.0)
+            weights, scale = (1.0,) * m, 1.0
             for t in np.logspace(-9, math.log10(3000.0), 80):
                 exact = chisq_sf(t, m)
                 if exact < 1e-300:
                     continue
-                p = mixture_tail(float(t), spec)
+                p = mixture_tail(float(t), weights, scale)
                 assert abs(p - exact) <= 1e-9 * exact, (m, t, p, exact)
                 checked += 1
         assert checked == 540  # the last t is 1008 for m <= 10, 1450 for m = 20
@@ -457,7 +464,8 @@ class TestSaddleTail:
     @example(t1=-1e-300, t2=0.0)  # the mirrored side meets the direct one at 0
     def test_monotone_in_threshold(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        assert mixture_tail(lo, self.spec) >= mixture_tail(hi, self.spec) * (1.0 - 1e-9)
+        upper = mixture_tail(hi, self.weights, self.scale)
+        assert mixture_tail(lo, self.weights, self.scale) >= upper * (1.0 - 1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(t=st.floats(allow_nan=False, allow_infinity=False))
@@ -466,24 +474,24 @@ class TestSaddleTail:
     @example(t=1e308)
     @example(t=-1e308)
     def test_any_finite_threshold(self, t):
-        p = mixture_tail(t, self.spec)
+        p = mixture_tail(t, self.weights, self.scale)
         assert 0.0 <= p <= 1.0
         if abs(t) >= 1e6:
             assert p == float(t < 0.0)
 
     def test_weights_beyond_double_range_rejected(self):
-        spec = MixtureSpec((1e-300, -1e10), 1.0)
+        weights, scale = (1e-300, -1e10), 1.0
         with pytest.raises(ValueError, match="more than the double range"):
-            mixture_tail(1.0, spec)
-        assert 0.0 < mixture_tail(-1.0, spec) < 1.0
+            mixture_tail(1.0, weights, scale)
+        assert 0.0 < mixture_tail(-1.0, weights, scale) < 1.0
 
     def test_node_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numerics, "_CONTOUR_NODES", 8)
         with pytest.raises(IntegrationFailure, match="did not converge within 8 nodes"):
-            mixture_tail(3.0, self.spec)
+            mixture_tail(3.0, self.weights, self.scale)
 
 
 def test_module_functions_are_pure():
     # Same inputs, same outputs (no hidden state).
-    spec = MixtureSpec((1.0, -2.0), 0.7)
-    assert mixture_tail(1.3, spec) == mixture_tail(1.3, spec)
+    weights, scale = (1.0, -2.0), 0.7
+    assert mixture_tail(1.3, weights, scale) == mixture_tail(1.3, weights, scale)
