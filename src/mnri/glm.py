@@ -292,24 +292,27 @@ def _fit_tagged(y, design, link, model_name: str, start=None) -> FittedModel:
         raise type(exc)(f"{model_name} model: {exc}", model=model_name) from exc
 
 
-def _to_raw(model: FittedModel, shift, scale) -> FittedModel:
+def _to_raw(model: FittedModel, shift, scale, model_name: str) -> FittedModel:
     """Restate the coefficients of a fit on (X - shift)/scale for the raw
     columns X: b = J^-1 b~ for J = diag(scale) + e0 shift'."""
-    coefficients = model.coefficients / scale
-    coefficients[0] -= shift @ coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients = model.coefficients / scale
+        coefficients[0] -= shift @ coefficients
+    if not np.isfinite(coefficients).all():
+        raise FitError(f"{model_name} model: coefficients leave the double range", model_name)
     return replace(model, coefficients=coefficients)
 
 
 def fit_nested(data: Dataset, link: Link) -> NestedFits:
     """Fit the expanded, base, and constant models on one dataset.
 
-    Fisher scoring runs on [x, z] with each column but the intercept
-    centred at its mean and divided by its root mean square about it (or by
-    1 when that is 0), taken after an exact power-of-two scaling that keeps
-    its squares in range in any units. That design is built once, in
-    column-major order, and standardized in place; the base fit runs on its
-    leading p columns, a view. The expanded and base coefficients are
-    restated for the raw columns; their information stays standardized. The
+    Fisher scoring runs on [x, z] with each column but the intercept centred at
+    its mean and divided by its root mean square about it (or by 1 when that is
+    0), taken after an exact power-of-two scaling that keeps its squares in
+    range in any units. That design is built once, in column-major order, and
+    standardized in place; the base fit runs on its leading p columns, a view.
+    The expanded and base coefficients are restated for the raw columns (a
+    FitError past the double range); their information stays standardized. The
     base fit starts from the expanded fit's b-part (zeros when q = 0); the
     constant fit from its MLE, G^-1(ybar)."""
     p = data.p
@@ -318,7 +321,7 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
     design[:, p:] = data.z
     # Largest |entry| into [1/2, 1): exact, so in-range columns keep every bit.
     power = np.frexp(np.maximum(design.max(axis=0), -design.min(axis=0)))[1]
-    design *= np.ldexp(1.0, -power)
+    np.ldexp(design, -power, out=design)
     ones = data.x[:, 0]  # the intercept column: column sums are ones @ columns
     shift = ones @ design / data.n
     shift[0] = 0.0
@@ -332,8 +335,8 @@ def fit_nested(data: Dataset, link: Link) -> NestedFits:
     base = _fit_tagged(data.y, design[:, :p], link, "base", base_start)
     constant_start = [link.eta(data.ybar)]
     constant = _fit_tagged(data.y, np.ones((data.n, 1)), link, "constant", constant_start)
-    expanded = _to_raw(expanded, shift, scale)
-    base = _to_raw(base, shift[:p], scale[:p])
+    expanded = _to_raw(expanded, shift, scale, "expanded")
+    base = _to_raw(base, shift[:p], scale[:p], "base")
     return NestedFits(expanded=expanded, base=base, constant=constant, link=link, data=data,
                       scale=scale)
 
@@ -355,10 +358,9 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     except NotPositiveDefinite as exc:
         raise RankDeficient(f"expanded model: singular information: {exc}", "expanded") from exc
     tail = lower[p:, p:] / unit[p:, None]
-    scale = fits.scale[p:]
     with np.errstate(over="ignore"):
-        blocks = (tail @ tail.T) * np.outer(scale, scale)
-    if not (np.isfinite(blocks).all() and blocks.diagonal().min() > 0.0):
+        blocks = (tail @ tail.T) * np.outer(fits.scale[p:], fits.scale[p:])
+    if not (np.isfinite(blocks).all() and (blocks.diagonal() > 0.0).all()):
         raise FitError("expanded model: information on the new columns leaves the double "
                        "range in their units", "expanded")
     return blocks

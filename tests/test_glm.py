@@ -488,6 +488,18 @@ class TestFitNested:
                 information_blocks(got)
             assert excinfo.value.model == "expanded"
 
+    @pytest.mark.parametrize("column", [1, 2], ids=["x", "z"])
+    def test_subnormal_column_is_fit_error(self, column):
+        # Scaled into [1/2, 1), a covariate times 2^-1070 fits, but its slope
+        # in its own units, about 2^1070, is past the double range.
+        data = make_data(n=300, seed=5)
+        design = np.column_stack([data.x, data.z])
+        design[:, column] = np.ldexp(design[:, column], -1070)
+        tiny = Dataset(y=data.y, x=design[:, :2], z=design[:, 2:])
+        with pytest.raises(FitError, match="coefficients leave the double range") as excinfo:
+            fit_nested(tiny, LOGIT)
+        assert excinfo.value.model == "expanded"
+
     @pytest.mark.parametrize("value", [3.0, 0.1, 2000.3])
     def test_constant_z_tagged_expanded(self, value):
         data = make_data(n=100)
@@ -509,6 +521,7 @@ class TestFitNested:
             assert getattr(fits.base, name).tobytes() == getattr(fits.expanded, name).tobytes()
         assert fits.base.loglik == fits.expanded.loglik
         assert fits.base.iterations == fits.expanded.iterations
+        assert information_blocks(fits).shape == (0, 0)
 
     def test_warm_starts_save_iterations(self):
         cfg = sim.SimConfig(n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=1, seed=901)
