@@ -24,7 +24,17 @@ from .errors import (
     Separation,
     TooFewDistinctValues,
 )
-from .glm import LOGIT, PROBIT, Dataset, FittedModel, Link, NestedFits, fit, fit_nested
+from .glm import (
+    LOGIT,
+    PROBIT,
+    BatchFit,
+    Dataset,
+    FittedModel,
+    Link,
+    NestedFits,
+    fit,
+    fit_nested,
+)
 from .inference import (
     TestResult,
     k_constant,
@@ -52,7 +62,7 @@ __all__ = [
     "AllTies", "DegenerateOutcome", "ExcessiveFitFailures", "FitError",
     "IntegrationFailure", "MnriError", "NoConvergence", "NotPositiveDefinite",
     "RankDeficient", "Separation", "TooFewDistinctValues",
-    "LOGIT", "PROBIT", "Dataset", "FittedModel", "Link", "NestedFits",
+    "LOGIT", "PROBIT", "BatchFit", "Dataset", "FittedModel", "Link", "NestedFits",
     "fit", "fit_nested",
     "TestResult", "k_constant", "mixture_weights", "test_mnri_single",
     "test_mnri_train_test", "test_nri_normal_legacy",

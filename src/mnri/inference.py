@@ -6,7 +6,8 @@ Three references are implemented:
   ``n T`` compared with ``k chi2_q``, ``k = phi(0) / (pi (1-pi))``;
 * a weighted chi-square mixture ``(k/2) sum lambda_j chi2_1j`` for the
   train/test statistic, with the 2q eigenvalue weights coming in +/-
-  pairs from the two samples' gamma-coefficient information; for q = 1
+  pairs from the two samples' gamma-coefficient information, times
+  sqrt(n_test / n_train) when the samples differ in size; for q = 1
   ``numerics.mixture_tail(t, weights, k/2)`` sums the pair's tail (1/pi)
   int_a^inf K0, a = |t| / 2c, by the trapezoid rule, within about 1e-15
   (1 + a) relative; for q >= 2 it takes Rice's saddlepoint contour integral;
@@ -20,6 +21,7 @@ the statistic back into the p-value, exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,12 +139,19 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
 
 def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     """One-sided test of the train/test smooth mNRI against its weighted
-    chi-square mixture reference; ``stats`` is ``reclass.half_nris(pair)``."""
+    chi-square mixture reference; ``stats`` is ``reclass.half_nris(pair)``.
+
+    The weights are those of the per-observation information blocks times
+    sqrt(n_test / n_train): the statistic, n_test times the smooth mNRI,
+    behaves as n_test g_train' Gamma_test^-1 g_test, and the spread of the
+    training estimate g_train is set by n_train. At equal sizes the factor
+    is exactly 1."""
     data = pair.data
     statistic = data.n * stats.mnri_smooth
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
     weights = mixture_weights(information_blocks(pair.test_fits),
                               information_blocks(pair.train_fits))
+    weights *= math.sqrt(data.n / pair.train_fits.data.n)
     scale = k_constant(data.ybar) / 2.0
     reference = {"kind": "chisq_mixture", "scale": scale, "weights": weights.tolist()}
     return TestResult(statistic, reference, numerics.mixture_tail(statistic, weights, scale))

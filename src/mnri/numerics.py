@@ -1,8 +1,9 @@
 """Deterministic numerical kernels.
 
-Symmetric positive definite factorizations and solves (LAPACK Cholesky
-with a relative pivot check; as in LAPACK, only the lower triangle is
-read, so callers pass symmetric matrices), normal/chi-square distribution
+Symmetric positive definite factorizations and solves, of one matrix or
+row by row of a stack (LAPACK Cholesky with a relative pivot check; as in
+LAPACK, only the lower triangle is read, so callers pass symmetric
+matrices), normal/chi-square distribution
 functions, and tail probabilities of weighted chi-square mixtures given
 by their weights and scale: a single +/- pair by one trapezoid sum, within
 about 1e-15 (1 + |t| / 2c) relative, any other weights by Rice's integral.
@@ -40,6 +41,36 @@ _LOG_UNDERFLOW = math.log(5e-324) - 1.0
 _DOUBLE_MAX = float(np.finfo(float).max)
 
 
+def _pivots_pass(lower, info, tol):
+    """The pivot rule on ``dpotrf``'s factors (..., m, m) and info codes:
+    every pivot above tol. A complete factor has positive diagonal entries,
+    so its smallest pivot is the square of its smallest entry. Squared as a
+    product, as the array square of ``_pivot_failure`` is: a scalar ** 2
+    goes through pow, which can round the other way."""
+    smallest = lower.diagonal(axis1=-2, axis2=-1).min(axis=-1)
+    return (info == 0) & (smallest * smallest > tol)
+
+
+def _pivot_failure(lower, info, tol) -> NotPositiveDefinite:
+    """The error naming the failing pivot of a factor that fails the rule:
+    the smallest square, or the one <= 0 or NaN at which dpotrf stopped
+    (info - 1), left there as it was."""
+    pivots = lower.diagonal() ** 2
+    if info > 0:
+        pivots[info - 1] = lower[info - 1, info - 1]
+    j = int(np.argmin(pivots > tol))
+    return NotPositiveDefinite(
+        f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}"
+    )
+
+
+def _tolerance(a):
+    """The pivot tolerance ``1e-12 * max(diag, 0)`` of a matrix, or of each
+    matrix of a stack; a largest diagonal entry of -0.0 or NaN is kept."""
+    top = a.diagonal(axis1=-2, axis2=-1).max(axis=-1)
+    return _SPD_PIVOT_RTOL * np.where(0.0 > top, 0.0, top)
+
+
 def cholesky_spd(a) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -52,25 +83,11 @@ def cholesky_spd(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    tol = _SPD_PIVOT_RTOL * max(float(a.diagonal().max()), 0.0)
+    tol = float(_tolerance(a))
     lower, info = lapack.dpotrf(a, lower=1, clean=1)
-    diagonal = lower.diagonal()
-    # A complete factor has positive diagonal entries, so its smallest
-    # pivot is the square of its smallest entry. Squared as a product, as
-    # the array square below is: a scalar ** 2 goes through pow, which can
-    # round the other way.
-    smallest = diagonal.min()
-    if info == 0 and smallest * smallest > tol:
-        return lower
-    # A pivot fails: the smallest square, or the one <= 0 or NaN at which
-    # dpotrf stopped (info - 1), left there as it was.
-    pivots = diagonal**2
-    if info > 0:
-        pivots[info - 1] = lower[info - 1, info - 1]
-    j = int(np.argmin(pivots > tol))
-    raise NotPositiveDefinite(
-        f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}"
-    )
+    if not _pivots_pass(lower, info, tol):
+        raise _pivot_failure(lower, info, tol)
+    return lower
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -78,6 +95,29 @@ def solve_spd(a, b) -> np.ndarray:
     only the lower triangle is read."""
     x, _ = lapack.dpotrs(cholesky_spd(a), np.asarray(b, dtype=float), lower=1)
     return x
+
+
+def solve_spd_rows(a, b) -> tuple[np.ndarray, dict]:
+    """Solve ``a[r] @ x[r] = b[r]`` for each row r of a stack of symmetric
+    matrices (R, m, m) and vectors (R, m), as ``solve_spd`` solves that row
+    alone: ``dpotrf`` and ``dpotrs`` on each row, under the pivot rule of
+    ``cholesky_spd``. (numpy's stacked Cholesky is not used: from m = 5 its
+    factors can differ from ``dpotrf``'s in the last bit.) Returns x and
+    ``{r: NotPositiveDefinite}`` for the rows that fail, whose rows of x
+    are unset."""
+    factors = [lapack.dpotrf(matrix, lower=1, clean=1) for matrix in a]
+    lower = np.array([factor for factor, _ in factors])
+    info = np.array([code for _, code in factors])
+    tol = _tolerance(a)
+    passed = _pivots_pass(lower, info, tol)
+    x = np.empty(b.shape)
+    failures = {}
+    for r, ((factor, code), rhs) in enumerate(zip(factors, b)):
+        if passed[r]:
+            x[r] = lapack.dpotrs(factor, rhs, lower=1)[0]
+        else:
+            failures[r] = _pivot_failure(factor, code, tol[r])
+    return x, failures
 
 
 def norm_pdf(x):

@@ -22,6 +22,16 @@ mNRI and legacy NRI p-values, n * smooth mNRI / k-hat, n * smooth NRI and
 its redraws. The size tables of ``run_cell`` threshold the p-values;
 ``_run_replicates`` returns the two scaled statistics beside them, for
 null-distribution diagnostics.
+
+A cell runs its replicates in chunks of at most ``_CHUNK_OBSERVATIONS``
+observations (replicates x n), so its memory does not grow with the
+replicate count. A chunk draws the first attempt of each of its
+replicates and fits each part as one batch, a leading replicate axis for
+``glm.fit_nested``, which returns each row's fits or its FitError. Each
+replicate's record then comes from its own fits; one whose first attempt
+failed is redrawn under attempts 1, 2, ... and fitted alone. A row of a
+batch gets the bits it gets alone, so the records do not depend on the
+chunks or on the worker count.
 """
 from __future__ import annotations
 
@@ -41,6 +51,9 @@ DEFAULT_SEED = 1729
 
 _MAX_ATTEMPTS = 50
 _FAILURE_BUDGET = 0.01
+# Observations (replicates x n) per batch of fits, so that a cell's memory
+# does not grow with its replicate count.
+_CHUNK_OBSERVATIONS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,23 +131,34 @@ def gen_replicate(config: SimConfig, stream: np.random.Generator) -> Dataset:
     return Dataset(y=y, x=np.column_stack([np.ones(n), x]), z=z[:, None])
 
 
-def _fitted(config: SimConfig, cell: int, rep: int, attempt: int, part: int = 0) -> NestedFits:
-    """Draw one dataset under its stream key and fit the nested models."""
-    data = gen_replicate(config, replicate_stream(config.seed, cell, rep, attempt, part))
-    return glm.fit_nested(data, LOGIT)
+def _attempt_fits(config: SimConfig, cell: int, reps: range, attempt: int) -> list[list]:
+    """One attempt of each replicate in reps: per part (the training and
+    test samples in train/test mode), its fits, or the FitError or
+    DegenerateOutcome met on the way. Each part's datasets are drawn under
+    their stream keys and fitted as one batch."""
+    parts = []
+    for part in range(1 if config.mode == "single" else 2):
+        drawn = []
+        for rep in reps:
+            try:
+                stream = replicate_stream(config.seed, cell, rep, attempt, part)
+                drawn.append(gen_replicate(config, stream))
+            except DegenerateOutcome as exc:
+                drawn.append(exc)
+        datasets = [d for d in drawn if isinstance(d, Dataset)]
+        fitted = iter(glm.fit_nested(datasets, LOGIT) if datasets else ())
+        parts.append([next(fitted) if isinstance(d, Dataset) else d for d in drawn])
+    return [list(fits) for fits in zip(*parts)]
 
 
-def _trial(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float, ...]:
-    """One attempt's record: the p-values of the mNRI test and the legacy
-    NRI test, n * smooth mNRI / k-hat and n * smooth NRI."""
+def _trial(config: SimConfig, parts: list[NestedFits]) -> tuple[float, ...]:
+    """One attempt's record from the fits of its parts: the p-values of the
+    mNRI test and the legacy NRI test, n * smooth mNRI / k-hat and n * smooth
+    NRI."""
     if config.mode == "single":
-        fits = _fitted(config, cell, rep, attempt)
-        test_mnri = inference.test_mnri_single
+        fits, test_mnri = parts[0], inference.test_mnri_single
     else:
-        fits = TrainTestPair(
-            train_fits=_fitted(config, cell, rep, attempt, part=0),
-            test_fits=_fitted(config, cell, rep, attempt, part=1),
-        )
+        fits = TrainTestPair(train_fits=parts[0], test_fits=parts[1])
         test_mnri = inference.test_mnri_train_test
     stats = reclass.half_nris(fits)
     n, k = fits.data.n, inference.k_constant(fits.data.ybar)
@@ -147,17 +171,31 @@ def _trial(config: SimConfig, cell: int, rep: int, attempt: int) -> tuple[float,
 
 
 def _replicate_rejections(args) -> tuple:
-    """One replicate's record: ``_trial`` for attempt 0, 1, ... until its
-    fits succeed, followed by the number of redraws used."""
-    config, cell, rep = args
+    """One replicate's record: ``_trial`` of its attempt-0 fits, made in its
+    chunk's batch, or else of attempt 1, 2, ..., each drawn and fitted alone,
+    until one succeeds; followed by the number of redraws used."""
+    config, cell, rep, parts = args
     for attempt in range(_MAX_ATTEMPTS):
-        try:
-            return (*_trial(config, cell, rep, attempt), attempt)
-        except (FitError, DegenerateOutcome):
-            continue
+        if attempt:
+            (parts,) = _attempt_fits(config, cell, range(rep, rep + 1), attempt)
+        if all(isinstance(fits, NestedFits) for fits in parts):
+            try:
+                return (*_trial(config, parts), attempt)
+            except (FitError, DegenerateOutcome):
+                pass
     raise ExcessiveFitFailures(
         f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row"
     )
+
+
+def _chunk_records(args) -> list[tuple]:
+    """The records of a run of replicates, in order: their attempt 0 fitted
+    as one batch per part, then ``_replicate_rejections`` once per replicate."""
+    config, cell, reps = args
+    return [
+        _replicate_rejections((config, cell, rep, parts))
+        for rep, parts in zip(reps, _attempt_fits(config, cell, reps, 0))
+    ]
 
 
 def _usable_cpus() -> int:
@@ -169,22 +207,30 @@ def _usable_cpus() -> int:
 def _run_replicates(config: SimConfig, cell: int, workers: int):
     """Run the cell's replicates, in replicate order, and enforce the
     failure budget. Returns the record fields column by column, and the
-    total redraws."""
-    args_list = [(config, cell, rep) for rep in range(config.replicates)]
+    total redraws.
+
+    The replicates run in chunks of at most ``_CHUNK_OBSERVATIONS`` / n,
+    each fitted as one batch; a pool gets about four chunks per worker."""
+    reps = config.replicates
     # A pool starts all its processes up front; more than one per replicate
     # or per usable CPU would sit idle.
-    workers = min(workers, len(args_list), _usable_cpus())
+    workers = min(workers, reps, _usable_cpus())
+    size = max(1, _CHUNK_OBSERVATIONS // config.n)
+    if workers > 1:
+        size = min(size, -(-reps // (4 * workers)))
+    chunks = [(config, cell, range(start, min(start + size, reps)))
+              for start in range(0, reps, size)]
     if workers <= 1:
-        results = [_replicate_rejections(args) for args in args_list]
+        results = [_chunk_records(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(args_list) // (8 * workers))
-            results = list(pool.map(_replicate_rejections, args_list, chunksize=chunk))
-    *columns, redraws = (np.array(column) for column in zip(*results))
+            results = list(pool.map(_chunk_records, chunks))
+    records = [record for chunk in results for record in chunk]
+    *columns, redraws = (np.array(column) for column in zip(*records))
     redraws = int(redraws.sum())
-    if redraws > _FAILURE_BUDGET * config.replicates:
+    if redraws > _FAILURE_BUDGET * reps:
         raise ExcessiveFitFailures(
-            f"{redraws} failed fits over {config.replicates} replicates "
+            f"{redraws} failed fits over {reps} replicates "
             f"exceeds the {_FAILURE_BUDGET:.0%} budget"
         )
     return columns, redraws

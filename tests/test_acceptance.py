@@ -12,6 +12,7 @@ mu_x = 1, where the documented method cannot reach them, they serve as upper
 bounds (see the note above TABLE1_NRI).
 """
 
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,7 @@ from scipy import stats
 from scipy.special import expit
 
 from mnri import glm, inference, numerics, reclass, sim
+from mnri.errors import FitError
 from mnri.glm import LOGIT, Dataset
 from mnri.numerics import mixture_tail, norm_cdf
 from mnri.reclass import extended_indicator
@@ -179,6 +181,53 @@ def test_criterion_2_table2_train_test(table2_rows):
              f"mnri column {'ok' if mnri_ok else 'FAIL'}, legacy column {'ok' if nri_ok else 'FAIL'}")
     assert mnri_ok, "train/test mNRI rejection rate left the 0.05 +/- 0.015 band"
     assert nri_ok, LEGACY_MESSAGE
+
+
+# Train/test pairs whose samples differ in size, (n_train, n_test), drawn as
+# the Table 2 cells are at pi0 = 0.5, mu_x = 1; fitted in batches of
+# UNEQUAL_CHUNK replicates.
+UNEQUAL_SIZES = [(300, 1500), (1500, 300)]
+UNEQUAL_CHUNK = 250
+
+
+def unequal_size_p_values(n_train: int, n_test: int) -> tuple[np.ndarray, int]:
+    """mNRI p-values of REPLICATES enforced-null train/test pairs of sizes
+    n_train and n_test, each sample drawn under simulate's stream key for its
+    part (cell 0, attempt 0), and the number of pairs left out because a fit
+    failed."""
+    train = sim.SimConfig(n=n_train, pi0=0.5, mu_x=1.0, rho=0.0, replicates=REPLICATES,
+                          seed=ACCEPT_SEED)
+    configs = (train, dataclasses.replace(train, n=n_test))
+    p_values, failed = [], 0
+    for start in range(0, REPLICATES, UNEQUAL_CHUNK):
+        reps = range(start, min(start + UNEQUAL_CHUNK, REPLICATES))
+        parts = [
+            glm.fit_nested([sim.gen_replicate(config, sim.replicate_stream(ACCEPT_SEED, 0, rep, 0, part))
+                            for rep in reps], LOGIT)
+            for part, config in enumerate(configs)
+        ]
+        for train_fits, test_fits in zip(*parts):
+            if isinstance(train_fits, FitError) or isinstance(test_fits, FitError):
+                failed += 1
+                continue
+            pair = reclass.TrainTestPair(train_fits=train_fits, test_fits=test_fits)
+            p_values.append(inference.test_mnri_train_test(pair, reclass.half_nris(pair)).p_value)
+    return np.array(p_values), failed
+
+
+@pytest.mark.parametrize("n_train, n_test", UNEQUAL_SIZES)
+def test_criterion_11_unequal_train_test_size(n_train, n_test):
+    # The training estimate's spread is set by n_train, the statistic's by
+    # n_test. Without the sqrt(n_test / n_train) factor on the weights the
+    # test rejects 0.159 of these nulls at (300, 1500) and 0.0085 at
+    # (1500, 300).
+    p_values, failed = unequal_size_p_values(n_train, n_test)
+    rate = float((p_values <= 0.05).mean())
+    ok = failed <= 0.01 * REPLICATES and MNRI_BAND[0] <= rate <= MNRI_BAND[1]
+    announce(11, f"train/test size at n_train={n_train}, n_test={n_test}", ok,
+             f"mnri={rate:.4f} over {p_values.size} pairs, {failed} failed fits")
+    assert failed <= 0.01 * REPLICATES
+    assert MNRI_BAND[0] <= rate <= MNRI_BAND[1], rate
 
 
 def test_criterion_3_chisq_calibration(null_draws):

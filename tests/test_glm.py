@@ -345,6 +345,111 @@ class TestBitIdentity:
         assert halved == {"logit", "probit"}
 
 
+def batch_cases(n=200):
+    """A batch of outcomes (R, n) and designs stored (R, m, n), m = 3: five
+    ordinary rows, then a separated row and a collinear row."""
+    ys, stored = [], []
+    for seed in range(5):
+        data = make_data(n=n, seed=seed, gamma=0.3 * seed)
+        ys.append(data.y)
+        stored.append(np.hstack([data.x, data.z]).T)
+    rng = np.random.default_rng(9)
+    x1 = rng.standard_normal(n)
+    ys.append((x1 > 0).astype(float))
+    stored.append(np.array([np.ones(n), x1, rng.standard_normal(n)]))
+    ys.append(make_data(n=n, seed=7).y)
+    stored.append(np.array([np.ones(n), x1, 2.0 * x1]))
+    return np.array(ys), np.array(stored)
+
+
+def assert_same_fit(got, want):
+    for name in ("coefficients", "linear_predictor", "fitted_probs", "expected_information"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.loglik == want.loglik
+    assert got.iterations == want.iterations
+
+
+def raised_by(call):
+    try:
+        call()
+    except FitError as exc:
+        return exc
+    raise AssertionError("expected a FitError")
+
+
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+    assert getattr(got, "model", None) == getattr(want, "model", None)
+
+
+class TestBatch:
+    # A batch runs each row's arithmetic: every row matches fit on that row's
+    # design in column-major order, to the bit, and a failing row gets the
+    # error fit raises on it alone, while the other rows go on.
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    @pytest.mark.parametrize("layout", ["column-major", "row-major"])
+    def test_rows_match_single_fits(self, link, layout):
+        y, stored = batch_cases()
+        design = stored.transpose(0, 2, 1)
+        batch = fit(y, design if layout == "column-major" else np.ascontiguousarray(design), link)
+        assert type(batch.iterations) is int
+        fitted = []
+        for r, got in enumerate(batch.rows):
+            alone = np.asfortranarray(design[r])
+            if r < 5:
+                assert_same_fit(got, fit(y[r], alone, link))
+                fitted.append(got.iterations)
+            else:
+                assert_same_error(got, raised_by(lambda: fit(y[r], alone, link)))
+        assert isinstance(batch.rows[5], (Separation, NoConvergence))
+        assert isinstance(batch.rows[6], RankDeficient)
+        assert batch.iterations >= max(fitted)
+
+    def test_rows_match_single_fits_from_starts(self):
+        y, stored = batch_cases()
+        y, design = y[:5], stored[:5].transpose(0, 2, 1)
+        start = 0.5 * np.array([fit(y[r], design[r], LOGIT).coefficients for r in range(5)])
+        batch = fit(y, design, LOGIT, start=start)
+        for r, got in enumerate(batch.rows):
+            assert_same_fit(got, fit(y[r], design[r], LOGIT, start=start[r]))
+
+    def test_batch_input_errors_are_raised(self):
+        y, stored = batch_cases()
+        design = stored.transpose(0, 2, 1)
+        with pytest.raises(ValueError, match="start must hold 3 coefficients"):
+            fit(y, design, LOGIT, start=np.zeros(3))
+        with pytest.raises(ValueError, match="at least one design"):
+            fit(y[:0], design[:0], LOGIT)
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_fit_nested_rows_match_single_datasets(self, link):
+        datasets = [make_data(n=200, seed=seed, gamma=0.4, link=link) for seed in range(4)]
+        rng = np.random.default_rng(3)
+        x1 = rng.standard_normal(200)
+        separated = Dataset(y=(x1 > 0).astype(float), x=np.column_stack([np.ones(200), x1]),
+                            z=rng.standard_normal((200, 1)))
+        collinear = Dataset(y=datasets[0].y, x=datasets[0].x, z=datasets[0].x[:, [1]])
+        datasets[2:2] = [separated, collinear]
+        results = fit_nested(datasets, link)
+        assert [isinstance(got, FitError) for got in results] == [False] * 2 + [True] * 2 + [False] * 2
+        for data, got in zip(datasets, results):
+            if isinstance(got, FitError):
+                assert_same_error(got, raised_by(lambda: fit_nested(data, link)))
+                continue
+            want = fit_nested(data, link)
+            for name in ("expanded", "base", "constant"):
+                assert_same_fit(getattr(got, name), getattr(want, name))
+            assert got.scale.tobytes() == want.scale.tobytes()
+            assert got.data is data
+
+    def test_fit_nested_batch_needs_one_shape(self):
+        with pytest.raises(ValueError, match="share n, p and q"):
+            fit_nested([make_data(n=200), make_data(n=201)], LOGIT)
+        with pytest.raises(ValueError, match="at least one dataset"):
+            fit_nested([], LOGIT)
+
+
 class TestFitNested:
     def test_loglik_ordering(self):
         fits = fit_nested(make_data(), LOGIT)
@@ -525,7 +630,7 @@ class TestFitNested:
 
     def test_warm_starts_save_iterations(self):
         cfg = sim.SimConfig(n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=1, seed=901)
-        fits = sim._fitted(cfg, 0, 0, 0)
+        ((fits,),) = sim._attempt_fits(cfg, 0, range(1), 0)
         cold_base = fit(fits.data.y, fits.data.x, LOGIT)
         assert fits.constant.iterations == 1
         assert fits.base.iterations < cold_base.iterations
@@ -572,7 +677,8 @@ class TestLargeDesigns:
             "strided": np.repeat(design, 2, axis=1)[:, ::2],
         }
         with monkeypatch.context() as patch:
-            patch.setattr(glm, "_information", lambda x, w: x.T @ (x * w[:, None]))
+            patch.setattr(glm, "_information",
+                          lambda x, w: np.matmul(x.transpose(0, 2, 1), x * w[:, :, None]))
             reference = fit(y, design, link)
         for layout, x in layouts.items():
             assert np.array_equal(x, design), layout

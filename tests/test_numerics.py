@@ -20,6 +20,7 @@ from mnri.numerics import (
     norm_cdf,
     norm_pdf,
     solve_spd,
+    solve_spd_rows,
 )
 from matrix_cases import random_cell, symmetric_matrix
 from mixture_reference import chisq_cdf, two_pair_tail
@@ -126,6 +127,31 @@ class TestSolveSpd:
             with pytest.raises(NotPositiveDefinite) as raised:
                 cholesky_spd(a)
             assert str(raised.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pivot_cases())
+    # numpy's stacked Cholesky factors this one a bit away from dpotrf.
+    @example(case=[[2.0, 0.0, 1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 3.0, 0.0, 2.0],
+                   [0.0, 0.0, 0.0, 1.0, 0.0], [2.0, 0.0, 2.0, 0.0, 6.0]])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_stacked_rows_solve_as_alone(self, case):
+        # Between two SPD rows, each row of a stack gets the bits, or the
+        # error, that solve_spd gives it alone.
+        a = np.array(case)
+        k = a.shape[0]
+        rng = np.random.default_rng(k)
+        m = rng.standard_normal((k, k))
+        spd = m @ m.T + np.eye(k)
+        stack, b = np.array([spd, a, 2.0 * spd]), rng.standard_normal((3, k))
+        x, failures = solve_spd_rows(stack, b)
+        for r in range(3):
+            try:
+                want = solve_spd(stack[r], b[r])
+            except NotPositiveDefinite as exc:
+                assert str(failures[r]) == str(exc)
+            else:
+                assert r not in failures
+                assert x[r].tobytes() == want.tobytes()
 
     def test_pivot_tolerance_relative_to_diagonal(self):
         # Collinearity at a scale far above machine noise still trips.

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mnri import numerics, sim
+from mnri import glm, numerics, sim
 from mnri.errors import ExcessiveFitFailures
+from mnri.glm import LOGIT, NestedFits
 from mnri.sim import (
     SimConfig,
     gen_replicate,
@@ -194,29 +195,126 @@ class TestRunCell:
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
     def test_one_statistics_pass_per_attempt(self, half_nris_calls, mode):
-        sim._trial(config(mode=mode), 0, 0, 0)
+        cfg = config(mode=mode)
+        (parts,) = sim._attempt_fits(cfg, 0, range(1), 0)
+        sim._trial(cfg, parts)
         assert len(half_nris_calls) == 1
 
     def test_one_task_per_replicate(self, monkeypatch):
-        # The pool task is the per-replicate boundary the benchmark traces.
-        results = []
+        # Each chunk's task calls _replicate_rejections once per replicate, in
+        # order, with the replicate's attempt-0 fits from the chunk's batch.
+        calls = []
         original = sim._replicate_rejections
 
         def counted(args):
-            results.append(original(args))
-            return results[-1]
+            calls.append(args)
+            return original(args)
 
         monkeypatch.setattr(sim, "_replicate_rejections", counted)
+        monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", 3 * 200)
         cfg = config(replicates=7)
         run_cell(cfg, workers=1)
-        assert len(results) == cfg.replicates
-        assert all(type(result[-1]) is int for result in results)
+        assert [(c, cell, rep) for c, cell, rep, _ in calls] == [(cfg, 0, rep) for rep in range(7)]
+        assert all(isinstance(fits, NestedFits) for *_, parts in calls for fits in parts)
 
     def test_excessive_failures_abort(self):
         # Near-disjoint classes separate almost every draw.
         cfg = config(n=50, mu_x=8.0, replicates=10)
         with pytest.raises(ExcessiveFitFailures):
             run_cell(cfg)
+
+
+# A cell with redraws in both modes: nearly separated classes make about
+# one attempt in five fail to fit.
+REDRAW_CELL = dict(n=60, pi0=0.15, mu_x=2.5, rho=0.3, replicates=30, seed=12)
+
+
+class TestBatches:
+    @pytest.fixture(autouse=True)
+    def no_budget(self, monkeypatch):
+        monkeypatch.setattr(sim, "_FAILURE_BUDGET", 1.0)
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    @pytest.mark.parametrize("cell", [dict(replicates=30), REDRAW_CELL], ids=["plain", "redraws"])
+    def test_records_do_not_depend_on_chunks(self, monkeypatch, mode, cell):
+        cfg = config(**{**cell, "mode": mode})
+        records = []
+        for reps_per_chunk in (1, 7, cfg.replicates):
+            monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", reps_per_chunk * cfg.n)
+            columns, redraws = sim._run_replicates(cfg, 3, 1)
+            records.append((b"".join(c.tobytes() for c in columns), redraws))
+        assert records[0] == records[1] == records[2]
+        if cell is REDRAW_CELL:
+            assert records[0][1] > 0
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_records_match_replicates_fitted_alone(self, mode):
+        # Attempt 0 of replicate r draws part k under key (seed, cell, r, 0, k).
+        cfg = config(replicates=12, mode=mode)
+        columns, redraws = sim._run_replicates(cfg, 5, 1)
+        assert redraws == 0
+        for rep in range(cfg.replicates):
+            parts = [
+                glm.fit_nested(gen_replicate(cfg, replicate_stream(cfg.seed, 5, rep, 0, part)), LOGIT)
+                for part in range(1 if mode == "single" else 2)
+            ]
+            assert sim._trial(cfg, parts) == tuple(column[rep] for column in columns)
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_records_do_not_depend_on_workers(self, mode):
+        cfg = config(**{**REDRAW_CELL, "mode": mode})
+        (one, redraws_one), (two, redraws_two) = (
+            sim._run_replicates(cfg, 1, workers) for workers in (1, 2)
+        )
+        assert redraws_one == redraws_two > 0
+        for a, b in zip(one, two):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestCallShape:
+    """The call shape a layer-by-layer trace of simulate relies on: every
+    glm.fit inside glm.fit_nested, three per call; one
+    _replicate_rejections per replicate; a fit's iterations a Python int."""
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_call_shape(self, monkeypatch, mode):
+        stack, events = [], []
+
+        def traced(module, name, measure=None):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                events.append((name, stack[-1] if stack else None, args))
+                stack.append(name)
+                try:
+                    result = original(*args, **kwargs)
+                finally:
+                    stack.pop()
+                if measure:
+                    events.append((name + ".result", None, measure(result)))
+                return result
+
+            monkeypatch.setattr(module, name, call)
+
+        traced(glm, "fit", lambda result: result.iterations)
+        traced(glm, "fit_nested")
+        traced(sim, "_replicate_rejections")
+        # Chunks of 4, 4 and 1 replicates: batches of R = 4 and R = 1.
+        monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", 4 * 200)
+        cfg = config(replicates=9, mode=mode)
+        run_cell(cfg, workers=1)
+
+        calls = [e for e in events if not e[0].endswith(".result")]
+        fits = [e for e in calls if e[0] == "fit"]
+        nested = [e for e in calls if e[0] == "fit_nested"]
+        assert all(parent == "fit_nested" for _, parent, _ in fits)
+        assert len(fits) == 3 * len(nested)
+        assert len([e for e in calls if e[0] == "_replicate_rejections"]) == cfg.replicates
+        sizes = {len(args[0]) for _, _, args in nested}
+        assert sizes == {4, 1}
+        iterations = [value for name, _, value in events if name == "fit.result"]
+        assert len(iterations) == len(fits)
+        assert all(type(value) is int for value in iterations)
 
 
 class TestRunGrid:
