@@ -34,7 +34,8 @@ to its MLE as is known: the expanded fit from b = 0; the base fit from the
 expanded fit's b-part, close to the base MLE under the null or a weak new
 covariate (b = 0 when q = 0); the constant fit from its MLE G^-1(ybar), so
 it stops after one step. ``fit_nested`` fits a batch of datasets of one
-shape with the same three ``fit`` calls, each on the stacked designs.
+shape with the same three ``fit`` calls, each on the stacked designs; the
+base and constant fits hold only the rows whose expanded fit succeeded.
 """
 from __future__ import annotations
 
@@ -355,7 +356,7 @@ def fit(y, design, link: Link, *, start=None):
     runs alone, on its design in column-major order (the stack is copied to
     that layout unless it has it), and leaves the loop once it converges or
     fails. The batch's input errors are raised; a row's FitError is returned
-    in its place in the BatchFit.
+    in its place in the BatchFit. A batch of no designs has no fits.
     """
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -366,7 +367,7 @@ def fit(y, design, link: Link, *, start=None):
     if y.shape != (rows, n):
         raise ValueError("y length must match design rows")
     if rows == 0:
-        raise ValueError("a batch needs at least one design")
+        return BatchFit(rows=(), iterations=0)
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("y must be coded 0/1")
     if (y.min(axis=1) == y.max(axis=1)).any():
@@ -400,8 +401,11 @@ def _tagged(exc: FitError, model_name: str) -> FitError:
 
 def _coefficients(fits: BatchFit, m: int) -> np.ndarray:
     """Each row's coefficients, zeros for a row whose fit failed."""
-    return np.array([model.coefficients if isinstance(model, FittedModel) else np.zeros(m)
-                     for model in fits.rows])
+    coefficients = np.zeros((len(fits.rows), m))
+    for row, model in zip(coefficients, fits.rows):
+        if isinstance(model, FittedModel):
+            row[:] = model.coefficients
+    return coefficients
 
 
 def _to_raw(coefficients, shift, scale) -> np.ndarray:
@@ -446,9 +450,11 @@ def fit_nested(data, link: Link):
 
     ``data`` may also be a sequence of Datasets of equal n, p and q, a batch.
     Their designs are stacked and each model is one ``fit`` of the stack, so
-    a batch takes three ``fit`` calls as one dataset does. Returns a list
-    holding each dataset's NestedFits, or the FitError that fit_nested raises
-    on that dataset alone, with the same bits."""
+    a batch takes three ``fit`` calls as one dataset does; the base and
+    constant fits hold only the rows whose expanded fit succeeded. Returns a
+    list holding each dataset's NestedFits, or the FitError that fit_nested
+    raises on that dataset alone, with the same bits. One dataset whose
+    expanded fit fails raises at once."""
     batch = not isinstance(data, Dataset)
     datasets = list(data) if batch else [data]
     if not datasets:
@@ -477,17 +483,28 @@ def fit_nested(data, link: Link):
     shift, scale = np.ldexp(shift, power), np.ldexp(scale, power)
     y = np.stack([d.y for d in datasets])
     expanded = fit(y, design, link)
+    if not batch and isinstance(expanded.rows[0], FitError):
+        raise _tagged(expanded.rows[0], "expanded")
     b = _coefficients(expanded, p + first.q)
-    base = fit(y, design[:, :, :p], link, start=b[:, :p] if first.q else None)
-    constant_start = [[link.eta(d.ybar)] for d in datasets]
-    constant = fit(y, np.ones((len(datasets), n, 1)), link, start=constant_start)
-    raw = zip(_to_raw(b, shift, scale), _to_raw(_coefficients(base, p), shift[:, :p], scale[:, :p]))
-    results = [
-        _nested(models, row_raw, link, d, row_scale)
-        for models, row_raw, d, row_scale in zip(
-            zip(expanded.rows, base.rows, constant.rows), raw, datasets, scale
-        )
-    ]
+    # The base and constant models are fitted on the rows whose expanded
+    # fit succeeded; the others end with its error.
+    ok = np.array([isinstance(model, FittedModel) for model in expanded.rows])
+    if ok.all():
+        ok_y, ok_design, ok_b = y, design, b
+    else:
+        ok_y, ok_design, ok_b = y[ok], stored[ok].transpose(0, 2, 1), b[ok]
+    base = fit(ok_y, ok_design[:, :, :p], link, start=ok_b[:, :p] if first.q else None)
+    constant_start = np.reshape([link.eta(d.ybar) for d, good in zip(datasets, ok) if good],
+                                (-1, 1))
+    constant = fit(ok_y, np.ones((len(ok_y), n, 1)), link, start=constant_start)
+    fitted = zip(base.rows, constant.rows,
+                 _to_raw(_coefficients(base, p), shift[ok, :p], scale[ok, :p]))
+    results = []
+    for model, raw, good, d, row_scale in zip(expanded.rows, _to_raw(b, shift, scale), ok,
+                                             datasets, scale):
+        base_model, constant_model, base_raw = next(fitted) if good else (None, None, None)
+        results.append(_nested((model, base_model, constant_model), (raw, base_raw), link, d,
+                               row_scale))
     if batch:
         return results
     if isinstance(results[0], FitError):

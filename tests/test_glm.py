@@ -419,8 +419,10 @@ class TestBatch:
         design = stored.transpose(0, 2, 1)
         with pytest.raises(ValueError, match="start must hold 3 coefficients"):
             fit(y, design, LOGIT, start=np.zeros(3))
-        with pytest.raises(ValueError, match="at least one design"):
-            fit(y[:0], design[:0], LOGIT)
+
+    def test_empty_batch_has_no_fits(self):
+        y, stored = batch_cases()
+        assert fit(y[:0], stored[:0].transpose(0, 2, 1), LOGIT) == glm.BatchFit(rows=(), iterations=0)
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
     def test_fit_nested_rows_match_single_datasets(self, link):
@@ -442,6 +444,35 @@ class TestBatch:
                 assert_same_fit(getattr(got, name), getattr(want, name))
             assert got.scale.tobytes() == want.scale.tobytes()
             assert got.data is data
+
+    def test_fit_nested_fits_later_models_on_rows_that_fit(self, monkeypatch):
+        # A row whose expanded fit fails leaves the batch: the base and
+        # constant fits hold the other rows, and one dataset stops at once.
+        good = make_data(n=200, seed=1)
+        rng = np.random.default_rng(3)
+        x1 = rng.standard_normal(200)
+        separated = Dataset(y=(x1 > 0).astype(float), x=np.column_stack([np.ones(200), x1]),
+                            z=rng.standard_normal((200, 1)))
+        collinear = Dataset(y=good.y, x=good.x, z=good.x[:, [1]])
+        rows, original = [], glm.fit
+
+        def counted(y, design, link, **kwargs):
+            rows.append(len(design) if design.ndim == 3 else None)
+            return original(y, design, link, **kwargs)
+
+        monkeypatch.setattr(glm, "fit", counted)
+        mixed = fit_nested([separated, good, collinear, good], LOGIT)
+        assert rows == [4, 2, 2]
+        assert [type(got) for got in mixed] == [Separation, NestedFits, RankDeficient, NestedFits]
+        rows.clear()
+        failed = fit_nested([separated, collinear], LOGIT)
+        assert rows == [2, 0, 0]
+        for data, got in zip((separated, collinear), failed):
+            assert_same_error(got, raised_by(lambda: fit_nested(data, LOGIT)))
+        rows.clear()
+        with pytest.raises(Separation, match="expanded model"):
+            fit_nested(separated, LOGIT)
+        assert rows == [1]
 
     def test_fit_nested_batch_needs_one_shape(self):
         with pytest.raises(ValueError, match="share n, p and q"):

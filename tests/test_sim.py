@@ -203,12 +203,13 @@ class TestRunCell:
     def test_one_task_per_replicate(self, monkeypatch):
         # Each chunk's task calls _replicate_rejections once per replicate, in
         # order, with the replicate's attempt-0 fits from the chunk's batch.
-        calls = []
+        calls, results = [], []
         original = sim._replicate_rejections
 
         def counted(args):
             calls.append(args)
-            return original(args)
+            results.append(original(args))
+            return results[-1]
 
         monkeypatch.setattr(sim, "_replicate_rejections", counted)
         monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", 3 * 200)
@@ -216,6 +217,7 @@ class TestRunCell:
         run_cell(cfg, workers=1)
         assert [(c, cell, rep) for c, cell, rep, _ in calls] == [(cfg, 0, rep) for rep in range(7)]
         assert all(isinstance(fits, NestedFits) for *_, parts in calls for fits in parts)
+        assert all(type(result[-1]) is int for result in results)
 
     def test_excessive_failures_abort(self):
         # Near-disjoint classes separate almost every draw.
