@@ -16,7 +16,6 @@ from .errors import (
     DegenerateOutcome,
     ExcessiveFitFailures,
     FitError,
-    IntegrationFailure,
     MnriError,
     NoConvergence,
     NotPositiveDefinite,
@@ -60,8 +59,8 @@ from .spline import default_knots, rcs_basis
 __all__ = [
     "__version__",
     "AllTies", "DegenerateOutcome", "ExcessiveFitFailures", "FitError",
-    "IntegrationFailure", "MnriError", "NoConvergence", "NotPositiveDefinite",
-    "RankDeficient", "Separation", "TooFewDistinctValues",
+    "MnriError", "NoConvergence", "NotPositiveDefinite", "RankDeficient",
+    "Separation", "TooFewDistinctValues",
     "LOGIT", "PROBIT", "BatchFit", "Dataset", "FittedModel", "Link", "NestedFits",
     "fit", "fit_nested",
     "TestResult", "k_constant", "mixture_weights", "test_mnri_single",

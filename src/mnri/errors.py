@@ -13,11 +13,6 @@ class NotPositiveDefinite(MnriError):
     """
 
 
-class IntegrationFailure(MnriError):
-    """The saddlepoint contour sum of a mixture tail did not converge
-    within its node cap."""
-
-
 class FitError(MnriError):
     """Base class for model-fitting failures.
 

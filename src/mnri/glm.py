@@ -40,6 +40,7 @@ base and constant fits hold only the rows whose expanded fit succeeded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit, logit, ndtri
@@ -151,7 +152,7 @@ class Dataset:
     def q(self) -> int:
         return self.z.shape[1]
 
-    @property
+    @cached_property
     def ybar(self) -> float:
         return float(self.y.mean())
 

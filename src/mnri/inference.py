@@ -10,7 +10,7 @@ Three references are implemented:
   sqrt(n_test / n_train) when the samples differ in size; for q = 1
   ``numerics.mixture_tail(t, weights, k/2)`` sums the pair's tail (1/pi)
   int_a^inf K0, a = |t| / 2c, by the trapezoid rule, within about 1e-15
-  (1 + a) relative; for q >= 2 it takes Rice's saddlepoint contour integral;
+  (1 + a) relative; for q >= 2, Rice's saddlepoint integral by one such sum;
 * the legacy normal reference for the hard NRI, retained for comparison
   even though its null distribution is in fact non-normal, asymmetric,
   and yields an inflated test.
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import numerics
-from .errors import DegenerateOutcome
+from .errors import DegenerateOutcome, NotPositiveDefinite, RankDeficient
 from .glm import NestedFits, information_blocks
 from .reclass import HalfNRIs, TrainTestPair
 
@@ -145,12 +145,17 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     sqrt(n_test / n_train): the statistic, n_test times the smooth mNRI,
     behaves as n_test g_train' Gamma_test^-1 g_test, and the spread of the
     training estimate g_train is set by n_train. At equal sizes the factor
-    is exactly 1."""
+    is exactly 1. Blocks singular in the training sample's scale raise
+    RankDeficient in the expanded model."""
     data = pair.data
     statistic = data.n * stats.mnri_smooth
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
-    weights = mixture_weights(information_blocks(pair.test_fits),
-                              information_blocks(pair.train_fits))
+    blocks = information_blocks(pair.test_fits), information_blocks(pair.train_fits)
+    try:
+        weights = mixture_weights(*blocks)
+    except NotPositiveDefinite as exc:
+        raise RankDeficient("expanded model: singular information on the new columns "
+                            f"in the training sample's scale: {exc}", "expanded") from exc
     weights *= math.sqrt(data.n / pair.train_fits.data.n)
     scale = k_constant(data.ybar) / 2.0
     reference = {"kind": "chisq_mixture", "scale": scale, "weights": weights.tolist()}

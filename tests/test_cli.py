@@ -399,6 +399,25 @@ class TestCompare:
         assert "expanded" in err
         assert "design matrix is rank deficient (collinear columns)" in err
 
+    def test_collinear_test_columns_are_fit_error(self, tmp_path, capsys):
+        # The test file's new columns are nearly collinear at 1/1000 of the
+        # training file's scale. The test file compares alone, but in the
+        # training sample's scale its information fails the pivot rule.
+        paths = []
+        for name, seed, collinear in (("train", 1, False), ("test", 2, True)):
+            rng = np.random.default_rng(seed)
+            x, z1, noise = rng.standard_normal((3, 2000))
+            y = (rng.random(2000) < 1.0 / (1.0 + np.exp(-x))).astype(float)
+            z2 = 1e-3 * (z1 + 3e-4 * noise) if collinear else z1 + 0.5 * noise
+            columns = {"y": y, "x": x, "z1": z1, "z2": z2}
+            paths.append(write_columns(tmp_path / f"{name}.csv", columns))
+        options = ["--outcome", "y", "--base", "x", "--new", "z1,z2"]
+        assert run(capsys, ["compare", paths[1], *options])[0] == 0
+        code, out, err = run(capsys, ["compare", paths[0], *options, "--test-file", paths[1]])
+        assert (code, out) == (3, "")
+        assert err.startswith("fit error: expanded model: ")
+        assert "Cholesky pivot" in err
+
     def test_degenerate_outcome_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
         path = tmp_path / "allones.csv"

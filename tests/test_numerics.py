@@ -12,7 +12,7 @@ from scipy import integrate, stats
 from scipy.linalg import lapack
 
 from mnri import numerics
-from mnri.errors import IntegrationFailure, NotPositiveDefinite
+from mnri.errors import NotPositiveDefinite
 from mnri.numerics import (
     chisq_sf,
     cholesky_spd,
@@ -361,6 +361,41 @@ def _pair_tail_mpmath(t, c):
         return upper if t >= 0 else 1 - upper
 
 
+def _saddle_tail_mpmath(t, weights):
+    """P(sum_j w_j chi2_1j > t), t > 0, at 20 digits: Rice's integral
+    1/(2 pi i) int e^(K(s) - s t) ds / s along s = s0 + r (sqrt(1 + a^2) - 1
+    + i a), a = sinh v, with s0 the saddle of K(s) - s t - log s, found by
+    bisection, and r its Phi''^-1/2, by Gauss-Legendre quadrature. With four
+    or more weights the integrand is below about e^-60 of its start past
+    v = 32."""
+    with mpmath.workdps(20):
+        w = [mpmath.mpf(float(x)) for x in weights]
+        t = mpmath.mpf(t)
+
+        def phi(s):
+            return -mpmath.fsum(mpmath.log(1 - 2 * x * s) for x in w) / 2 - s * t - mpmath.log(s)
+
+        lo, hi = mpmath.mpf(0), 1 / (2 * max(w))
+        while hi - lo > mpmath.mpf(10) ** -20 * hi:
+            mid = (lo + hi) / 2
+            if mpmath.fsum(x / (1 - 2 * x * mid) for x in w) - t - 1 / mid > 0:
+                hi = mid
+            else:
+                lo = mid
+        s0 = (lo + hi) / 2
+        r = 1 / mpmath.sqrt(mpmath.fsum(2 * (x / (1 - 2 * x * s0)) ** 2 for x in w) + 1 / s0**2)
+        top = phi(s0)
+
+        def integrand(v):
+            a = mpmath.sinh(v)
+            root = mpmath.sqrt(1 + a * a)
+            s = s0 + r * (root - 1 + 1j * a)
+            return mpmath.im(mpmath.exp(phi(s) - top) * r * mpmath.cosh(v) * (a / root + 1j))
+
+        body = mpmath.quad(integrand, [0, 1, 2, 4, 8, 16, 32], method="gauss-legendre")
+        return mpmath.exp(top) * body / mpmath.pi
+
+
 class TestPairTail:
     """The single +/- pair c (chi2_1 - chi2_1'), the train/test reference
     with one new covariate, whose tail (1/pi) int_a^inf K0, a = |t| / 2c, is
@@ -514,10 +549,65 @@ class TestSaddleTail:
             mixture_tail(1.0, weights, scale)
         assert 0.0 < mixture_tail(-1.0, weights, scale) < 1.0
 
-    def test_node_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_CONTOUR_NODES", 8)
-        with pytest.raises(IntegrationFailure, match="did not converge within 8 nodes"):
-            mixture_tail(3.0, self.weights, self.scale)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.floats(-12.0, math.log10(7.0)), min_size=1, max_size=6),
+        signs=st.lists(st.booleans(), min_size=6, max_size=6),
+        size=st.floats(-9.0, math.log10(2000.0)),
+    )
+    @example(sizes=[0.0, 0.0], signs=[True] * 6, size=-9.0)
+    @example(sizes=[0.0] * 6, signs=[True] * 6, size=-9.0)  # the saddle nears the pole
+    @example(sizes=[0.0, -12.0], signs=[True] * 6, size=-9.0)  # a far branch point
+    @example(sizes=[0.0, -12.0], signs=[True, False] * 3, size=3.3)
+    def test_step_premise(self, sizes, signs, size):
+        # The step is set by the strip |Im v| < pi/4 in which the contour
+        # integrand is analytic. Its singular points in z = s - s^ are the
+        # pole z = -s^ and the branch points z = 1 / ratio_j, 1/2w_j - s^.
+        # z = 2 sigma (sqrt(1 + a^2) - 1 + i a), a = sinh(v) / 2, reaches z
+        # where sinh v = -ic +/- sqrt(c^2 - 2), c = 1 + z / 2 sigma, and
+        # sqrt(1 + a^2) + i a = c. In the strip Re(1 + a^2) >= 7/8, so there
+        # the square root is the principal one; a solution of the squared
+        # equation that fails with it is reached on another branch, outside.
+        weights = np.array([10.0**e if up else -(10.0**e) for e, up in zip(sizes, signs)])
+        if weights.max() <= 0.0:
+            weights = -weights
+        top = float(weights.max())
+        saddle = numerics._saddle(10.0**size, weights / top)
+        if saddle is None:
+            return
+        s, _, sigma, ratio = saddle
+        c = 1.0 + np.concatenate([[-s], 1.0 / ratio]) / (2.0 * sigma)
+        root = np.sqrt(c.astype(complex) ** 2 - 2.0)
+        c, sinh = np.tile(c, 2), np.concatenate([-1j * c + root, -1j * c - root])
+        a = 0.5 * sinh
+        reached = abs(np.sqrt(1.0 + a * a) + 1j * a - c) <= 1e-8 * (1.0 + abs(c))
+        assert (abs(np.arcsinh(sinh[reached]).imag) >= 0.25 * math.pi * (1.0 - 1e-12)).all()
+
+    def test_matches_mpmath_relative(self):
+        # q = 2 to 5 new covariates give 2q weights of both signs, in +/-
+        # pairs as mixture_weights makes them or of independent sizes, from
+        # t = 1e-6 to where the tail nears the bottom of the double range.
+        # In the last set eight equal weights make a branch point of order 4,
+        # which a step of 1/8 misses by 1e-14. a = t / 2w+ carries the
+        # rounding of t / w+, as in TestPairTail.
+        rng = np.random.default_rng(27)
+        mixtures = []
+        for q in (2, 3, 4, 5):
+            sizes = np.exp(rng.uniform(-2.5, 2.5, (2, q)))
+            mixtures.append(np.concatenate([sizes[0], -sizes[q % 2]]))
+        mixtures.append(np.array([1.0] * 8 + [-0.01, -0.02]))
+        checked = 0
+        for weights in mixtures:
+            top = float(weights.max())
+            for t in (1e-6, *(2.0 * top * np.array([0.5, 8.0, 685.0]))):
+                exact = _saddle_tail_mpmath(t, weights)
+                if exact < mpmath.mpf("1e-300"):
+                    continue
+                p = mixture_tail(t, weights, 1.0)
+                a = t / (2.0 * top)
+                assert abs(p - exact) <= 5e-16 * (1.0 + a) * exact, (weights, t, p, exact)
+                checked += 1
+        assert checked == 20
 
 
 def test_module_functions_are_pure():
