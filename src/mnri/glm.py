@@ -50,7 +50,6 @@ from .errors import (
     DegenerateOutcome,
     FitError,
     NoConvergence,
-    NotPositiveDefinite,
     RankDeficient,
     Separation,
 )
@@ -521,18 +520,31 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     factor of the standardized information at unit diagonal, with entry
     (i, j) multiplied by s_i s_j, as the z rows of J^-1 are diag(1/s_z).
     A vanishing pivot is RankDeficient; z columns in units whose s_i s_j
-    leave the double range are a FitError."""
-    p = fits.data.p
-    info = fits.expanded.expected_information / fits.data.n
-    unit = 1.0 / np.sqrt(info.diagonal())
-    try:
-        lower = numerics.cholesky_spd(info * np.outer(unit, unit))
-    except NotPositiveDefinite as exc:
-        raise RankDeficient(f"expanded model: singular information: {exc}", "expanded") from exc
-    tail = lower[p:, p:] / unit[p:, None]
+    leave the double range are a FitError. ``fits`` may also be a batch of
+    NestedFits of one shape: a list of each row's block or FitError, as alone."""
+    batch = not isinstance(fits, NestedFits)
+    rows = list(fits) if batch else [fits]
+    p = rows[0].data.p
+    info = (np.stack([f.expanded.expected_information for f in rows])
+            / np.array([f.data.n for f in rows])[:, None, None])
+    unit = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
+    factors, singular = numerics.cholesky_spd_rows(info * (unit[:, :, None] * unit[:, None, :]))
+    tail = np.array(factors)[:, p:, p:] / unit[:, p:, None]
+    scale = np.stack([f.scale[p:] for f in rows])
     with np.errstate(over="ignore"):
-        blocks = (tail @ tail.T) * np.outer(fits.scale[p:], fits.scale[p:])
-    if not (np.isfinite(blocks).all() and (blocks.diagonal() > 0.0).all()):
-        raise FitError("expanded model: information on the new columns leaves the double "
-                       "range in their units", "expanded")
-    return blocks
+        blocks = (tail @ tail.transpose(0, 2, 1)) * (scale[:, :, None] * scale[:, None, :])
+    in_range = (np.isfinite(blocks).all(axis=(1, 2))
+                & (blocks.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1))
+    results = [
+        _caused(RankDeficient(f"expanded model: singular information: {singular[r]}", "expanded"),
+                singular[r]) if r in singular
+        else block if in_range[r]
+        else FitError("expanded model: information on the new columns leaves the double range in "
+                      "their units", "expanded")
+        for r, block in enumerate(blocks)
+    ]
+    if batch:
+        return results
+    if isinstance(results[0], FitError):
+        raise results[0]
+    return results[0]

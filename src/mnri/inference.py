@@ -17,18 +17,19 @@ Three references are implemented:
 
 Each TestResult carries its reference as the plain dict the ``compare``
 report writes; ``TestResult`` gives the recipe that turns that dict and
-the statistic back into the p-value, exactly.
+the statistic back into the p-value, exactly. Each test also takes a batch
+of comparisons, taken on arrays but for the mixture tail; one comparison
+is a batch of one, with the same bits.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
 
 from . import numerics
-from .errors import DegenerateOutcome, NotPositiveDefinite, RankDeficient
+from .errors import DegenerateOutcome, FitError, RankDeficient
 from .glm import NestedFits, information_blocks
 from .reclass import HalfNRIs, TrainTestPair
 
@@ -55,27 +56,38 @@ class TestResult:
     notes: str = ""
 
 
-def k_constant(pi_hat: float) -> float:
-    """Scaling constant phi(0) / (pi (1 - pi)) of the chi-square reference."""
-    if not 0.0 < pi_hat < 1.0:
+def k_constant(pi_hat):
+    """Scaling constant phi(0) / (pi (1 - pi)) of the chi-square reference, per rate."""
+    if not np.all((0.0 < pi_hat) & (pi_hat < 1.0)):
         raise DegenerateOutcome(f"event rate {pi_hat} is degenerate")
     return _PHI0 / (pi_hat * (1.0 - pi_hat))
+
+
+def _batch(comparison) -> tuple[list, bool]:
+    """A batch's comparisons, or the one comparison, as a list; and which."""
+    batch = not isinstance(comparison, (NestedFits, TrainTestPair))
+    return (list(comparison) if batch else [comparison]), batch
 
 
 def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     """One-sided test of the smooth mNRI against its scaled chi-square
     null reference; only large positive statistics are meaningful.
-    ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``."""
-    statistic = fits.data.n * stats.mnri_smooth
-    k, q = k_constant(fits.data.ybar), fits.data.q
-    p_value = numerics.chisq_sf(max(statistic, 0.0) / k, q)
-    return TestResult(statistic, {"kind": "scaled_chisq", "k": k, "q": q}, p_value)
+    ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``.
+    A batch of NestedFits of one shape, with ``stats`` their ``half_nris``,
+    gives a list of each row's TestResult."""
+    rows, batch = _batch(fits)
+    statistic = np.array([f.data.n for f in rows]) * stats.mnri_smooth
+    k, q = k_constant(np.array([f.data.ybar for f in rows])), rows[0].data.q
+    p_values = numerics.chisq_sf(np.maximum(statistic, 0.0) / k, q)
+    results = [TestResult(float(t), {"kind": "scaled_chisq", "k": float(kr), "q": q}, float(pr))
+               for t, kr, pr in zip(statistic, k, p_values)]
+    return results if batch else results[0]
 
 
 def _unit_max(m):
-    """m times 4^-k, exactly, for the k that puts max|entry| in [1/4, 1); and 2k."""
-    e = 2 * (np.frexp(abs(m).max())[1] // 2)
-    return np.ldexp(m, -e), e
+    """Each matrix m times 4^-k, exactly, for the k putting max|m| in [1/4, 1); and 2k."""
+    e = 2 * (np.frexp(abs(m).max(axis=(1, 2)))[1] // 2)
+    return np.ldexp(m, -e[:, None, None]), e
 
 
 def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
@@ -110,31 +122,40 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
             raise ValueError("variance matrices must be finite")
         if not (abs(0.5 * m - 0.5 * m.T) <= 0.5e-8 * (1.0 + abs(m).max())).all():
             raise ValueError("variance matrices must be symmetric")
-    identical = (a == b).all()
+    weights, failures = _weights(a[None], b[None])
+    if failures:
+        raise failures[0]
+    return weights[0]
+
+
+def _weights(a, b) -> tuple[np.ndarray, dict]:
+    """``mixture_weights`` of each row of two stacks (R, q, q) the program built,
+    unchecked, and ``{r: NotPositiveDefinite}`` for the rows failing the pivot rule."""
+    identical = (a == b).all(axis=(1, 2))
 
     # Every scaling is by powers of two, so exact. Each matrix is brought to
     # a largest entry near 1, which keeps the ratios mu_j from under- or
     # overflowing, before and after the congruence by D; the roots take back
     # the square root of the net factor, exactly too.
     (a, e_a), (b, e_b) = _unit_max(a), _unit_max(b)
-    d = np.ldexp(1.0, -(np.frexp(b.diagonal())[1] // 2))
-    (a, f_a), (b, f_b) = _unit_max(a * d * d[:, None]), _unit_max(b * d * d[:, None])
-    for m in (a, b):
-        numerics.cholesky_spd(m)
+    d = np.ldexp(1.0, -(np.frexp(b.diagonal(axis1=1, axis2=2))[1] // 2))
+    (a, f_a), (b, f_b) = (_unit_max(m * d[:, None, :] * d[:, :, None]) for m in (a, b))
+    failures = {**numerics.cholesky_spd_rows(b)[1], **numerics.cholesky_spd_rows(a)[1]}
 
-    if identical:
-        # Identity ratio: the +/-1 pairs are exact, not just within rounding.
-        roots = np.ones(a.shape[0])
-    else:
-        mu = a[0] / b[0] if a.shape[0] == 1 else eigh(a, b, eigvals_only=True)
+    # Identity ratio: the +/-1 pairs are exact, not just within rounding.
+    roots = np.ones(a.shape[:2])
+    rows = [r for r in np.flatnonzero(~identical) if r not in failures]
+    if rows:
+        mu = (a[rows, 0] / b[rows, 0] if a.shape[1] == 1
+              else np.array([eigh(a[r], b[r], eigvals_only=True) for r in rows]))
         with np.errstate(over="ignore"):
-            roots = np.ldexp(np.sqrt(mu), (e_a + f_a - e_b - f_b) // 2)
+            roots[rows] = np.ldexp(np.sqrt(mu), ((e_a + f_a - e_b - f_b) // 2)[rows, None])
         if not np.isfinite(roots).all():
             raise ValueError("mixture weight overflows a double")
-    weights = np.empty(2 * roots.shape[0])
-    weights[0::2] = np.sort(roots)[::-1]
-    weights[1::2] = -weights[0::2]
-    return weights
+    weights = np.empty((a.shape[0], 2 * a.shape[1]))
+    weights[:, 0::2] = np.sort(roots, axis=1)[:, ::-1]
+    weights[:, 1::2] = -weights[:, 0::2]
+    return weights, failures
 
 
 def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
@@ -146,20 +167,33 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     behaves as n_test g_train' Gamma_test^-1 g_test, and the spread of the
     training estimate g_train is set by n_train. At equal sizes the factor
     is exactly 1. Blocks singular in the training sample's scale raise
-    RankDeficient in the expanded model."""
-    data = pair.data
-    statistic = data.n * stats.mnri_smooth
+    RankDeficient in the expanded model. A batch of TrainTestPairs of one
+    shape gives a list of each row's TestResult or FitError, as alone."""
+    pairs, batch = _batch(pair)
+    statistic = np.array([p.data.n for p in pairs]) * stats.mnri_smooth
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
-    blocks = information_blocks(pair.test_fits), information_blocks(pair.train_fits)
-    try:
-        weights = mixture_weights(*blocks)
-    except NotPositiveDefinite as exc:
-        raise RankDeficient("expanded model: singular information on the new columns "
-                            f"in the training sample's scale: {exc}", "expanded") from exc
-    weights *= math.sqrt(data.n / pair.train_fits.data.n)
-    scale = k_constant(data.ybar) / 2.0
-    reference = {"kind": "chisq_mixture", "scale": scale, "weights": weights.tolist()}
-    return TestResult(statistic, reference, numerics.mixture_tail(statistic, weights, scale))
+    results = [next((b for b in blocks if isinstance(b, FitError)), blocks) for blocks in zip(
+        information_blocks([p.test_fits for p in pairs]),
+        information_blocks([p.train_fits for p in pairs]))]
+    rows = [r for r, result in enumerate(results) if not isinstance(result, FitError)]
+    if rows:
+        weights, singular = _weights(*(np.stack([results[r][i] for r in rows]) for i in (0, 1)))
+        weights *= np.sqrt([pairs[r].data.n / pairs[r].train_fits.data.n for r in rows])[:, None]
+        scale = k_constant(np.array([pairs[r].data.ybar for r in rows])) / 2.0
+        for i, r in enumerate(rows):
+            if i in singular:
+                results[r] = RankDeficient(
+                    "expanded model: singular information on the new columns in the training "
+                    f"sample's scale: {singular[i]}", "expanded")
+                results[r].__cause__ = singular[i]
+            else:
+                reference = {"kind": "chisq_mixture", "scale": float(scale[i]),
+                             "weights": weights[i].tolist()}
+                results[r] = TestResult(float(statistic[r]), reference,
+                                        numerics.mixture_tail(statistic[r], weights[i], scale[i]))
+    if not batch and isinstance(results[0], FitError):
+        raise results[0]
+    return results if batch else results[0]
 
 
 _LEGACY_NOTE = (
@@ -174,11 +208,15 @@ def test_nri_normal_legacy(
     """Two-sided normal test of the hard NRI with the classical variance
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
     be wrong; the result is labeled accordingly. ``stats`` is the object
-    the mNRI test of the same comparison takes."""
-    data = fits_or_pair.data
-    n1 = int(np.count_nonzero(data.y == 1.0))
-    n0 = int(np.count_nonzero(data.y == 0.0))  # a Dataset holds both classes
+    the mNRI test of the same comparison takes. A batch, as for the mNRI
+    test, gives a list of each row's TestResult."""
+    rows, batch = _batch(fits_or_pair)
+    y = np.stack([c.data.y for c in rows]) if batch else rows[0].data.y[None]
+    n1 = np.count_nonzero(y == 1.0, axis=1)
+    n0 = np.count_nonzero(y == 0.0, axis=1)  # a Dataset holds both classes
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
-    p_value = 2.0 * numerics.norm_cdf(-abs(stats.nri_hard) / np.sqrt(variance))
-    reference = {"kind": "normal", "variance": variance}
-    return TestResult(stats.nri_hard, reference, p_value, _LEGACY_NOTE)
+    p_values = 2.0 * numerics.norm_cdf(-abs(stats.nri_hard) / np.sqrt(variance))
+    results = [TestResult(float(t), {"kind": "normal", "variance": float(v)}, float(p),
+                          _LEGACY_NOTE)
+               for t, v, p in zip(np.atleast_1d(stats.nri_hard), variance, p_values)]
+    return results if batch else results[0]

@@ -77,11 +77,22 @@ def cholesky_spd(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    tol = float(_tolerance(a))
-    lower, info = lapack.dpotrf(a, lower=1, clean=1)
-    if not _pivots_pass(lower, info, tol):
-        raise _pivot_failure(lower, info, tol)
-    return lower
+    factors, failures = cholesky_spd_rows(a[None])
+    if failures:
+        raise failures[0]
+    return factors[0]
+
+
+def cholesky_spd_rows(a) -> tuple[list, dict]:
+    """``cholesky_spd`` of each row of a stack (R, m, m): a list of the factors as dpotrf gives
+    them, which dpotrs reads without a copy, and ``{r: NotPositiveDefinite}`` for rows failing
+    the rule. (numpy's stacked Cholesky can differ from dpotrf's in the last bit from m = 5.)"""
+    factors, info = zip(*(lapack.dpotrf(matrix, lower=1, clean=1) for matrix in a))
+    lower, info, tol = np.array(factors).reshape(a.shape), np.array(info), _tolerance(a)
+    passed = _pivots_pass(lower, info, tol)
+    failures = {r: _pivot_failure(lower[r], info[r], tol[r])
+                for r, ok in enumerate(passed.tolist()) if not ok}
+    return list(factors), failures
 
 
 def solve_spd(a, b) -> np.ndarray:
@@ -94,23 +105,13 @@ def solve_spd(a, b) -> np.ndarray:
 def solve_spd_rows(a, b) -> tuple[np.ndarray, dict]:
     """Solve ``a[r] @ x[r] = b[r]`` for each row r of a stack of symmetric
     matrices (R, m, m) and vectors (R, m), as ``solve_spd`` solves that row
-    alone: ``dpotrf`` and ``dpotrs`` on each row, under the pivot rule of
-    ``cholesky_spd``. (numpy's stacked Cholesky is not used: from m = 5 its
-    factors can differ from ``dpotrf``'s in the last bit.) Returns x and
-    ``{r: NotPositiveDefinite}`` for the rows that fail, whose rows of x
-    are unset."""
-    factors = [lapack.dpotrf(matrix, lower=1, clean=1) for matrix in a]
-    lower = np.array([factor for factor, _ in factors])
-    info = np.array([code for _, code in factors])
-    tol = _tolerance(a)
-    passed = _pivots_pass(lower, info, tol)
+    alone, from ``cholesky_spd_rows``. Returns x and ``{r: NotPositiveDefinite}``
+    for the rows that fail, whose rows of x are unset."""
+    factors, failures = cholesky_spd_rows(a)
     x = np.empty(b.shape)
-    failures = {}
-    for r, ((factor, code), rhs) in enumerate(zip(factors, b)):
-        if passed[r]:
+    for r, (factor, rhs) in enumerate(zip(factors, b)):
+        if r not in failures:
             x[r] = lapack.dpotrs(factor, rhs, lower=1)[0]
-        else:
-            failures[r] = _pivot_failure(factor, code, tol[r])
     return x, failures
 
 

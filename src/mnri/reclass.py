@@ -10,7 +10,8 @@ Smooth versions replace the indicator by the standard normal distribution
 function so the statistic admits an asymptotic reference distribution.
 
 Values are reported on the half-NRI scale throughout (the doubled
-classical scale is a display concern only).
+classical scale is a display concern only). One kernel gives them for one
+comparison or for each row of a stacked batch, with the bits a row gets alone.
 """
 from __future__ import annotations
 
@@ -84,51 +85,61 @@ def score_difference(fits: NestedFits) -> np.ndarray:
     return fits.expanded.linear_predictor - fits.base.linear_predictor
 
 
-def cross_score_difference(train_fits: NestedFits, test_data: Dataset) -> np.ndarray:
-    """Risk-score change using training-data coefficients on test rows."""
-    p = test_data.p
-    coef = train_fits.expanded.coefficients
-    eta_expanded = test_data.x @ coef[:p] + test_data.z @ coef[p:]
-    eta_base = test_data.x @ train_fits.base.coefficients
-    return eta_expanded - eta_base
+def _times(matrices, vectors) -> np.ndarray:
+    """matrices @ vectors, (n, k) @ (k,), or row by row of stacks (R, n, k) and (R, k)."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
-def _parts(fits_or_pair: NestedFits | TrainTestPair) -> tuple[np.ndarray, np.ndarray, Dataset]:
-    """Score change, base-model score residuals and the data they are
-    evaluated on. A train/test pair takes the score change from the
-    training coefficients and everything else from the test fits."""
-    if isinstance(fits_or_pair, TrainTestPair):
-        fits = fits_or_pair.test_fits
-        delta = cross_score_difference(fits_or_pair.train_fits, fits.data)
+def _dots(a, b) -> np.ndarray:
+    """a @ b over the last axis, one BLAS dot per row of stacks (R, n)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _parts(comparisons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score change, base-model score residuals and outcomes of one
+    comparison, or stacked (R, n) over a batch of them. A train/test pair
+    takes the score change from the training coefficients on the test rows
+    and everything else from the test fits."""
+    batch = not isinstance(comparisons, (NestedFits, TrainTestPair))
+    items = list(comparisons) if batch else [comparisons]
+    stack = np.stack if batch else (lambda arrays: arrays[0])
+    pairs = isinstance(items[0], TrainTestPair)
+    fits = [pair.test_fits for pair in items] if pairs else items
+    eta, y = stack([f.base.linear_predictor for f in fits]), stack([f.data.y for f in fits])
+    if pairs:
+        x, z = stack([f.data.x for f in fits]), stack([f.data.z for f in fits])
+        coef = stack([pair.train_fits.expanded.coefficients for pair in items])
+        base = stack([pair.train_fits.base.coefficients for pair in items])
+        p = x.shape[-1]
+        delta = _times(x, coef[..., :p]) + _times(z, coef[..., p:]) - _times(x, base)
     else:
-        fits = fits_or_pair
-        delta = score_difference(fits)
-    return delta, fits.link.score_residual(fits.base.linear_predictor, fits.data.y), fits.data
+        delta = stack([f.expanded.linear_predictor for f in fits]) - eta
+    return delta, fits[0].link.score_residual(eta, y), y
 
 
-def _half_nris(delta: np.ndarray, residuals: np.ndarray, data: Dataset) -> HalfNRIs:
+def _half_nris(delta, residuals, y) -> HalfNRIs:
     # The statistics kernel: [n ybar (1-ybar)]^-1 sum_i w_i (ind(delta_i) - 1/2)
     # with w the constant-model residuals y - ybar (NRI) or ``residuals`` (mNRI),
     # and ind the extended indicator (hard) or the normal distribution function
-    # (smooth), each formed once. A Dataset holds both classes, so 0 < ybar < 1.
-    ybar = data.ybar
-    scale = data.n * ybar * (1.0 - ybar)
+    # (smooth), each formed once, over the last axis. A Dataset holds both
+    # classes, so 0 < ybar < 1.
+    ybar = y.mean(axis=-1, keepdims=True)
+    scale = y.shape[-1] * ybar[..., 0] * (1.0 - ybar[..., 0])
     hard = extended_indicator(delta) - 0.5
     smooth = numerics.norm_cdf(delta) - 0.5
-    constant = data.y - ybar
-    return HalfNRIs(
-        nri_hard=float(constant @ hard) / scale,
-        nri_smooth=float(constant @ smooth) / scale,
-        mnri_hard=float(residuals @ hard) / scale,
-        mnri_smooth=float(residuals @ smooth) / scale,
-    )
+    constant = y - ybar
+    stats = [_dots(w, ind) / scale for w in (constant, residuals) for ind in (hard, smooth)]
+    return HalfNRIs(*(s if np.ndim(s) else float(s) for s in stats))
 
 
-def half_nris(fits_or_pair: NestedFits | TrainTestPair) -> HalfNRIs:
+def half_nris(comparison: NestedFits | TrainTestPair) -> HalfNRIs:
     """The four half-scale statistics of a nested comparison. For a
     train/test pair they take the score change from the training
-    coefficients and are evaluated on, and normalized by, the test data."""
-    return _half_nris(*_parts(fits_or_pair))
+    coefficients and are evaluated on, and normalized by, the test data.
+
+    A batch, a sequence of NestedFits or of TrainTestPairs of one shape, is
+    one kernel pass over the stacked rows, each field holding a value per row."""
+    return _half_nris(*_parts(comparison))
 
 
 def mad_probabilities(fits: NestedFits) -> tuple[float, float]:
@@ -166,11 +177,11 @@ def build_report(fits: NestedFits) -> ReclassReport:
     """Assemble every reclassification statistic for one nested comparison;
     ties are subjects whose expanded and base risk scores agree exactly."""
     mad, scaled_mad = mad_probabilities(fits)
-    delta, residuals, data = _parts(fits)
+    delta, residuals, y = _parts(fits)
     ties = int(np.count_nonzero(delta == 0.0))
     sign_inner, sign_norm = _sign_parts(delta, residuals)
     return ReclassReport(
-        **vars(_half_nris(delta, residuals, data)),
+        **vars(_half_nris(delta, residuals, y)),
         mad=mad,
         scaled_mad=scaled_mad,
         sign_inner=sign_inner,

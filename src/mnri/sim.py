@@ -27,16 +27,17 @@ A cell runs its replicates in chunks of at most ``_CHUNK_OBSERVATIONS``
 observations (replicates x n), so its memory does not grow with the
 replicate count. A chunk draws the first attempt of each of its
 replicates and fits each part as one batch, a leading replicate axis for
-``glm.fit_nested``, which returns each row's fits or its FitError. Each
-replicate's record then comes from its own fits; one whose first attempt
-failed is redrawn under attempts 1, 2, ... and fitted alone. A row of a
-batch gets the bits it gets alone, so the records do not depend on the
-chunks or on the worker count.
+``glm.fit_nested``, which returns each row's fits or its FitError, then
+tests the rows that fitted in one stacked pass of the kernels ``compare``
+uses. One whose first attempt failed is redrawn under attempts 1, 2, ...
+and fitted and tested alone. A row of a batch gets the bits it gets alone,
+so the records do not depend on the chunks or on the worker count.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -156,51 +157,52 @@ def _attempt_fits(config: SimConfig, cell: int, reps: range, attempt: int) -> li
     return [list(fits) for fits in zip(*parts)]
 
 
-def _trial(config: SimConfig, parts: list[NestedFits]) -> tuple[float, ...]:
-    """One attempt's record from the fits of its parts: the p-values of the
-    mNRI test and the legacy NRI test, n * smooth mNRI / k-hat and n * smooth
-    NRI."""
+def _records(config: SimConfig, attempts: list[list]) -> list:
+    """Each attempt's record: the mNRI and legacy NRI p-values, n * smooth mNRI
+    / k-hat and n * smooth NRI; None where a part did not fit or the mNRI test
+    failed. The attempts whose parts all fitted are tested as one batch."""
+    records = [None] * len(attempts)
+    rows = [r for r, parts in enumerate(attempts)
+            if all(isinstance(fits, NestedFits) for fits in parts)]
+    if not rows:
+        return records
     if config.mode == "single":
-        fits, test_mnri = parts[0], inference.test_mnri_single
+        batch, test_mnri = [attempts[r][0] for r in rows], inference.test_mnri_single
     else:
-        fits = TrainTestPair(train_fits=parts[0], test_fits=parts[1])
+        batch = [TrainTestPair(*attempts[r]) for r in rows]
         test_mnri = inference.test_mnri_train_test
-    stats = reclass.half_nris(fits)
-    n, k = fits.data.n, inference.k_constant(fits.data.ybar)
-    return (
-        test_mnri(fits, stats).p_value,
-        inference.test_nri_normal_legacy(fits, stats).p_value,
-        n * stats.mnri_smooth / k,
-        n * stats.nri_smooth,
-    )
+    stats = reclass.half_nris(batch)
+    k = inference.k_constant(np.array([comparison.data.ybar for comparison in batch]))
+    columns = zip(test_mnri(batch, stats), inference.test_nri_normal_legacy(batch, stats),
+                  config.n * stats.mnri_smooth / k, config.n * stats.nri_smooth)
+    for r, (mnri, legacy, *scaled) in zip(rows, columns):
+        if not isinstance(mnri, FitError):
+            records[r] = (mnri.p_value, legacy.p_value, *scaled)
+    return records
 
 
 def _replicate_rejections(args) -> tuple:
-    """One replicate's record: ``_trial`` of its attempt-0 fits, made in its
-    chunk's batch, or else of attempt 1, 2, ..., each drawn and fitted alone,
-    until one succeeds; followed by the number of redraws used."""
-    config, cell, rep, parts = args
-    for attempt in range(_MAX_ATTEMPTS):
-        if attempt:
-            (parts,) = _attempt_fits(config, cell, range(rep, rep + 1), attempt)
-        if all(isinstance(fits, NestedFits) for fits in parts):
-            try:
-                return (*_trial(config, parts), attempt)
-            except (FitError, DegenerateOutcome):
-                pass
-    raise ExcessiveFitFailures(
-        f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row"
-    )
+    """One replicate's record: the one its chunk's batch made from attempt
+    0, or else that of attempt 1, 2, ..., each drawn, fitted and tested
+    alone, until one succeeds; followed by the number of redraws used."""
+    config, cell, rep, record = args
+    attempt = 0
+    while record is None:
+        attempt += 1
+        if attempt == _MAX_ATTEMPTS:
+            raise ExcessiveFitFailures(
+                f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row")
+        (record,) = _records(config, _attempt_fits(config, cell, range(rep, rep + 1), attempt))
+    return (*record, attempt)
 
 
 def _chunk_records(args) -> list[tuple]:
     """The records of a run of replicates, in order: their attempt 0 fitted
-    as one batch per part, then ``_replicate_rejections`` once per replicate."""
+    and tested as one batch, then ``_replicate_rejections`` per replicate."""
     config, cell, reps = args
-    return [
-        _replicate_rejections((config, cell, rep, parts))
-        for rep, parts in zip(reps, _attempt_fits(config, cell, reps, 0))
-    ]
+    records = _records(config, _attempt_fits(config, cell, reps, 0))
+    return [_replicate_rejections((config, cell, rep, record))
+            for rep, record in zip(reps, records)]
 
 
 def _usable_cpus() -> int:
@@ -209,39 +211,51 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_replicates(config: SimConfig, cell: int, workers: int):
-    """Run the cell's replicates, in replicate order, and enforce the
-    failure budget. Returns the record fields column by column, and the
-    total redraws.
-
-    The replicates run in chunks of at most ``_CHUNK_OBSERVATIONS`` / n,
-    each fitted as one batch, and split evenly over the workers."""
-    reps = config.replicates
+@contextmanager
+def _cell_records(cells: list[tuple[int, SimConfig]], workers: int):
+    """One iterator per cell (index, config) over its records, to be read in
+    cell order. A cell runs in chunks of at most ``_CHUNK_OBSERVATIONS`` / n
+    replicates, split evenly over its workers; all chunks go to one pool
+    (or run here for one worker), and leaving early drops those not started."""
+    cpus, tasks = _usable_cpus(), []
+    for cell, config in cells:
+        reps = config.replicates
+        size = max(1, min(_CHUNK_OBSERVATIONS // config.n, -(-reps // min(workers, reps, cpus))))
+        tasks.append([(config, cell, range(start, min(start + size, reps)))
+                      for start in range(0, reps, size)])
     # A pool starts all its processes up front; more than one per replicate
-    # or per usable CPU would sit idle.
-    workers = min(workers, reps, _usable_cpus())
-    size = max(1, min(_CHUNK_OBSERVATIONS // config.n, -(-reps // workers)))
-    chunks = [(config, cell, range(start, min(start + size, reps)))
-              for start in range(0, reps, size)]
-    if workers <= 1:
-        results = [_chunk_records(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_records, chunks))
-    records = [record for chunk in results for record in chunk]
+    # of the largest cell or per usable CPU would sit idle.
+    workers = min(workers, max(config.replicates for _, config in cells), cpus)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_chunk_records, [c for cs in tasks for c in cs])
+        try:
+            yield [(record for _ in chunks for record in next(results)) for chunks in tasks]
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
+
+
+def _run_replicates(config: SimConfig, cell: int, workers: int, records=None):
+    """The cell's record fields column by column, in replicate order, and
+    its redraws, under the failure budget; from ``records`` when given."""
+    if records is None:
+        with _cell_records([(cell, config)], workers) as (records,):
+            return _run_replicates(config, cell, workers, records)
     *columns, redraws = (np.array(column) for column in zip(*records))
     redraws = int(redraws.sum())
-    if redraws > _FAILURE_BUDGET * reps:
+    if redraws > _FAILURE_BUDGET * config.replicates:
         raise ExcessiveFitFailures(
-            f"{redraws} failed fits over {reps} replicates "
+            f"{redraws} failed fits over {config.replicates} replicates "
             f"exceeds the {_FAILURE_BUDGET:.0%} budget"
         )
     return columns, redraws
 
 
-def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1) -> SimTableRow:
-    """Estimate rejection rates for one cell at the configured alpha."""
-    (p_mnri, p_nri, _, _), redraws = _run_replicates(config, cell, workers)
+def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1,
+             records: Iterable[tuple] | None = None) -> SimTableRow:
+    """Estimate rejection rates for one cell at the configured alpha; from
+    ``records`` when ``run_grid`` made them on the pool its cells share."""
+    (p_mnri, p_nri, _, _), redraws = _run_replicates(config, cell, workers, records)
     return SimTableRow(
         config=config,
         rejection_rate_mnri=float((p_mnri <= config.alpha).mean()),
@@ -252,8 +266,11 @@ def run_cell(config: SimConfig, *, cell: int = 0, workers: int = 1) -> SimTableR
 
 def run_grid(configs: Iterable[SimConfig], *, workers: int = 1) -> list[SimTableRow]:
     """Run a list of cells; row i uses cell index i, so a singleton grid
-    reproduces run_cell exactly."""
-    configs = list(configs)
-    if not configs:
+    reproduces run_cell exactly. The cells share one pool; the first cell
+    to fail stops the grid."""
+    cells = list(enumerate(configs))
+    if not cells:
         raise ValueError("grid must contain at least one cell")
-    return [run_cell(config, cell=i, workers=workers) for i, config in enumerate(configs)]
+    with _cell_records(cells, workers) as records:
+        return [run_cell(config, cell=cell, records=cell_records)
+                for (cell, config), cell_records in zip(cells, records)]

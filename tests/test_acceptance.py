@@ -367,8 +367,8 @@ def test_criterion_8_exact_identities():
         # smooth statistics converge to the hard ones under delta-scaling
         delta = reclass.score_difference(fits)
         r = LOGIT.score_residual(fits.base.linear_predictor, y)
-        hard = reclass._half_nris(delta, r, data)
-        scaled = reclass._half_nris(1e6 * delta, r, data)
+        hard = reclass._half_nris(delta, r, y)
+        scaled = reclass._half_nris(1e6 * delta, r, y)
         checks.append(abs(scaled.nri_smooth - hard.nri_hard) <= 1e-6)
         checks.append(abs(scaled.mnri_smooth - hard.mnri_hard) <= 1e-6)
 

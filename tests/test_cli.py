@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -1035,6 +1037,14 @@ def assert_same_numbers(out, expected_out):
         assert abs(got - want) <= 1e-10 * abs(want), (got, want)
 
 
+# A change of units and origin a * value + b: |a| from 1e-4 to 1e4, either
+# sign, and an origin up to 1e4 spreads of the recoded column away.
+AFFINE_RECODING = st.builds(
+    lambda sign, power, origin: (sign * 10.0**power, origin * 10.0**power),
+    st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 4.0), st.floats(-1e4, 1e4),
+)
+
+
 @pytest.mark.parametrize("link", ["logit", "probit"])
 class TestCompareInvariance:
     """``compare`` gives the same statistics and mNRI test whatever the row
@@ -1042,13 +1052,15 @@ class TestCompareInvariance:
     outcome (y -> 1 - y negates both the residuals and the score change)
     and the units and origin of each covariate."""
 
-    def compare(self, capsys, path, link, outcome="y", base="age,bmi", new="m1,m2",
-                test_file=None, extra=()):
+    def compare(self, path, link, outcome="y", base="age,bmi", new="m1,m2", test_file=None,
+                extra=()):
         argv = ["compare", path, "--outcome", outcome, "--base", base, "--new", new,
                 "--link", link, *extra]
-        code, out, err = run(capsys, argv + (["--test-file", test_file] if test_file else []))
-        assert (code, err) == (0, "")
-        return out
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + (["--test-file", test_file] if test_file else []))
+        assert (code, err.getvalue()) == (0, "")
+        return out.getvalue()
 
     # Each covariate recoded as a * value + b, as a change of units and origin
     # (a calendar year, a marker in other units) recodes it.
@@ -1060,27 +1072,32 @@ class TestCompareInvariance:
     def recode(self, columns, affine=AFFINE):
         return {**columns, **{name: a * columns[name] + b for name, (a, b) in affine.items()}}
 
+    @settings(max_examples=20, deadline=None)
+    @given(draw=st.data())
     @pytest.mark.parametrize(
         "change", ["shuffle-rows", "permute-columns", "relabel-outcome", "affine"]
     )
-    def test_single_sample(self, tmp_path, capsys, link, change):
-        columns = invariance_cohort(7)
-        expected = self.compare(capsys, write_columns(tmp_path / "a.csv", columns), link)
-        path, names = tmp_path / "b.csv", {}
+    def test_single_sample(self, tmp_path_factory, link, change, draw):
+        columns = invariance_cohort(draw.draw(st.integers(0, 2**16), label="cohort"))
+        directory = tmp_path_factory.mktemp("single")
+        expected = self.compare(write_columns(directory / "a.csv", columns), link)
+        path, names = directory / "b.csv", {}
         if change == "shuffle-rows":
-            write_columns(path, columns, np.random.default_rng(1).permutation(400))
+            write_columns(path, columns, draw.draw(st.permutations(range(400)), label="rows"))
         elif change == "permute-columns":
-            order = ["m2", "bmi", "y", "m1", "age"]
+            order = draw.draw(st.permutations(list(columns)), label="order")
             write_columns(path, {f"c_{name}": columns[name] for name in order})
             names = dict(outcome="c_y", base="c_bmi,c_age", new="c_m2,c_m1")
         elif change == "relabel-outcome":
             write_columns(path, {**columns, "y": 1 - columns["y"]})
         else:
-            write_columns(path, self.recode(columns))
-        assert_same_numbers(self.compare(capsys, str(path), link, **names), expected)
+            affine = {name: draw.draw(AFFINE_RECODING, label=name)
+                      for name in ("age", "bmi", "m1", "m2")}
+            write_columns(path, self.recode(columns, affine))
+        assert_same_numbers(self.compare(str(path), link, **names), expected)
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
-    def test_affine_with_spline(self, tmp_path, capsys, link, mode):
+    def test_affine_with_spline(self, tmp_path, link, mode):
         spline = ["--spline", "age=4"]
         train, test = invariance_cohort(7), invariance_cohort(8)
         outs = []
@@ -1089,27 +1106,27 @@ class TestCompareInvariance:
             if mode == "train_test":
                 test_file = write_columns(tmp_path / f"test_{tag}.csv", recode(test))
             path = write_columns(tmp_path / f"train_{tag}.csv", recode(train))
-            outs.append(self.compare(capsys, path, link, test_file=test_file, extra=spline))
+            outs.append(self.compare(path, link, test_file=test_file, extra=spline))
         assert json.loads(outs[1])["mode"] == mode
         assert_same_numbers(outs[1], outs[0])
 
-    def test_train_test_wide_units(self, tmp_path, capsys, link):
+    def test_train_test_wide_units(self, tmp_path, link):
         train, test = invariance_cohort(7), invariance_cohort(8)
         outs = []
         for tag, affine in (("raw", {}), ("wide", self.WIDE)):
             outs.append(self.compare(
-                capsys, write_columns(tmp_path / f"train_{tag}.csv", self.recode(train, affine)),
+                write_columns(tmp_path / f"train_{tag}.csv", self.recode(train, affine)),
                 link, test_file=write_columns(tmp_path / f"test_{tag}.csv", self.recode(test, affine)),
             ))
         assert json.loads(outs[1])["mode"] == "train_test"
         assert_same_numbers(outs[1], outs[0])
 
-    def test_library_weights_match_compare(self, tmp_path, capsys, link):
+    def test_library_weights_match_compare(self, tmp_path, link):
         # mixture_weights takes the raw information blocks, in any units,
         # and gives the weights compare writes, bit for bit.
         train, test = (self.recode(invariance_cohort(seed), self.WIDE) for seed in (7, 8))
         out = self.compare(
-            capsys, write_columns(tmp_path / "train.csv", train), link,
+            write_columns(tmp_path / "train.csv", train), link,
             test_file=write_columns(tmp_path / "test.csv", test),
         )
 
@@ -1124,19 +1141,25 @@ class TestCompareInvariance:
         )
         assert weights.tolist() == json.loads(out)["mnri_test"]["reference"]["weights"]
 
-    def test_train_test_shuffled(self, tmp_path, capsys, link):
-        train, test = invariance_cohort(7), invariance_cohort(8)
+    @settings(max_examples=20, deadline=None)
+    @given(draw=st.data())
+    def test_train_test_shuffled(self, tmp_path_factory, link, draw):
+        seed = draw.draw(st.integers(0, 2**16), label="cohort")
+        train, test = invariance_cohort(seed), invariance_cohort(seed + 1)
+        directory = tmp_path_factory.mktemp("train_test")
         expected = self.compare(
-            capsys, write_columns(tmp_path / "train.csv", train), link,
-            test_file=write_columns(tmp_path / "test.csv", test),
+            write_columns(directory / "train.csv", train), link,
+            test_file=write_columns(directory / "test.csv", test),
         )
-        rng = np.random.default_rng(2)
+        rows = st.permutations(range(400))
         out = self.compare(
-            capsys, write_columns(tmp_path / "train_b.csv", train, rng.permutation(400)), link,
-            test_file=write_columns(tmp_path / "test_b.csv", test, rng.permutation(400)),
+            write_columns(directory / "train_b.csv", train, draw.draw(rows, label="train rows")),
+            link,
+            test_file=write_columns(directory / "test_b.csv", test, draw.draw(rows, label="test rows")),
         )
         assert json.loads(out)["mode"] == "train_test"
         assert_same_numbers(out, expected)
+
 
 
 def test_out_flag_writes_file(demo_csv, tmp_path, capsys):

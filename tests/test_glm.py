@@ -837,6 +837,27 @@ class TestInformationBlocks:
         assert excinfo.value.model == "expanded"
         assert str(excinfo.value).startswith("expanded model: singular information: ")
 
+    def test_batch_rows_fail_alone(self):
+        # A batch holding a singular information and one whose block leaves
+        # the double range: those rows get the errors information_blocks
+        # raises on them alone, the other rows the bits they get alone.
+        data = correlated_data()
+        design = np.column_stack([data.x, data.x[:, 1], data.z[:, 0]])
+        singular = fits_with_information(data, design.T @ (design * 0.25), np.ones(4))
+        fitted = [fit_nested(correlated_data(seed=seed), LOGIT) for seed in (14, 15)]
+        wide = fits_with_information(data, fitted[1].expanded.expected_information,
+                                     [1.0, 1.0, 1e200, 1e200])
+        batch = information_blocks([fitted[0], singular, fitted[1], wide])
+        for got, fits in zip(batch, [fitted[0], singular, fitted[1], wide]):
+            try:
+                want = information_blocks(fits)
+            except FitError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                assert got.model == "expanded"
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert [type(got) for got in batch[1::2]] == [RankDeficient, FitError]
+
     def test_gamma_cov_symmetric_positive_definite(self):
         gamma_cov = information_blocks(fit_nested(correlated_data(), LOGIT))
         np.testing.assert_allclose(gamma_cov, gamma_cov.T, atol=1e-12)

@@ -156,8 +156,8 @@ class TestScaleAndLimits:
         fits = random_fits(seed=4)
         delta = score_difference(fits)
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
-        base = reclass._half_nris(delta, r, fits.data)
-        scaled = reclass._half_nris(c * delta, r, fits.data)
+        base = reclass._half_nris(delta, r, fits.data.y)
+        scaled = reclass._half_nris(c * delta, r, fits.data.y)
         assert scaled.nri_hard == base.nri_hard
         assert scaled.mnri_hard == base.mnri_hard
 
@@ -166,8 +166,8 @@ class TestScaleAndLimits:
         delta = score_difference(fits)
         assert np.all(delta != 0.0)
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
-        hard = reclass._half_nris(delta, r, fits.data)
-        smooth_scaled = reclass._half_nris(1e6 * delta, r, fits.data)
+        hard = reclass._half_nris(delta, r, fits.data.y)
+        smooth_scaled = reclass._half_nris(1e6 * delta, r, fits.data.y)
         assert abs(smooth_scaled.nri_smooth - hard.nri_hard) <= 1e-6
         assert abs(smooth_scaled.mnri_smooth - hard.mnri_hard) <= 1e-6
 
@@ -175,9 +175,9 @@ class TestScaleAndLimits:
         fits = random_fits(seed=6)
         delta = score_difference(fits)
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
-        hard = reclass._half_nris(delta, r, fits.data).mnri_hard
+        hard = reclass._half_nris(delta, r, fits.data.y).mnri_hard
         errors = [
-            abs(reclass._half_nris(c * delta, r, fits.data).mnri_smooth - hard)
+            abs(reclass._half_nris(c * delta, r, fits.data.y).mnri_smooth - hard)
             for c in (1e2, 1e4, 1e6)
         ]
         assert errors[2] <= errors[0] + 1e-12
@@ -233,9 +233,9 @@ class TestProbitPath:
         assert abs(regression - half_nris(fits).mnri_hard) <= 1e-12
         delta = score_difference(fits)
         r = PROBIT.score_residual(fits.base.linear_predictor, fits.data.y)
-        hard = reclass._half_nris(delta, r, fits.data).mnri_hard
+        hard = reclass._half_nris(delta, r, fits.data.y).mnri_hard
         assert abs(hard - half_nris(fits).mnri_hard) <= 1e-15
-        smooth_scaled = reclass._half_nris(1e6 * delta, r, fits.data).mnri_smooth
+        smooth_scaled = reclass._half_nris(1e6 * delta, r, fits.data.y).mnri_smooth
         assert abs(smooth_scaled - hard) <= 1e-6
 
 
@@ -292,7 +292,8 @@ class TestScoreIdentity:
         y = (rng.random(n) < link.prob(eta)).astype(float)
         z = a * (z - z.mean(axis=0)) + b
         fits = fit_nested(Dataset(y=y, x=np.column_stack([np.ones(n), x1]), z=z), link)
-        delta, residuals, data = reclass._parts(fits)
+        delta, residuals, _ = reclass._parts(fits)
+        data = fits.data
         gamma_score = fits.expanded.coefficients[data.p :] @ (data.z.T @ residuals)
         assert abs(residuals @ delta - gamma_score) <= 1e-9 * abs(gamma_score)
 

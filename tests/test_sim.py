@@ -101,6 +101,32 @@ class TestGenReplicate:
         assert not np.array_equal(d1.z, d3.z)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    # A stand-in executor records its size and maps in-process, so no
+    # process is started.
+    sizes = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", FakeExecutor)
+    return sizes
+
+
 class TestRunCell:
     def test_deterministic_rows(self):
         cfg = config(replicates=60)
@@ -113,28 +139,6 @@ class TestRunCell:
         sequential = run_cell(cfg, workers=1)
         parallel = run_cell(cfg, workers=2)
         assert sequential == parallel
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        # A stand-in executor records its size and maps in-process, so no
-        # process is started.
-        sizes = []
-
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakeExecutor)
-        return sizes
 
     @pytest.mark.parametrize("replicates, pool_size", [(3, 3), (1, None)])
     def test_pool_no_larger_than_the_cell(self, monkeypatch, pool_sizes, replicates, pool_size):
@@ -194,15 +198,23 @@ class TestRunCell:
         assert abs(row.rejection_rate_mnri - 0.05) <= 0.035
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
-    def test_one_statistics_pass_per_attempt(self, half_nris_calls, mode):
-        cfg = config(mode=mode)
-        (parts,) = sim._attempt_fits(cfg, 0, range(1), 0)
-        sim._trial(cfg, parts)
-        assert len(half_nris_calls) == 1
+    def test_one_statistics_pass_per_chunk(self, half_nris_calls, mode):
+        # One pass for each chunk's attempt-0 batch, and one for each redraw
+        # whose parts all fit. In REDRAW_CELL every chunk holds a row that
+        # fits, and a redrawn replicate fails only in its fits, so the last
+        # of its redraws is the one that reaches the statistics.
+        cfg = config(**{**REDRAW_CELL, "mode": mode})
+        chunks = [range(start, min(start + 7, cfg.replicates))
+                  for start in range(0, cfg.replicates, 7)]
+        records = [record for reps in chunks for record in sim._chunk_records((cfg, 0, reps))]
+        redrawn = sum(1 for record in records if record[-1])
+        assert redrawn > 0
+        assert len(half_nris_calls) == len(chunks) + redrawn
+        assert [args[0].shape[0] for args in half_nris_calls].count(1) == redrawn
 
     def test_one_task_per_replicate(self, monkeypatch):
         # Each chunk's task calls _replicate_rejections once per replicate, in
-        # order, with the replicate's attempt-0 fits from the chunk's batch.
+        # order, with the replicate's attempt-0 record from the chunk's batch.
         calls, results = [], []
         original = sim._replicate_rejections
 
@@ -216,7 +228,7 @@ class TestRunCell:
         cfg = config(replicates=7)
         run_cell(cfg, workers=1)
         assert [(c, cell, rep) for c, cell, rep, _ in calls] == [(cfg, 0, rep) for rep in range(7)]
-        assert all(isinstance(fits, NestedFits) for *_, parts in calls for fits in parts)
+        assert [record for *_, record in calls] == [result[:-1] for result in results]
         assert all(type(result[-1]) is int for result in results)
 
     def test_excessive_failures_abort(self):
@@ -260,7 +272,20 @@ class TestBatches:
                 glm.fit_nested(gen_replicate(cfg, replicate_stream(cfg.seed, 5, rep, 0, part)), LOGIT)
                 for part in range(1 if mode == "single" else 2)
             ]
-            assert sim._trial(cfg, parts) == tuple(column[rep] for column in columns)
+            assert sim._records(cfg, [parts]) == [tuple(column[rep] for column in columns)]
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_batch_records_match_records_made_alone(self, mode):
+        # A chunk's attempt 0, some of whose rows fail to fit, tested as one
+        # batch gives each row the record bits it gets as a batch of one.
+        cfg = config(**{**REDRAW_CELL, "mode": mode})
+        attempts = sim._attempt_fits(cfg, 2, range(cfg.replicates), 0)
+        batch = sim._records(cfg, attempts)
+        alone = [sim._records(cfg, [parts])[0] for parts in attempts]
+        assert None in batch and batch.count(None) < len(batch) - 1
+        assert [np.array(r).tobytes() if r else r for r in batch] == [
+            np.array(r).tobytes() if r else r for r in alone
+        ]
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
     def test_records_do_not_depend_on_workers(self, mode):
@@ -339,6 +364,34 @@ class TestRunGrid:
     def test_deterministic(self):
         cfgs = [config(replicates=30), config(replicates=30, pi0=0.25)]
         assert run_grid(cfgs) == run_grid(cfgs)
+
+    def test_one_pool_per_grid(self, monkeypatch, pool_sizes):
+        # The grid's cells share one pool, sized by its largest cell; the
+        # rows are those of the cells run one at a time.
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+        cfgs = [config(replicates=2), config(replicates=3, pi0=0.25), config(replicates=1)]
+        rows = run_grid(cfgs, workers=8)
+        assert pool_sizes == [3]
+        assert rows == [run_cell(cfg, cell=i) for i, cfg in enumerate(cfgs)]
+
+    def test_first_failing_cell_stops_the_grid(self, monkeypatch):
+        # The middle cell's redraws exceed the failure budget: the grid raises
+        # its error once the cell's chunks are in, before the last cell runs.
+        cfgs = [config(replicates=20), config(**REDRAW_CELL), config(replicates=20)]
+        ran = []
+        original = sim._chunk_records
+
+        def recorded(args):
+            ran.append(args[1])
+            return original(args)
+
+        monkeypatch.setattr(sim, "_chunk_records", recorded)
+        with pytest.raises(ExcessiveFitFailures) as grid:
+            run_grid(cfgs)
+        with pytest.raises(ExcessiveFitFailures) as cell:
+            run_cell(cfgs[1], cell=1)
+        assert str(grid.value) == str(cell.value)
+        assert 2 not in ran
 
 
 class TestNullStatistics:
