@@ -33,9 +33,10 @@ standardized ones, with the scale of each column. Each fit starts as close
 to its MLE as is known: the expanded fit from b = 0; the base fit from the
 expanded fit's b-part, close to the base MLE under the null or a weak new
 covariate (b = 0 when q = 0); the constant fit from its MLE G^-1(ybar), so
-it stops after one step. ``fit_nested`` fits a batch of datasets of one
-shape with the same three ``fit`` calls, each on the stacked designs; the
-base and constant fits hold only the rows whose expanded fit succeeded.
+it stops after one step. ``fit_nested`` fits a batch of datasets with the
+same three ``fit`` calls, each on the stacked designs. ``as_batch`` and
+``unbatched`` hold the one rule by which every entry that takes one
+comparison also takes a batch.
 """
 from __future__ import annotations
 
@@ -195,14 +196,43 @@ class BatchFit:
     iterations: int
 
 
+def as_batch(comparison) -> tuple[list, bool]:
+    """The batch rule's first half: ``comparison`` as a list of rows, and
+    whether it was a batch. One comparison is a Dataset, or NestedFits or a
+    train/test pair, whose ``data`` is a Dataset (a pair's, its test
+    sample's). Anything else is a batch of them: ValueError unless it holds
+    at least one, all of one type, sharing n, p and q and the link of fits
+    and pairs."""
+    if isinstance(comparison, Dataset) or isinstance(getattr(comparison, "data", None), Dataset):
+        return [comparison], False
+    rows = list(comparison)
+    if not rows:
+        raise ValueError("a batch needs at least one dataset or comparison")
+    data = [row if isinstance(row, Dataset) else row.data for row in rows]
+    shapes = {(type(row), d.n, d.p, d.q, getattr(row, "link", None)) for d, row in zip(data, rows)}
+    if len(shapes) > 1:
+        raise ValueError("a batch's rows must be of one type and share n, p and q, and the link")
+    return rows, True
+
+
+def unbatched(results: list, batch: bool):
+    """The batch rule's second half: a batch's list of results as it is;
+    for one comparison its one result, raised if it is a FitError."""
+    if batch:
+        return results
+    if isinstance(results[0], FitError):
+        raise results[0]
+    return results[0]
+
+
 def _dots(a, b) -> np.ndarray:
-    """a[r] @ b[r] for each row r of two stacks of vectors (R, n)."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """a @ b over the last axis, one BLAS dot per row of stacks (R, n)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _times(matrices, vectors) -> np.ndarray:
-    """matrices[r] @ vectors[r] for each row r of a stack (R, k, n) and (R, n)."""
-    return np.matmul(matrices, vectors[:, :, None])[:, :, 0]
+    """matrices @ vectors, (k, n) @ (n,), or row by row of stacks (R, k, n) and (R, n)."""
+    return np.matmul(matrices, vectors[..., None])[..., 0]
 
 
 def _bernoulli_loglik(y, one_minus_y, probs) -> np.ndarray:
@@ -390,9 +420,7 @@ def fit(y, design, link: Link, *, start=None):
     results, iterations = _scoring(y, cols, link, beta)
     if batch:
         return BatchFit(rows=tuple(results), iterations=iterations)
-    if isinstance(results[0], FitError):
-        raise results[0]
-    return results[0]
+    return unbatched(results, batch)
 
 
 def _tagged(exc: FitError, model_name: str) -> FitError:
@@ -448,21 +476,14 @@ def fit_nested(data, link: Link):
     base fit starts from the expanded fit's b-part (zeros when q = 0); the
     constant fit from its MLE, G^-1(ybar).
 
-    ``data`` may also be a sequence of Datasets of equal n, p and q, a batch.
-    Their designs are stacked and each model is one ``fit`` of the stack, so
-    a batch takes three ``fit`` calls as one dataset does; the base and
-    constant fits hold only the rows whose expanded fit succeeded. Returns a
-    list holding each dataset's NestedFits, or the FitError that fit_nested
-    raises on that dataset alone, with the same bits. One dataset whose
-    expanded fit fails raises at once."""
-    batch = not isinstance(data, Dataset)
-    datasets = list(data) if batch else [data]
-    if not datasets:
-        raise ValueError("a batch needs at least one dataset")
+    ``data`` may be a batch (see ``as_batch``). Its designs are stacked and
+    each model is one ``fit`` of the stack, so a batch takes three ``fit``
+    calls as one dataset does; the base and constant fits hold only the rows
+    whose expanded fit succeeded. One dataset whose expanded fit fails
+    raises at once."""
+    datasets, batch = as_batch(data)
     first = datasets[0]
     n, p = first.n, first.p
-    if any((d.n, d.p, d.q) != (n, p, first.q) for d in datasets):
-        raise ValueError("a batch's datasets must share n, p and q")
     # Each row's design transposed, so that its columns are contiguous.
     stored = np.empty((len(datasets), p + first.q, n))
     for row, d in zip(stored, datasets):
@@ -505,11 +526,7 @@ def fit_nested(data, link: Link):
         base_model, constant_model, base_raw = next(fitted) if good else (None, None, None)
         results.append(_nested((model, base_model, constant_model), (raw, base_raw), link, d,
                                row_scale))
-    if batch:
-        return results
-    if isinstance(results[0], FitError):
-        raise results[0]
-    return results[0]
+    return unbatched(results, batch)
 
 
 def information_blocks(fits: NestedFits) -> np.ndarray:
@@ -520,10 +537,15 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     factor of the standardized information at unit diagonal, with entry
     (i, j) multiplied by s_i s_j, as the z rows of J^-1 are diag(1/s_z).
     A vanishing pivot is RankDeficient; z columns in units whose s_i s_j
-    leave the double range are a FitError. ``fits`` may also be a batch of
-    NestedFits of one shape: a list of each row's block or FitError, as alone."""
-    batch = not isinstance(fits, NestedFits)
-    rows = list(fits) if batch else [fits]
+    leave the double range are a FitError. ``fits`` may be a batch (see
+    ``as_batch``)."""
+    rows, batch = as_batch(fits)
+    return unbatched(_blocks(rows), batch)
+
+
+def _blocks(rows: list) -> list:
+    """``information_blocks`` of each of a list of NestedFits of one p and q,
+    whatever their n: its block, or the FitError it raises alone."""
     p = rows[0].data.p
     info = (np.stack([f.expanded.expected_information for f in rows])
             / np.array([f.data.n for f in rows])[:, None, None])
@@ -535,7 +557,7 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
         blocks = (tail @ tail.transpose(0, 2, 1)) * (scale[:, :, None] * scale[:, None, :])
     in_range = (np.isfinite(blocks).all(axis=(1, 2))
                 & (blocks.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1))
-    results = [
+    return [
         _caused(RankDeficient(f"expanded model: singular information: {singular[r]}", "expanded"),
                 singular[r]) if r in singular
         else block if in_range[r]
@@ -543,8 +565,3 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
                       "their units", "expanded")
         for r, block in enumerate(blocks)
     ]
-    if batch:
-        return results
-    if isinstance(results[0], FitError):
-        raise results[0]
-    return results[0]

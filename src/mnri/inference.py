@@ -18,8 +18,8 @@ Three references are implemented:
 Each TestResult carries its reference as the plain dict the ``compare``
 report writes; ``TestResult`` gives the recipe that turns that dict and
 the statistic back into the p-value, exactly. Each test also takes a batch
-of comparisons, taken on arrays but for the mixture tail; one comparison
-is a batch of one, with the same bits.
+of comparisons (see ``glm.as_batch``), taken on arrays but for the mixture
+tail.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from scipy.linalg import eigh
 
 from . import numerics
 from .errors import DegenerateOutcome, FitError, RankDeficient
-from .glm import NestedFits, information_blocks
+from .glm import NestedFits, _blocks, as_batch, unbatched
 from .reclass import HalfNRIs, TrainTestPair
 
 _PHI0 = float(numerics.norm_pdf(0.0))
@@ -63,25 +63,18 @@ def k_constant(pi_hat):
     return _PHI0 / (pi_hat * (1.0 - pi_hat))
 
 
-def _batch(comparison) -> tuple[list, bool]:
-    """A batch's comparisons, or the one comparison, as a list; and which."""
-    batch = not isinstance(comparison, (NestedFits, TrainTestPair))
-    return (list(comparison) if batch else [comparison]), batch
-
-
 def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     """One-sided test of the smooth mNRI against its scaled chi-square
     null reference; only large positive statistics are meaningful.
-    ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``.
-    A batch of NestedFits of one shape, with ``stats`` their ``half_nris``,
-    gives a list of each row's TestResult."""
-    rows, batch = _batch(fits)
+    ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``;
+    for a batch (see ``glm.as_batch``), its ``half_nris``."""
+    rows, batch = as_batch(fits)
     statistic = np.array([f.data.n for f in rows]) * stats.mnri_smooth
     k, q = k_constant(np.array([f.data.ybar for f in rows])), rows[0].data.q
     p_values = numerics.chisq_sf(np.maximum(statistic, 0.0) / k, q)
     results = [TestResult(float(t), {"kind": "scaled_chisq", "k": float(kr), "q": q}, float(pr))
                for t, kr, pr in zip(statistic, k, p_values)]
-    return results if batch else results[0]
+    return unbatched(results, batch)
 
 
 def _unit_max(m):
@@ -167,14 +160,13 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     behaves as n_test g_train' Gamma_test^-1 g_test, and the spread of the
     training estimate g_train is set by n_train. At equal sizes the factor
     is exactly 1. Blocks singular in the training sample's scale raise
-    RankDeficient in the expanded model. A batch of TrainTestPairs of one
-    shape gives a list of each row's TestResult or FitError, as alone."""
-    pairs, batch = _batch(pair)
+    RankDeficient in the expanded model. ``pair`` may be a batch (see
+    ``glm.as_batch``), whose training samples may differ in n."""
+    pairs, batch = as_batch(pair)
     statistic = np.array([p.data.n for p in pairs]) * stats.mnri_smooth
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
     results = [next((b for b in blocks if isinstance(b, FitError)), blocks) for blocks in zip(
-        information_blocks([p.test_fits for p in pairs]),
-        information_blocks([p.train_fits for p in pairs]))]
+        _blocks([p.test_fits for p in pairs]), _blocks([p.train_fits for p in pairs]))]
     rows = [r for r, result in enumerate(results) if not isinstance(result, FitError)]
     if rows:
         weights, singular = _weights(*(np.stack([results[r][i] for r in rows]) for i in (0, 1)))
@@ -191,9 +183,7 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
                              "weights": weights[i].tolist()}
                 results[r] = TestResult(float(statistic[r]), reference,
                                         numerics.mixture_tail(statistic[r], weights[i], scale[i]))
-    if not batch and isinstance(results[0], FitError):
-        raise results[0]
-    return results if batch else results[0]
+    return unbatched(results, batch)
 
 
 _LEGACY_NOTE = (
@@ -208,15 +198,14 @@ def test_nri_normal_legacy(
     """Two-sided normal test of the hard NRI with the classical variance
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
     be wrong; the result is labeled accordingly. ``stats`` is the object
-    the mNRI test of the same comparison takes. A batch, as for the mNRI
-    test, gives a list of each row's TestResult."""
-    rows, batch = _batch(fits_or_pair)
-    y = np.stack([c.data.y for c in rows]) if batch else rows[0].data.y[None]
-    n1 = np.count_nonzero(y == 1.0, axis=1)
-    n0 = np.count_nonzero(y == 0.0, axis=1)  # a Dataset holds both classes
+    the mNRI test of the same comparison takes, for a batch as for that test."""
+    rows, batch = as_batch(fits_or_pair)
+    # A Dataset's outcomes are 0/1 and hold both classes.
+    n1 = np.array([np.count_nonzero(c.data.y) for c in rows])
+    n0 = np.array([c.data.n for c in rows]) - n1
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
     p_values = 2.0 * numerics.norm_cdf(-abs(stats.nri_hard) / np.sqrt(variance))
     results = [TestResult(float(t), {"kind": "normal", "variance": float(v)}, float(p),
                           _LEGACY_NOTE)
                for t, v, p in zip(np.atleast_1d(stats.nri_hard), variance, p_values)]
-    return results if batch else results[0]
+    return unbatched(results, batch)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numerics
 from .errors import AllTies
-from .glm import Dataset, NestedFits
+from .glm import Dataset, Link, NestedFits, _dots, _times, as_batch
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ class TrainTestPair:
     def data(self) -> Dataset:
         return self.test_fits.data
 
+    @property
+    def link(self) -> Link:
+        return self.test_fits.link
+
 
 def extended_indicator(u):
     """Indicator of u > 0, extended to take the value 1/2 at exact ties."""
@@ -85,23 +89,12 @@ def score_difference(fits: NestedFits) -> np.ndarray:
     return fits.expanded.linear_predictor - fits.base.linear_predictor
 
 
-def _times(matrices, vectors) -> np.ndarray:
-    """matrices @ vectors, (n, k) @ (k,), or row by row of stacks (R, n, k) and (R, k)."""
-    return np.matmul(matrices, vectors[..., None])[..., 0]
-
-
-def _dots(a, b) -> np.ndarray:
-    """a @ b over the last axis, one BLAS dot per row of stacks (R, n)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _parts(comparisons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score change, base-model score residuals and outcomes of one
     comparison, or stacked (R, n) over a batch of them. A train/test pair
     takes the score change from the training coefficients on the test rows
     and everything else from the test fits."""
-    batch = not isinstance(comparisons, (NestedFits, TrainTestPair))
-    items = list(comparisons) if batch else [comparisons]
+    items, batch = as_batch(comparisons)
     stack = np.stack if batch else (lambda arrays: arrays[0])
     pairs = isinstance(items[0], TrainTestPair)
     fits = [pair.test_fits for pair in items] if pairs else items
@@ -137,8 +130,8 @@ def half_nris(comparison: NestedFits | TrainTestPair) -> HalfNRIs:
     train/test pair they take the score change from the training
     coefficients and are evaluated on, and normalized by, the test data.
 
-    A batch, a sequence of NestedFits or of TrainTestPairs of one shape, is
-    one kernel pass over the stacked rows, each field holding a value per row."""
+    A batch (see ``glm.as_batch``) is one kernel pass over the stacked rows,
+    each field holding a value per row."""
     return _half_nris(*_parts(comparison))
 
 
