@@ -172,13 +172,16 @@ def _pair_tail(t: float, c: float) -> float:
     return upper if t >= 0.0 else 1.0 - upper
 
 
-def mixture_tail(t: float, weights, scale: float) -> float:
+def mixture_tail(t: float, weights, scale: float, *, check: bool = True) -> float:
     """Upper tail probability ``P(scale * sum_j weights[j] chi2_1j > t)``,
     the chi2_1j independent, for the fields of a ``chisq_mixture`` reference.
 
     Raises ValueError when t is NaN, when the weights are none or not all
-    finite (any sign), or when the scale is not positive and finite. One +/-
-    pair, c (chi2_1 - chi2_1'), as in every train/test reference with one new
+    finite (any sign), or when the scale is not positive and finite.
+    ``check=False`` skips those checks, for weights (an array) and a scale
+    the caller built and checked itself, as ``inference.test_mnri_train_test``
+    does; the arithmetic, and so the tail, is the same. One +/- pair, c
+    (chi2_1 - chi2_1'), as in every train/test reference with one new
     covariate, has the product-normal tail (1/pi) int_a^inf K0, a = |t| / 2c,
     taken as one trapezoid sum (``_pair_tail``) within about 1e-15 (1 + a)
     relative, and exactly 1/2 at t = 0. Any other weights take Rice's
@@ -190,13 +193,14 @@ def mixture_tail(t: float, weights, scale: float) -> float:
     which is 1/2 for the symmetric train/test mixtures.
     """
     t = float(t)
-    if np.isnan(t):
-        raise ValueError("mixture tail threshold is NaN")
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0 or not np.isfinite(weights).all():
-        raise ValueError("mixture weights must be one or more finite numbers")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError("mixture scale must be positive and finite")
+    if check:
+        if np.isnan(t):
+            raise ValueError("mixture tail threshold is NaN")
+        weights = np.asarray(weights, dtype=float)
+        if weights.size == 0 or not np.isfinite(weights).all():
+            raise ValueError("mixture weights must be one or more finite numbers")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError("mixture scale must be positive and finite")
     weights = weights * scale
     weights = weights[weights != 0.0]
     if weights.size == 0 or np.isinf(t):

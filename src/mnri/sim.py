@@ -23,15 +23,18 @@ its redraws. The size tables of ``run_cell`` threshold the p-values;
 ``_run_replicates`` returns the two scaled statistics beside them, for
 null-distribution diagnostics.
 
-A cell runs its replicates in chunks of at most ``_CHUNK_OBSERVATIONS``
-observations (replicates x n), so its memory does not grow with the
-replicate count. A chunk draws the first attempt of each of its
-replicates and fits each part as one batch, a leading replicate axis for
-``glm.fit_nested``, which returns each row's fits or its FitError, then
-tests the rows that fitted in one stacked pass of the kernels ``compare``
-uses. One whose first attempt failed is redrawn under attempts 1, 2, ...
-and fitted and tested alone. A row of a batch gets the bits it gets alone,
-so the records do not depend on the chunks or on the worker count.
+A grid runs its replicates in chunks: runs of (cell, replicate) keys taken
+in grid order, across neighbouring cells that share n and mode, of at most
+``_CHUNK_OBSERVATIONS`` observations (keys x n, twice in train/test mode),
+so memory does not grow with the replicate count. A chunk draws the first
+attempt of each of its keys, every part of every key (the training and
+test samples in train/test mode), and fits them as one batch, a leading
+replicate axis for ``glm.fit_nested``, which returns each row's fits or its
+FitError, then tests the rows that fitted in one stacked pass of the
+kernels ``compare`` uses. One whose first attempt failed is redrawn under
+attempts 1, 2, ... and fitted and tested alone. A row of a batch gets the
+bits it gets alone, so the records do not depend on the chunks, on the
+neighbouring cells or on the worker count.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import groupby, islice
 from typing import Iterable
 
 import numpy as np
@@ -52,13 +56,14 @@ DEFAULT_SEED = 1729
 
 _MAX_ATTEMPTS = 50
 _FAILURE_BUDGET = 0.01
-# Observations (replicates x n) per batch of fits, so that a cell's memory
-# does not grow with its replicate count. On a 2-CPU host, one-worker runs
-# of a 1600 x 200, a 600 x 500 and a 200 x 2000 cell gave the same
-# replicates/s at caps of 2^13 to 2^16 within their spread, while the
-# process's peak RSS grew by about 250 bytes per observation of the cap
-# (67 MiB at 2^14, 79 MiB at 2^16). At 2^12 the n = 2000 cell, fitted two
-# replicates at a time, ran slower.
+# Observations per batch of fits, counting both parts of a train/test
+# replicate (keys x n x parts), so that memory does not grow with the
+# replicate count. On a 2-CPU host, with batches that each held one
+# single-mode cell's replicates, one-worker runs of a 1600 x 200, a 600 x
+# 500 and a 200 x 2000 cell gave the same replicates/s at caps of 2^13 to
+# 2^16 within their spread, while the process's peak RSS grew by about 250
+# bytes per observation of the cap (67 MiB at 2^14, 79 MiB at 2^16). At
+# 2^12 the n = 2000 cell, fitted two replicates at a time, ran slower.
 _CHUNK_OBSERVATIONS = 1 << 14
 
 
@@ -137,30 +142,31 @@ def gen_replicate(config: SimConfig, stream: np.random.Generator) -> Dataset:
     return Dataset(y=y, x=np.column_stack([np.ones(n), x]), z=z[:, None])
 
 
-def _attempt_fits(config: SimConfig, cell: int, reps: range, attempt: int) -> list[list]:
-    """One attempt of each replicate in reps: per part (the training and
-    test samples in train/test mode), its fits, or the FitError or
-    DegenerateOutcome met on the way. Each part's datasets are drawn under
-    their stream keys and fitted as one batch."""
-    parts = []
-    for part in range(1 if config.mode == "single" else 2):
-        drawn = []
-        for rep in reps:
+def _attempt_fits(keys, attempt: int) -> list[list]:
+    """One attempt of each (config, cell, replicate) key, the keys all of one
+    n: per part (the training and test samples in train/test mode), its fits,
+    or the FitError or DegenerateOutcome met on the way. Every part of every
+    key is drawn under its stream key, and all are fitted as one batch."""
+    drawn = []
+    for config, cell, rep in keys:
+        parts = []
+        for part in range(1 if config.mode == "single" else 2):
             try:
                 stream = replicate_stream(config.seed, cell, rep, attempt, part)
-                drawn.append(gen_replicate(config, stream))
+                parts.append(gen_replicate(config, stream))
             except DegenerateOutcome as exc:
-                drawn.append(exc)
-        datasets = [d for d in drawn if isinstance(d, Dataset)]
-        fitted = iter(glm.fit_nested(datasets, LOGIT) if datasets else ())
-        parts.append([next(fitted) if isinstance(d, Dataset) else d for d in drawn])
-    return [list(fits) for fits in zip(*parts)]
+                parts.append(exc)
+        drawn.append(parts)
+    datasets = [d for parts in drawn for d in parts if isinstance(d, Dataset)]
+    fitted = iter(glm.fit_nested(datasets, LOGIT) if datasets else ())
+    return [[next(fitted) if isinstance(d, Dataset) else d for d in parts] for parts in drawn]
 
 
 def _records(config: SimConfig, attempts: list[list]) -> list:
     """Each attempt's record: the mNRI and legacy NRI p-values, n * smooth mNRI
     / k-hat and n * smooth NRI; None where a part did not fit or the mNRI test
-    failed. The attempts whose parts all fitted are tested as one batch."""
+    failed. The attempts, all of config's n and mode, whose parts all fitted
+    are tested as one batch."""
     records = [None] * len(attempts)
     rows = [r for r, parts in enumerate(attempts)
             if all(isinstance(fits, NestedFits) for fits in parts)]
@@ -192,17 +198,28 @@ def _replicate_rejections(args) -> tuple:
         if attempt == _MAX_ATTEMPTS:
             raise ExcessiveFitFailures(
                 f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row")
-        (record,) = _records(config, _attempt_fits(config, cell, range(rep, rep + 1), attempt))
+        (record,) = _records(config, _attempt_fits([(config, cell, rep)], attempt))
     return (*record, attempt)
 
 
-def _chunk_records(args) -> list[tuple]:
-    """The records of a run of replicates, in order: their attempt 0 fitted
-    and tested as one batch, then ``_replicate_rejections`` per replicate."""
-    config, cell, reps = args
-    records = _records(config, _attempt_fits(config, cell, reps, 0))
-    return [_replicate_rejections((config, cell, rep, record))
-            for rep, record in zip(reps, records)]
+def _chunk_records(keys) -> list:
+    """The records of a run of (config, cell, replicate) keys of one n and
+    mode, in order: their attempt 0 fitted and tested as one batch, then
+    ``_replicate_rejections`` per key. A replicate's ExcessiveFitFailures is
+    returned in its place, and in that of its cell's later keys, so that the
+    cells before it keep their records and the grid raises its errors in
+    (cell, replicate) order."""
+    failed = {}
+    records = []
+    for key, record in zip(keys, _records(keys[0][0], _attempt_fits(keys, 0))):
+        cell = key[1]
+        if cell not in failed:
+            try:
+                record = _replicate_rejections((*key, record))
+            except ExcessiveFitFailures as exc:
+                failed[cell] = exc
+        records.append(failed.get(cell, record))
+    return records
 
 
 def _usable_cpus() -> int:
@@ -211,25 +228,35 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _chunks(cells: list[tuple[int, SimConfig]], workers: int) -> list[list[tuple]]:
+    """The grid's (config, cell, replicate) keys in grid order, split into
+    chunks. Each run of neighbouring cells that share n and mode splits
+    evenly into the fewest chunks under ``_CHUNK_OBSERVATIONS`` whose count is
+    a multiple of ``workers``, or into one key each when it has fewer keys."""
+    chunks = []
+    for (n, mode), run in groupby(cells, key=lambda cell: (cell[1].n, cell[1].mode)):
+        keys = [(config, cell, rep) for cell, config in run for rep in range(config.replicates)]
+        size = max(1, _CHUNK_OBSERVATIONS // (n * (1 if mode == "single" else 2)))
+        count = min(len(keys), -(-len(keys) // (size * workers)) * workers)
+        chunks += [keys[i * len(keys) // count:(i + 1) * len(keys) // count]
+                   for i in range(count)]
+    return chunks
+
+
 @contextmanager
 def _cell_records(cells: list[tuple[int, SimConfig]], workers: int):
     """One iterator per cell (index, config) over its records, to be read in
-    cell order. A cell runs in chunks of at most ``_CHUNK_OBSERVATIONS`` / n
-    replicates, split evenly over its workers; all chunks go to one pool
-    (or run here for one worker), and leaving early drops those not started."""
-    cpus, tasks = _usable_cpus(), []
-    for cell, config in cells:
-        reps = config.replicates
-        size = max(1, min(_CHUNK_OBSERVATIONS // config.n, -(-reps // min(workers, reps, cpus))))
-        tasks.append([(config, cell, range(start, min(start + size, reps)))
-                      for start in range(0, reps, size)])
+    cell order; each takes the cell's replicate count of records from one
+    stream of the grid's chunks (``_chunks``). The chunks go to one pool (or
+    run here for one worker), and leaving early drops those not started."""
     # A pool starts all its processes up front; more than one per replicate
     # of the largest cell or per usable CPU would sit idle.
-    workers = min(workers, max(config.replicates for _, config in cells), cpus)
+    workers = min(workers, max(config.replicates for _, config in cells), _usable_cpus())
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_chunk_records, [c for cs in tasks for c in cs])
+        results = (pool.map if pool else map)(_chunk_records, _chunks(cells, workers))
+        stream = (record for records in results for record in records)
         try:
-            yield [(record for _ in chunks for record in next(results)) for chunks in tasks]
+            yield [islice(stream, config.replicates) for _, config in cells]
         finally:
             if pool:
                 pool.shutdown(cancel_futures=True)
@@ -241,6 +268,10 @@ def _run_replicates(config: SimConfig, cell: int, workers: int, records=None):
     if records is None:
         with _cell_records([(cell, config)], workers) as (records,):
             return _run_replicates(config, cell, workers, records)
+    records = list(records)
+    for record in records:
+        if isinstance(record, ExcessiveFitFailures):
+            raise record
     *columns, redraws = (np.array(column) for column in zip(*records))
     redraws = int(redraws.sum())
     if redraws > _FAILURE_BUDGET * config.replicates:

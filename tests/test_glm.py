@@ -661,7 +661,7 @@ class TestFitNested:
 
     def test_warm_starts_save_iterations(self):
         cfg = sim.SimConfig(n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=1, seed=901)
-        ((fits,),) = sim._attempt_fits(cfg, 0, range(1), 0)
+        ((fits,),) = sim._attempt_fits([(cfg, 0, 0)], 0)
         cold_base = fit(fits.data.y, fits.data.x, LOGIT)
         assert fits.constant.iterations == 1
         assert fits.base.iterations < cold_base.iterations

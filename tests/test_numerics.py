@@ -344,6 +344,16 @@ class TestMixtureTail:
             with pytest.raises(ValueError, match="^mixture (weights|scale)"):
                 mixture_tail(1.0, weights, scale)
 
+    def test_unchecked_tail_is_the_checked_tail(self):
+        # check=False skips only the checks: every path gives the same bits.
+        for weights in [(0.93, -0.93), (1.3, -0.7), (2.0, -2.0, 0.5, -0.5), (1.0, 0.0, -1.0),
+                        (1.5,), (0.0, 0.0)]:
+            weights = np.array(weights)
+            for t in [-math.inf, -3.0, -1e-9, 0.0, 1.19e-7, 0.7, 4.0, 60.0, math.inf]:
+                for scale in (0.8, np.float64(1.7)):
+                    checked = mixture_tail(np.float64(t), weights, scale)
+                    assert mixture_tail(np.float64(t), weights, scale, check=False) == checked
+
 
 def _pair_tail_mpmath(t, c):
     """P(c (chi2_1 - chi2_1') > t) at 30 digits, from K0(x) = int_0^inf

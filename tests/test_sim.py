@@ -206,7 +206,8 @@ class TestRunCell:
         cfg = config(**{**REDRAW_CELL, "mode": mode})
         chunks = [range(start, min(start + 7, cfg.replicates))
                   for start in range(0, cfg.replicates, 7)]
-        records = [record for reps in chunks for record in sim._chunk_records((cfg, 0, reps))]
+        records = [record for reps in chunks
+                   for record in sim._chunk_records([(cfg, 0, rep) for rep in reps])]
         redrawn = sum(1 for record in records if record[-1])
         assert redrawn > 0
         assert len(half_nris_calls) == len(chunks) + redrawn
@@ -279,7 +280,7 @@ class TestBatches:
         # A chunk's attempt 0, some of whose rows fail to fit, tested as one
         # batch gives each row the record bits it gets as a batch of one.
         cfg = config(**{**REDRAW_CELL, "mode": mode})
-        attempts = sim._attempt_fits(cfg, 2, range(cfg.replicates), 0)
+        attempts = sim._attempt_fits([(cfg, 2, rep) for rep in range(cfg.replicates)], 0)
         batch = sim._records(cfg, attempts)
         alone = [sim._records(cfg, [parts])[0] for parts in attempts]
         assert None in batch and batch.count(None) < len(batch) - 1
@@ -326,7 +327,10 @@ class TestCallShape:
         traced(glm, "fit", lambda result: result.iterations)
         traced(glm, "fit_nested")
         traced(sim, "_replicate_rejections")
-        # Chunks of 4, 4 and 1 replicates: batches of R = 4 and R = 1.
+        # A batch holds at most 4 x 200 observations, counting both parts: the
+        # 9 replicates split evenly into the fewest chunks under that cap, 3
+        # chunks of 3 in single mode, and in train/test mode 5 chunks of 1, 2,
+        # 2, 2 and 2 replicates, each fitting both its parts as one batch.
         monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", 4 * 200)
         cfg = config(replicates=9, mode=mode)
         run_cell(cfg, workers=1)
@@ -338,7 +342,7 @@ class TestCallShape:
         assert len(fits) == 3 * len(nested)
         assert len([e for e in calls if e[0] == "_replicate_rejections"]) == cfg.replicates
         sizes = {len(args[0]) for _, _, args in nested}
-        assert sizes == {4, 1}
+        assert sizes == {"single": {3}, "train_test": {2, 4}}[mode]
         iterations = [value for name, _, value in events if name == "fit.result"]
         assert len(iterations) == len(fits)
         assert all(type(value) is int for value in iterations)
@@ -381,9 +385,9 @@ class TestRunGrid:
         ran = []
         original = sim._chunk_records
 
-        def recorded(args):
-            ran.append(args[1])
-            return original(args)
+        def recorded(keys):
+            ran.extend(cell for _, cell, _ in keys)
+            return original(keys)
 
         monkeypatch.setattr(sim, "_chunk_records", recorded)
         with pytest.raises(ExcessiveFitFailures) as grid:
@@ -392,6 +396,132 @@ class TestRunGrid:
             run_cell(cfgs[1], cell=1)
         assert str(grid.value) == str(cell.value)
         assert 2 not in ran
+
+
+
+# Neighbouring cells of one n with redraws in both modes, and a cell of
+# another n between them, which starts a new run of chunks.
+STRADDLED_GRID = [
+    REDRAW_CELL,
+    {**REDRAW_CELL, "pi0": 0.2, "replicates": 17},
+    dict(n=200, replicates=9),
+    {**REDRAW_CELL, "mu_x": 2.2},
+    {**REDRAW_CELL, "rho": 0.0, "pi0": 0.3, "replicates": 23},
+]
+
+
+class TestGridChunks:
+    """A chunk is a run of (cell, replicate) keys in grid order across
+    neighbouring cells that share n and mode."""
+
+    @pytest.fixture(autouse=True)
+    def no_budget(self, monkeypatch):
+        monkeypatch.setattr(sim, "_FAILURE_BUDGET", 1.0)
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    @pytest.mark.parametrize("cap", [7 * 60, 45 * 60, 1 << 14])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_keep_the_records_they_get_alone(self, monkeypatch, mode, cap, workers):
+        monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", cap)
+        cells = list(enumerate(config(**{**cell, "mode": mode}) for cell in STRADDLED_GRID))
+        assert any(len({cell for _, cell, _ in keys}) > 1 for keys in sim._chunks(cells, workers))
+        with sim._cell_records(cells, workers) as records:
+            grid = [sim._run_replicates(cfg, i, workers, cell_records)
+                    for (i, cfg), cell_records in zip(cells, records)]
+        assert sum(redraws for _, redraws in grid) > 0
+        for (i, cfg), (columns, redraws) in zip(cells, grid):
+            alone, alone_redraws = sim._run_replicates(cfg, i, 1)
+            assert redraws == alone_redraws
+            assert [c.tobytes() for c in columns] == [c.tobytes() for c in alone]
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    @pytest.mark.parametrize("cap", [7 * 60, 45 * 60, 1 << 14])
+    def test_chunks_run_in_grid_order_under_the_cap(self, monkeypatch, mode, cap):
+        monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", cap)
+        cells = list(enumerate(config(**{**cell, "mode": mode}) for cell in STRADDLED_GRID))
+        chunks = sim._chunks(cells, 1)
+        keys = [(cell, rep) for _, cell, rep in (key for chunk in chunks for key in chunk)]
+        assert keys == [(i, rep) for i, cfg in cells for rep in range(cfg.replicates)]
+        parts = 1 if mode == "single" else 2
+        for chunk in chunks:
+            assert len({(cfg.n, cfg.mode) for cfg, _, _ in chunk}) == 1
+            assert len(chunk) == 1 or len(chunk) * chunk[0][0].n * parts <= cap
+        if cap == 45 * 60 and mode == "single":
+            # The first run of 47 keys takes two chunks, which straddle its cells.
+            assert [len(chunk) for chunk in chunks[:2]] == [23, 24]
+
+    def test_chunk_count_is_a_multiple_of_the_workers(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+        cfgs = [config(replicates=20, pi0=pi0) for pi0 in (0.25, 0.5, 0.75)]
+        cfgs += [config(n=300, replicates=20, mu_x=mu_x) for mu_x in (0.25, 1.0)]
+        serial = run_grid(cfgs, workers=1)
+        chunks = []
+        original = sim._chunk_records
+
+        def recorded(keys):
+            chunks.append((keys[0][0].n, len(keys)))
+            return original(keys)
+
+        monkeypatch.setattr(sim, "_chunk_records", recorded)
+        for workers in (2, 3):
+            chunks.clear()
+            assert run_grid(cfgs, workers=workers) == serial
+            assert pool_sizes[-1] == workers
+            assert len(chunks) % workers == 0
+            # Each run of one n splits evenly: its chunk sizes differ by at most one.
+            for n, keys in ((200, 60), (300, 40)):
+                sizes = [size for chunk_n, size in chunks if chunk_n == n]
+                assert sum(sizes) == keys and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_failing_cell_among_its_neighbours_stops_the_grid(self, monkeypatch, mode):
+        # The four n = 60 cells share chunks of 22 or 23 replicates: the
+        # failing second cell raises the message it raises alone, and the last
+        # chunk, which holds only the later cells' replicates, never starts.
+        monkeypatch.setattr(sim, "_FAILURE_BUDGET", 0.01)
+        monkeypatch.setattr(sim, "_CHUNK_OBSERVATIONS", (1 if mode == "single" else 2) * 25 * 60)
+        cfgs = [config(**{**cell, "mode": mode}) for cell in (
+            dict(n=60, replicates=20), REDRAW_CELL, dict(n=60, replicates=20),
+            dict(n=60, replicates=20, pi0=0.25))]
+        ran = []
+        original = sim._chunk_records
+
+        def recorded(keys):
+            ran.append({cell for _, cell, _ in keys})
+            return original(keys)
+
+        monkeypatch.setattr(sim, "_chunk_records", recorded)
+        with pytest.raises(ExcessiveFitFailures) as grid:
+            run_grid(cfgs)
+        started = list(ran)
+        with pytest.raises(ExcessiveFitFailures) as cell:
+            run_cell(cfgs[1], cell=1)
+        assert str(grid.value) == str(cell.value)
+        chunks = [{cell for _, cell, _ in keys} for keys in sim._chunks(list(enumerate(cfgs)), 1)]
+        assert chunks[-1] == {2, 3} and started == chunks[:-1]
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_errors_surface_in_cell_order(self, monkeypatch, mode, workers):
+        # One chunk holds a cell over its failure budget and then a cell whose
+        # replicates never fit: the grid raises the first cell's error, as
+        # the cells run one at a time do.
+        monkeypatch.setattr(sim, "_FAILURE_BUDGET", 0.01)
+        cfgs = [config(**{**REDRAW_CELL, "mode": mode}),
+                config(n=60, mu_x=8.0, replicates=3, mode=mode)]
+        assert {cell for _, cell, _ in sim._chunks(list(enumerate(cfgs)), workers)[-1]} == {0, 1}
+        with pytest.raises(ExcessiveFitFailures, match="budget") as grid:
+            run_grid(cfgs, workers=workers)
+        with pytest.raises(ExcessiveFitFailures) as first:
+            run_cell(cfgs[0])
+        with pytest.raises(ExcessiveFitFailures, match="in a row") as second:
+            run_cell(cfgs[1], cell=1)
+        assert str(grid.value) == str(first.value)
+        # Without the first cell's budget check, the second cell's error is next.
+        monkeypatch.setattr(sim, "_FAILURE_BUDGET", 1.0)
+        with pytest.raises(ExcessiveFitFailures) as grid:
+            run_grid(cfgs, workers=workers)
+        assert str(grid.value) == str(second.value)
 
 
 class TestNullStatistics:
