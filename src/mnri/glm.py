@@ -13,34 +13,32 @@ feed the next score, the next information and, at convergence, the fitted
 model. Fits carry the expected information evaluated at the MLE, from
 which ``information_blocks`` profiles out the base coefficients.
 
-``fit`` runs on a design as given, in any memory layout. It builds the
-information X'WX over blocks of ``_INFO_ROWS`` rows, so no array the size
-of the design is made per iteration; a design of at most that many rows is
-one block. ``fit`` also takes a stack of R designs of equal shape, a batch,
-and runs one Fisher-scoring loop over that leading replicate axis; one
-design is the batch R = 1. Every product is one BLAS call per row, on the
-row's column-major design, and convergence, step-halving, separation, the
-iteration cap and the Cholesky pivot rule are per-row masks, so each row
-gets the bits it gets alone. A row that converges or fails leaves the
-loop; a failure is returned in that row's place, not raised, and the other
-rows go on. ``fit_nested`` fits the triple on the expanded design
-standardized once, so that convergence and the separation rule do not
-depend on the covariates' units. The standardized design is one array in
-column-major order: the base fit reads its leading columns in place, and
-every product with the design runs on contiguous columns. It reports the
-coefficients for the raw columns and keeps the information in the
-standardized ones, with the scale of each column. Each fit starts as close
-to its MLE as is known: the expanded fit from b = 0; the base fit from the
-expanded fit's b-part, close to the base MLE under the null or a weak new
-covariate (b = 0 when q = 0); the constant fit from its MLE G^-1(ybar), so
-it stops after one step. ``fit_nested`` fits a batch of datasets with the
-same three ``fit`` calls, each on the stacked designs. ``as_batch`` and
-``unbatched`` hold the one rule by which every entry that takes one
-comparison also takes a batch.
+``fit`` runs on a design as given, in any memory layout, building X'WX over
+blocks of ``_INFO_ROWS`` rows, so no array the size of the design is made per
+iteration. It also takes a stack of R designs of one shape, a batch, and runs
+one Fisher-scoring loop over that leading axis: every product is one BLAS
+call per row, on its column-major design, and convergence, step-halving,
+separation, the iteration cap and the Cholesky pivot rule are per-row masks,
+so each row gets the bits it gets alone. A row that converges or fails leaves
+the loop; its fit goes into the BatchFit's stacked arrays, its failure into
+the BatchFit's errors, and the other rows go on.
+
+``fit_nested`` takes one Dataset, a list of them, or a stacked Dataset (y (R,
+n), x (R, n, p), z (R, n, q)), checked once when built. It fits the triple
+with three ``fit`` calls on the expanded design standardized once, in
+column-major order, so that convergence and the separation rule do not
+depend on the covariates' units, and returns stacked NestedFits: raw-column
+coefficients, linear predictors, the standardized information and each
+column's scale, with a {row: FitError} map. One Dataset or a list gets
+NestedFits built from those arrays as views. Each fit starts as close to its
+MLE as is known: the expanded fit from b = 0; the base fit from the expanded
+fit's b-part (b = 0 when q = 0); the constant fit from G^-1(ybar), so it
+stops after one step. ``as_batch`` and ``unbatched`` hold the one rule by
+which every entry that takes one comparison also takes a batch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -84,9 +82,9 @@ class Link:
             return expit(eta)
         return numerics.norm_cdf(eta)
 
-    def eta(self, prob: float) -> float:
+    def eta(self, prob):
         """G^-1(prob), the risk score whose event probability is prob."""
-        return float(logit(prob) if self.kind == "logit" else ndtri(prob))
+        return logit(prob) if self.kind == "logit" else ndtri(prob)
 
     def score_residual(self, eta, y):
         """r = [G'/(G(1-G))] (y - G); reduces to y - G for the logit."""
@@ -109,7 +107,8 @@ PROBIT = Link("probit")
 @dataclass(frozen=True)
 class Dataset:
     """Binary outcomes with base covariates x (first column constant 1)
-    and new covariates z."""
+    and new covariates z; or a batch of R datasets of one shape, stacked:
+    y (R, n), x (R, n, p) and z (R, n, q), checked at once."""
 
     y: np.ndarray
     x: np.ndarray
@@ -119,47 +118,47 @@ class Dataset:
         y = np.ascontiguousarray(self.y, dtype=float)
         x = np.ascontiguousarray(self.x, dtype=float)
         z = np.ascontiguousarray(self.z, dtype=float)
-        if y.ndim != 1:
-            raise ValueError("y must be a vector")
-        if x.ndim != 2 or z.ndim != 2:
+        if y.ndim not in (1, 2):
+            raise ValueError("y must be a vector, or a stack of them")
+        if x.ndim != y.ndim + 1 or z.ndim != y.ndim + 1:
             raise ValueError("x and z must be matrices")
-        n = y.shape[0]
-        if x.shape[0] != n or z.shape[0] != n:
+        if x.shape[:-1] != y.shape or z.shape[:-1] != y.shape:
             raise ValueError("x, z row counts must match y")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("y must be coded 0/1")
-        if y.min() == y.max():
+        if (y.min(axis=-1) == y.max(axis=-1)).any():
             raise DegenerateOutcome("outcome is constant; need both events and non-events")
-        if not np.all(x[:, 0] == 1.0):
+        if not np.all(x[..., 0] == 1.0):
             raise ValueError("first column of x must be the constant 1")
-        if n < x.shape[1] + z.shape[1] + 1:
+        if y.shape[-1] < x.shape[-1] + z.shape[-1] + 1:
             raise ValueError("too few rows for the covariate dimensions")
-        for arr in (y, x, z):
+        for name, arr in (("y", y), ("x", x), ("z", z)):
             arr.flags.writeable = False
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     @property
     def q(self) -> int:
-        return self.z.shape[1]
+        return self.z.shape[-1]
 
     @cached_property
-    def ybar(self) -> float:
-        return float(self.y.mean())
+    def ybar(self):
+        """The event rate, or each row's in a batch."""
+        ybar = self.y.mean(axis=-1)
+        return ybar if ybar.ndim else float(ybar)
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """One converged binary-response model."""
+    """One converged binary-response model; in a batch, each field stacks
+    the rows' values."""
 
     coefficients: np.ndarray
     linear_predictor: np.ndarray
@@ -171,12 +170,14 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class NestedFits:
-    """The (expanded, base, constant) model triple on one dataset.
+    """The (expanded, base, constant) model triple on one dataset, or on
+    each of a batch of them, stacked (``fit_nested``).
 
     Coefficients are for the raw columns [x, z]. The expanded and base
     fits' ``expected_information`` is for the standardized columns
     [1, (X - m)/s] that ``fit_nested`` fitted on; ``scale`` holds the s of
-    each column of [x, z], 1 for the intercept."""
+    each column of [x, z], 1 for the intercept. In a batch, ``errors`` maps
+    each row whose fits failed, holding zeros, to its FitError."""
 
     expanded: FittedModel
     base: FittedModel
@@ -184,27 +185,64 @@ class NestedFits:
     link: Link
     data: Dataset
     scale: np.ndarray
+    errors: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class BatchFit:
-    """The fits of a batch of designs: for each row, its FittedModel or the
-    FitError that ``fit`` raises on that row alone. ``iterations`` is the
-    number the batch ran, the largest of its rows'."""
+    """The fits of a batch of designs, stacked (zeros in a failed row), the
+    FitError ``fit`` raises on each failed row alone, by row, and the
+    iterations the batch ran, the largest of its rows'."""
 
-    rows: tuple
+    fits: FittedModel
+    errors: dict
     iterations: int
 
+    @property
+    def rows(self) -> tuple:
+        """Each row's FittedModel or FitError."""
+        return tuple(self.errors.get(r) or _taken(self.fits, r)
+                     for r in range(len(self.fits.loglik)))
 
-def as_batch(comparison) -> tuple[list, bool]:
-    """The batch rule's first half: ``comparison`` as a list of rows, and
-    whether it was a batch. One comparison is a Dataset, or NestedFits or a
-    train/test pair, whose ``data`` is a Dataset (a pair's, its test
-    sample's). Anything else is a batch of them: ValueError unless it holds
-    at least one, all of one type, sharing n, p and q and the link of fits
-    and pairs."""
-    if isinstance(comparison, Dataset) or isinstance(getattr(comparison, "data", None), Dataset):
-        return [comparison], False
+
+def _zipped(objects: list, fn):
+    """An object of the type of ``objects[0]`` whose every array and number,
+    through dataclass fields, is ``fn`` of the objects' values there (a link is
+    the first's, an errors map empty), built without a second check."""
+    first = objects[0]
+    if isinstance(first, (np.ndarray, float, int, np.generic)):
+        return fn(objects)
+    if isinstance(first, dict):
+        return {}
+    if isinstance(first, Link) or not is_dataclass(first):
+        return first
+    built = object.__new__(type(first))
+    for f in fields(first):
+        object.__setattr__(built, f.name, _zipped([getattr(o, f.name) for o in objects], fn))
+    return built
+
+
+def _taken(batch, rows):
+    """Rows of a batch, an index array (views when they are consecutive), or
+    one row, an int, as one comparison of views."""
+    if np.ndim(rows) and rows.size and (np.diff(rows) == 1).all():
+        rows = slice(rows[0], rows[-1] + 1)
+    return _zipped([batch], lambda values: values[0][rows])
+
+
+def as_batch(comparison) -> tuple:
+    """The batch rule's first half: ``comparison`` as a batch, its arrays on a
+    leading row axis, and whether it was one. One comparison, a Dataset or
+    NestedFits or a train/test pair whose ``data`` (a pair's test sample) holds
+    one outcome vector, becomes a batch of one, of views; one whose outcomes
+    are a stack (R, n) is a batch as it is. Anything else is a list of them,
+    stacked: ValueError unless it holds at least one, all of one type, sharing
+    n, p and q and the link of fits and pairs (a pair's training n may differ)."""
+    data = comparison if isinstance(comparison, Dataset) else getattr(comparison, "data", None)
+    if isinstance(data, Dataset):
+        if data.y.ndim == 2:
+            return comparison, True
+        return _zipped([comparison], lambda values: np.asarray(values[0])[None]), False
     rows = list(comparison)
     if not rows:
         raise ValueError("a batch needs at least one dataset or comparison")
@@ -212,7 +250,9 @@ def as_batch(comparison) -> tuple[list, bool]:
     shapes = {(type(row), d.n, d.p, d.q, getattr(row, "link", None)) for d, row in zip(data, rows)}
     if len(shapes) > 1:
         raise ValueError("a batch's rows must be of one type and share n, p and q, and the link")
-    return rows, True
+    # A batch of pairs may differ in training n: those arrays stay a list.
+    return _zipped(rows, lambda values: np.stack(values) if len(
+        {np.shape(v) for v in values}) == 1 else values), True
 
 
 def unbatched(results: list, batch: bool):
@@ -267,16 +307,30 @@ def _caused(error: FitError, cause: Exception) -> FitError:
     return error
 
 
-def _scoring(y, cols, link, beta) -> tuple[list, int]:
+def _stored(fitted, count: int, at, *values) -> FittedModel:
+    """The stacked fits of a batch of ``count`` rows, ``fitted`` so far (None
+    before any, then zeros in the rows not set), with rows ``at`` set to
+    ``values``, one per field: the values themselves when they are every
+    row's."""
+    if fitted is None and len(at) == count:
+        return FittedModel(*values)
+    if fitted is None:
+        fitted = FittedModel(*(np.zeros((count, *v.shape[1:]), v.dtype) for v in values))
+    for f, value in zip(fields(fitted), values):
+        getattr(fitted, f.name)[at] = value
+    return fitted
+
+
+def _scoring(y, cols, link, beta) -> BatchFit:
     """Fisher scoring from beta (R, m) for each row of a batch, on the
-    transposed designs cols (R, m, n). Returns each row's FittedModel or
-    FitError, and the iterations run.
+    transposed designs cols (R, m, n).
 
     The arrays hold the rows still iterating. A row leaves once it converges
     or fails, and the others go on with the arithmetic each has alone: every
     product is one BLAS call per row, and every test and update is per row."""
-    results = [None] * y.shape[0]
-    rows = np.arange(y.shape[0])
+    fitted, errors = None, {}
+    count = y.shape[0]
+    rows = np.arange(count)
     one_minus_y = 1.0 - y
     eta, probs, loglik = _point(cols, y, one_minus_y, link, beta)
     last_step_norm = np.full(rows.size, np.inf)  # no fit ends before the first solve checks X'X
@@ -286,18 +340,14 @@ def _scoring(y, cols, link, beta) -> tuple[list, int]:
         score = _times(cols, residual)
         info = _information(cols.transpose(0, 2, 1), w)
         done = (abs(score).max(axis=1) <= _SCORE_TOL) & (last_step_norm <= _STEP_TOL)
-        for i in np.flatnonzero(done):
-            results[rows[i]] = FittedModel(
-                coefficients=beta[i],
-                linear_predictor=eta[i],
-                fitted_probs=probs[i].clip(_PROB_EPS, 1.0 - _PROB_EPS),
-                loglik=float(loglik[i]),
-                expected_information=info[i],
-                iterations=iteration,
-            )
+        if done.any():
+            values = (beta, eta, probs.clip(_PROB_EPS, 1.0 - _PROB_EPS), loglik, info,
+                      np.full(rows.size, iteration))
+            fitted = _stored(fitted, count, rows[done],
+                             *(values if done.all() else _kept(done, *values)))
         if iteration == _MAX_ITER:
             for i in np.flatnonzero(~done):
-                results[rows[i]] = NoConvergence(
+                errors[int(rows[i])] = NoConvergence(
                     f"Fisher scoring did not converge in {_MAX_ITER} iterations"
                 )
             break
@@ -316,7 +366,7 @@ def _scoring(y, cols, link, beta) -> tuple[list, int]:
                 error = RankDeficient("design matrix is rank deficient (collinear columns)")
             else:
                 error = RankDeficient(f"singular information matrix: {exc}")
-            results[rows[i]] = _caused(error, exc)
+            errors[int(rows[i])] = _caused(error, exc)
         if len(singular) == rows.size:
             break
         if singular:
@@ -354,7 +404,7 @@ def _scoring(y, cols, link, beta) -> tuple[list, int]:
 
         separated = (np.sqrt(_dots(beta, beta)) > _SEPARATION_NORM) & improved
         for i in np.flatnonzero(separated):
-            results[rows[i]] = Separation(
+            errors[int(rows[i])] = Separation(
                 "coefficients diverging with the likelihood still improving; "
                 "the data are (quasi-)separated and the MLE does not exist"
             )
@@ -364,7 +414,10 @@ def _scoring(y, cols, link, beta) -> tuple[list, int]:
             rows, cols, y, one_minus_y, beta, eta, probs, loglik, last_step_norm = _kept(
                 ~separated, rows, cols, y, one_minus_y, beta, eta, probs, loglik, last_step_norm
             )
-    return results, iteration
+    if fitted is None:
+        fitted = _stored(None, count, rows[:0],
+                         *_kept(rows[:0], beta, eta, probs, loglik, info, rows))
+    return BatchFit(fits=fitted, errors=errors, iterations=iteration)
 
 
 def fit(y, design, link: Link, *, start=None):
@@ -382,11 +435,8 @@ def fit(y, design, link: Link, *, start=None):
     NoConvergence at the iteration cap.
 
     A stack of R designs (R, n, m), with outcomes (R, n) and a start (R, m)
-    if any, is a batch, fitted in one loop. Each row runs the arithmetic it
-    runs alone, on its design in column-major order (the stack is copied to
-    that layout unless it has it), and leaves the loop once it converges or
-    fails. The batch's input errors are raised; a row's FitError is returned
-    in its place in the BatchFit. A batch of no designs has no fits.
+    if any, is a batch (copied to column-major rows unless it has them): its
+    input errors are raised, and it gives a BatchFit.
     """
     y = np.asarray(y, dtype=float)
     design = np.asarray(design, dtype=float)
@@ -396,8 +446,6 @@ def fit(y, design, link: Link, *, start=None):
     rows, n, m = design.shape
     if y.shape != (rows, n):
         raise ValueError("y length must match design rows")
-    if rows == 0:
-        return BatchFit(rows=(), iterations=0)
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("y must be coded 0/1")
     if (y.min(axis=1) == y.max(axis=1)).any():
@@ -415,25 +463,14 @@ def fit(y, design, link: Link, *, start=None):
         beta = beta.reshape(rows, m)
 
     cols = design.transpose(0, 2, 1)
-    if batch and not cols[0].flags.c_contiguous:
+    if batch and rows and not cols[0].flags.c_contiguous:
         cols = np.ascontiguousarray(cols)
-    results, iterations = _scoring(y, cols, link, beta)
-    if batch:
-        return BatchFit(rows=tuple(results), iterations=iterations)
-    return unbatched(results, batch)
+    fits = _scoring(y, cols, link, beta)
+    return fits if batch else unbatched(fits.rows, batch)
 
 
 def _tagged(exc: FitError, model_name: str) -> FitError:
     return _caused(type(exc)(f"{model_name} model: {exc}", model=model_name), exc)
-
-
-def _coefficients(fits: BatchFit, m: int) -> np.ndarray:
-    """Each row's coefficients, zeros for a row whose fit failed."""
-    coefficients = np.zeros((len(fits.rows), m))
-    for row, model in zip(coefficients, fits.rows):
-        if isinstance(model, FittedModel):
-            row[:] = model.coefficients
-    return coefficients
 
 
 def _to_raw(coefficients, shift, scale) -> np.ndarray:
@@ -446,87 +483,74 @@ def _to_raw(coefficients, shift, scale) -> np.ndarray:
     return raw
 
 
-def _nested(models, raw, link: Link, data: Dataset, scale) -> NestedFits | FitError:
-    """One row's NestedFits from its (expanded, base, constant) fits and the
-    expanded and base coefficients for the raw columns, or the first of its
-    errors, tagged with its model."""
-    for name, model in zip(("expanded", "base", "constant"), models):
-        if isinstance(model, FitError):
-            return _tagged(model, name)
-    for name, coefficients in zip(("expanded", "base"), raw):
-        if not np.isfinite(coefficients).all():
-            return FitError(f"{name} model: coefficients leave the double range", name)
-    expanded, base, constant = models
-    return NestedFits(expanded=replace(expanded, coefficients=raw[0]),
-                      base=replace(base, coefficients=raw[1]), constant=constant, link=link,
-                      data=data, scale=scale)
-
-
 def fit_nested(data, link: Link):
     """Fit the expanded, base, and constant models on one dataset, or on
-    each of a batch of datasets.
+    each of a batch of datasets (see ``as_batch``).
 
     Fisher scoring runs on [x, z] with each column but the intercept centred at
     its mean and divided by its root mean square about it (or by 1 when that is
     0), taken after an exact power-of-two scaling that keeps its squares in
-    range in any units. That design is built once, in column-major order, and
-    standardized in place; the base fit runs on its leading p columns, a view.
-    The expanded and base coefficients are restated for the raw columns (a
-    FitError past the double range); their information stays standardized. The
-    base fit starts from the expanded fit's b-part (zeros when q = 0); the
-    constant fit from its MLE, G^-1(ybar).
-
-    ``data`` may be a batch (see ``as_batch``). Its designs are stacked and
-    each model is one ``fit`` of the stack, so a batch takes three ``fit``
-    calls as one dataset does; the base and constant fits hold only the rows
-    whose expanded fit succeeded. One dataset whose expanded fit fails
-    raises at once."""
-    datasets, batch = as_batch(data)
-    first = datasets[0]
-    n, p = first.n, first.p
+    range in any units; the base fit runs on the leading p columns, a view. The
+    coefficients are restated for the raw columns (a FitError past the double
+    range). Non-finite covariates are a ValueError. A stacked Dataset gives
+    stacked NestedFits; a list, a list of NestedFits or FitErrors; one dataset,
+    its NestedFits, raising at once when its expanded fit fails. The base and
+    constant fits hold only the rows whose expanded fit succeeded."""
+    stack, batch = as_batch(data)
+    count, n, p, q = len(stack.y), stack.n, stack.p, stack.q
     # Each row's design transposed, so that its columns are contiguous.
-    stored = np.empty((len(datasets), p + first.q, n))
-    for row, d in zip(stored, datasets):
-        row[:p] = d.x.T
-        row[p:] = d.z.T
+    stored = np.empty((count, p + q, n))
+    stored[:, :p] = stack.x.transpose(0, 2, 1)
+    stored[:, p:] = stack.z.transpose(0, 2, 1)
     design = stored.transpose(0, 2, 1)
+    largest = np.maximum(stored.max(axis=2), -stored.min(axis=2))
+    if not np.isfinite(largest).all():
+        raise ValueError("design matrix must be finite")
     # Largest |entry| into [1/2, 1): exact, so in-range columns keep every bit.
-    power = np.frexp(np.maximum(stored.max(axis=2), -stored.min(axis=2)))[1]
+    power = np.frexp(largest)[1]
     np.ldexp(stored, -power[:, :, None], out=stored)
     # Column sums as the product of the intercept column, 1 in every
     # dataset, with the design.
-    shift = np.matmul(first.x[:, 0][None, None], design)[:, 0] / n
+    shift = np.matmul(stack.x[0, :, 0][None, None], design)[:, 0] / n
     shift[:, 0] = 0.0
     stored -= shift[:, :, None]
     scale = np.sqrt(np.einsum("rji,rji->rj", stored, stored) / n)
     scale[scale == 0.0] = 1.0
     stored /= scale[:, :, None]
     shift, scale = np.ldexp(shift, power), np.ldexp(scale, power)
-    y = np.stack([d.y for d in datasets])
-    expanded = fit(y, design, link)
-    if not batch and isinstance(expanded.rows[0], FitError):
-        raise _tagged(expanded.rows[0], "expanded")
-    b = _coefficients(expanded, p + first.q)
+    expanded = fit(stack.y, design, link)
+    if not batch and expanded.errors:
+        raise _tagged(expanded.errors[0], "expanded")
+    b = expanded.fits.coefficients
     # The base and constant models are fitted on the rows whose expanded
     # fit succeeded; the others end with its error.
-    ok = np.array([isinstance(model, FittedModel) for model in expanded.rows])
+    ok = np.ones(count, dtype=bool)
+    ok[list(expanded.errors)] = False
     if ok.all():
-        ok_y, ok_design, ok_b = y, design, b
+        ok_y, ok_design, ok_b = stack.y, design, b
     else:
-        ok_y, ok_design, ok_b = y[ok], stored[ok].transpose(0, 2, 1), b[ok]
-    base = fit(ok_y, ok_design[:, :, :p], link, start=ok_b[:, :p] if first.q else None)
-    constant_start = np.reshape([link.eta(d.ybar) for d, good in zip(datasets, ok) if good],
-                                (-1, 1))
-    constant = fit(ok_y, np.ones((len(ok_y), n, 1)), link, start=constant_start)
-    fitted = zip(base.rows, constant.rows,
-                 _to_raw(_coefficients(base, p), shift[ok, :p], scale[ok, :p]))
-    results = []
-    for model, raw, good, d, row_scale in zip(expanded.rows, _to_raw(b, shift, scale), ok,
-                                             datasets, scale):
-        base_model, constant_model, base_raw = next(fitted) if good else (None, None, None)
-        results.append(_nested((model, base_model, constant_model), (raw, base_raw), link, d,
-                               row_scale))
-    return unbatched(results, batch)
+        ok_y, ok_design, ok_b = stack.y[ok], stored[ok].transpose(0, 2, 1), b[ok]
+    base = fit(ok_y, ok_design[:, :, :p], link, start=ok_b[:, :p] if q else None)
+    constant = fit(ok_y, np.ones((len(ok_y), n, 1)), link,
+                   start=link.eta(stack.ybar[ok])[:, None])
+    errors, ok = {}, np.flatnonzero(ok)
+    for name, fits, rows in (("expanded", expanded, np.arange(count)),
+                             ("base", base, ok), ("constant", constant, ok)):
+        for r, exc in fits.errors.items():
+            errors.setdefault(int(rows[r]), _tagged(exc, name))
+    base, constant = (_stored(None, count, ok, *vars(f.fits).values()) for f in (base, constant))
+    raw = (_to_raw(b, shift, scale), _to_raw(base.coefficients, shift[:, :p], scale[:, :p]))
+    for name, coefficients in zip(("expanded", "base"), raw):
+        for r in np.flatnonzero(~np.isfinite(coefficients).all(axis=1)):
+            errors.setdefault(int(r), FitError(
+                f"{name} model: coefficients leave the double range", name))
+    fits = NestedFits(expanded=replace(expanded.fits, coefficients=raw[0]),
+                      base=replace(base, coefficients=raw[1]), constant=constant, link=link,
+                      data=stack, scale=scale, errors=errors)
+    if data is stack:
+        return fits
+    return unbatched([errors.get(r) or replace(_taken(fits, r), data=d)
+                      for r, d in enumerate(data if batch else [data])], batch)
 
 
 def information_blocks(fits: NestedFits) -> np.ndarray:
@@ -539,20 +563,19 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     A vanishing pivot is RankDeficient; z columns in units whose s_i s_j
     leave the double range are a FitError. ``fits`` may be a batch (see
     ``as_batch``)."""
-    rows, batch = as_batch(fits)
-    return unbatched(_blocks(rows), batch)
+    fits, batch = as_batch(fits)
+    return unbatched(_blocks(fits, fits.data.n, fits.data.p), batch)
 
 
-def _blocks(rows: list) -> list:
-    """``information_blocks`` of each of a list of NestedFits of one p and q,
-    whatever their n: its block, or the FitError it raises alone."""
-    p = rows[0].data.p
-    info = (np.stack([f.expanded.expected_information for f in rows])
-            / np.array([f.data.n for f in rows])[:, None, None])
+def _blocks(fits: NestedFits, n, p: int) -> list:
+    """``information_blocks`` of each row of batched NestedFits of p base
+    columns, whose n is a number or one per row: its block, or the FitError
+    it raises alone."""
+    info = fits.expanded.expected_information / np.reshape(n, (-1, 1, 1))
     unit = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
     factors, singular = numerics.cholesky_spd_rows(info * (unit[:, :, None] * unit[:, None, :]))
     tail = np.array(factors)[:, p:, p:] / unit[:, p:, None]
-    scale = np.stack([f.scale[p:] for f in rows])
+    scale = fits.scale[:, p:]
     with np.errstate(over="ignore"):
         blocks = (tail @ tail.transpose(0, 2, 1)) * (scale[:, :, None] * scale[:, None, :])
     in_range = (np.isfinite(blocks).all(axis=(1, 2))

@@ -18,8 +18,9 @@ Three references are implemented:
 Each TestResult carries its reference as the plain dict the ``compare``
 report writes; ``TestResult`` gives the recipe that turns that dict and
 the statistic back into the p-value, exactly. Each test also takes a batch
-of comparisons (see ``glm.as_batch``), taken on arrays but for the mixture
-tail.
+(see ``glm.as_batch``): stacked fits or pairs, read on their arrays, or a
+list of comparisons, stacked first; a batch of pairs may differ in training
+n. Only the mixture tail and the results are made row by row.
 """
 from __future__ import annotations
 
@@ -68,9 +69,9 @@ def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     null reference; only large positive statistics are meaningful.
     ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``;
     for a batch (see ``glm.as_batch``), its ``half_nris``."""
-    rows, batch = as_batch(fits)
-    statistic = np.array([f.data.n for f in rows]) * stats.mnri_smooth
-    k, q = k_constant(np.array([f.data.ybar for f in rows])), rows[0].data.q
+    fits, batch = as_batch(fits)
+    statistic = fits.data.n * np.atleast_1d(stats.mnri_smooth)
+    k, q = k_constant(fits.data.ybar), fits.data.q
     p_values = numerics.chisq_sf(np.maximum(statistic, 0.0) / k, q)
     results = [TestResult(float(t), {"kind": "scaled_chisq", "k": float(kr), "q": q}, float(pr))
                for t, kr, pr in zip(statistic, k, p_values)]
@@ -163,15 +164,17 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     RankDeficient in the expanded model. ``pair`` may be a batch (see
     ``glm.as_batch``), whose training samples may differ in n."""
     pairs, batch = as_batch(pair)
-    statistic = np.array([p.data.n for p in pairs]) * stats.mnri_smooth
+    test, train = pairs.test_fits, pairs.train_fits
+    n, p, n_train = test.data.n, test.data.p, np.array([len(y) for y in train.data.y])
+    statistic = n * np.atleast_1d(stats.mnri_smooth)
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
-    results = [next((b for b in blocks if isinstance(b, FitError)), blocks) for blocks in zip(
-        _blocks([p.test_fits for p in pairs]), _blocks([p.train_fits for p in pairs]))]
+    results = [next((b for b in blocks if isinstance(b, FitError)), blocks)
+               for blocks in zip(_blocks(test, n, p), _blocks(train, n_train, p))]
     rows = [r for r, result in enumerate(results) if not isinstance(result, FitError)]
     if rows:
         weights, singular = _weights(*(np.stack([results[r][i] for r in rows]) for i in (0, 1)))
-        weights *= np.sqrt([pairs[r].data.n / pairs[r].train_fits.data.n for r in rows])[:, None]
-        scale = k_constant(np.array([pairs[r].data.ybar for r in rows])) / 2.0
+        weights *= np.sqrt(n / n_train[rows])[:, None]
+        scale = k_constant(test.data.ybar[rows]) / 2.0
         for i, r in enumerate(rows):
             if i in singular:
                 results[r] = RankDeficient(
@@ -199,10 +202,10 @@ def test_nri_normal_legacy(
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
     be wrong; the result is labeled accordingly. ``stats`` is the object
     the mNRI test of the same comparison takes, for a batch as for that test."""
-    rows, batch = as_batch(fits_or_pair)
+    comparisons, batch = as_batch(fits_or_pair)
     # A Dataset's outcomes are 0/1 and hold both classes.
-    n1 = np.array([np.count_nonzero(c.data.y) for c in rows])
-    n0 = np.array([c.data.n for c in rows]) - n1
+    n1 = np.count_nonzero(comparisons.data.y, axis=-1)
+    n0 = comparisons.data.n - n1
     variance = 1.0 / (4.0 * n1) + 1.0 / (4.0 * n0)
     p_values = 2.0 * numerics.norm_cdf(-abs(stats.nri_hard) / np.sqrt(variance))
     results = [TestResult(float(t), {"kind": "normal", "variance": float(v)}, float(p),

@@ -11,7 +11,10 @@ function so the statistic admits an asymptotic reference distribution.
 
 Values are reported on the half-NRI scale throughout (the doubled
 classical scale is a display concern only). One kernel gives them for one
-comparison or for each row of a stacked batch, with the bits a row gets alone.
+comparison or for each row of a batch (``glm.as_batch``): stacked NestedFits
+or a TrainTestPair of two, as ``glm.fit_nested`` returns them for a stacked
+Dataset, read on their arrays, or a list of comparisons, stacked first. A row
+gets the bits it gets alone.
 """
 from __future__ import annotations
 
@@ -94,20 +97,17 @@ def _parts(comparisons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comparison, or stacked (R, n) over a batch of them. A train/test pair
     takes the score change from the training coefficients on the test rows
     and everything else from the test fits."""
-    items, batch = as_batch(comparisons)
-    stack = np.stack if batch else (lambda arrays: arrays[0])
-    pairs = isinstance(items[0], TrainTestPair)
-    fits = [pair.test_fits for pair in items] if pairs else items
-    eta, y = stack([f.base.linear_predictor for f in fits]), stack([f.data.y for f in fits])
-    if pairs:
-        x, z = stack([f.data.x for f in fits]), stack([f.data.z for f in fits])
-        coef = stack([pair.train_fits.expanded.coefficients for pair in items])
-        base = stack([pair.train_fits.base.coefficients for pair in items])
-        p = x.shape[-1]
-        delta = _times(x, coef[..., :p]) + _times(z, coef[..., p:]) - _times(x, base)
+    batch, stacked = as_batch(comparisons)
+    fits = batch.test_fits if isinstance(batch, TrainTestPair) else batch
+    eta, y = fits.base.linear_predictor, fits.data.y
+    if fits is batch:
+        delta = fits.expanded.linear_predictor - eta
     else:
-        delta = stack([f.expanded.linear_predictor for f in fits]) - eta
-    return delta, fits[0].link.score_residual(eta, y), y
+        coef, base = batch.train_fits.expanded.coefficients, batch.train_fits.base.coefficients
+        x, z, p = fits.data.x, fits.data.z, fits.data.p
+        delta = _times(x, coef[:, :p]) + _times(z, coef[:, p:]) - _times(x, base)
+    parts = delta, fits.link.score_residual(eta, y), y
+    return parts if stacked else tuple(part[0] for part in parts)
 
 
 def _half_nris(delta, residuals, y) -> HalfNRIs:

@@ -26,15 +26,16 @@ null-distribution diagnostics.
 A grid runs its replicates in chunks: runs of (cell, replicate) keys taken
 in grid order, across neighbouring cells that share n and mode, of at most
 ``_CHUNK_OBSERVATIONS`` observations (keys x n, twice in train/test mode),
-so memory does not grow with the replicate count. A chunk draws the first
-attempt of each of its keys, every part of every key (the training and
-test samples in train/test mode), and fits them as one batch, a leading
-replicate axis for ``glm.fit_nested``, which returns each row's fits or its
-FitError, then tests the rows that fitted in one stacked pass of the
-kernels ``compare`` uses. One whose first attempt failed is redrawn under
-attempts 1, 2, ... and fitted and tested alone. A row of a batch gets the
-bits it gets alone, so the records do not depend on the chunks, on the
-neighbouring cells or on the worker count.
+so memory does not grow with the replicate count. A chunk is arrays end to
+end. It draws the first attempt of every part of its keys (the training and
+test samples in train/test mode) into preallocated stacked rows, part by
+part, flagging rows whose outcome is constant; ``glm.fit_nested`` fits the
+other rows as one stacked Dataset and returns stacked fits with a {row:
+FitError} map; and the keys whose parts all fitted are tested in one pass
+of the kernels ``compare`` uses, on views of those fits. A key whose first
+attempt failed is redrawn under attempts 1, 2, ... as a chunk of one. A row
+gets the bits it gets alone, so the records do not depend on the chunks, on
+the neighbouring cells or on the worker count.
 """
 from __future__ import annotations
 
@@ -48,8 +49,8 @@ from typing import Iterable
 import numpy as np
 
 from . import glm, inference, reclass
-from .errors import DegenerateOutcome, ExcessiveFitFailures, FitError
-from .glm import LOGIT, Dataset, NestedFits
+from .errors import ExcessiveFitFailures, FitError
+from .glm import LOGIT, Dataset
 from .reclass import TrainTestPair
 
 DEFAULT_SEED = 1729
@@ -128,62 +129,70 @@ def replicate_stream(seed: int, cell: int, replicate: int, attempt: int = 0, par
     return np.random.Generator(np.random.Philox(key))
 
 
+def _draw(configs: list, streams: list, n: int):
+    """One conditional-binormal dataset of n observations per (config, stream),
+    drawn into stacked rows: y (R, n), x (R, n, 2) and z (R, n, 1); and which
+    rows' outcome is constant. A row takes its stream's draws in a lone draw's
+    order, with its config's coefficients as the Python scalars a lone draw
+    uses (a scalar ** 2 goes through pow), so it has the bits it has alone."""
+    u, e1, e2 = np.empty((3, len(configs), n))
+    for r, stream in enumerate(streams):
+        stream.random(out=u[r])
+        stream.standard_normal(out=e1[r])
+        stream.standard_normal(out=e2[r])
+    pi0, mu_x, rho, root, literal = (np.array([[value] for value in column]) for column in zip(
+        *((c.pi0, c.mu_x, c.rho, np.sqrt(1.0 - c.rho**2), c.null_style == "literal")
+          for c in configs)))
+    y = (u < pi0).astype(float)
+    x = np.stack([np.ones_like(y), mu_x * y + e1], axis=-1)
+    z = rho * np.where(literal, e1, x[..., 1]) + root * e2
+    return y, x, z[..., None], y.min(axis=1) == y.max(axis=1)
+
+
 def gen_replicate(config: SimConfig, stream: np.random.Generator) -> Dataset:
-    """Draw one conditional-binormal dataset (p = 2 with intercept, q = 1)."""
-    n = config.n
-    y = (stream.random(n) < config.pi0).astype(float)
-    e1 = stream.standard_normal(n)
-    e2 = stream.standard_normal(n)
-    x = config.mu_x * y + e1
-    if config.null_style == "literal":
-        z = config.rho * e1 + np.sqrt(1.0 - config.rho**2) * e2
-    else:
-        z = config.rho * x + np.sqrt(1.0 - config.rho**2) * e2
-    return Dataset(y=y, x=np.column_stack([np.ones(n), x]), z=z[:, None])
+    """Draw one conditional-binormal dataset (p = 2 with intercept, q = 1):
+    the stacked draw of one row."""
+    y, x, z, _ = _draw([config], [stream], config.n)
+    return Dataset(y=y[0], x=x[0], z=z[0])
 
 
-def _attempt_fits(keys, attempt: int) -> list[list]:
-    """One attempt of each (config, cell, replicate) key, the keys all of one
-    n: per part (the training and test samples in train/test mode), its fits,
-    or the FitError or DegenerateOutcome met on the way. Every part of every
-    key is drawn under its stream key, and all are fitted as one batch."""
-    drawn = []
-    for config, cell, rep in keys:
-        parts = []
-        for part in range(1 if config.mode == "single" else 2):
-            try:
-                stream = replicate_stream(config.seed, cell, rep, attempt, part)
-                parts.append(gen_replicate(config, stream))
-            except DegenerateOutcome as exc:
-                parts.append(exc)
-        drawn.append(parts)
-    datasets = [d for parts in drawn for d in parts if isinstance(d, Dataset)]
-    fitted = iter(glm.fit_nested(datasets, LOGIT) if datasets else ())
-    return [[next(fitted) if isinstance(d, Dataset) else d for d in parts] for parts in drawn]
-
-
-def _records(config: SimConfig, attempts: list[list]) -> list:
-    """Each attempt's record: the mNRI and legacy NRI p-values, n * smooth mNRI
-    / k-hat and n * smooth NRI; None where a part did not fit or the mNRI test
-    failed. The attempts, all of config's n and mode, whose parts all fitted
-    are tested as one batch."""
-    records = [None] * len(attempts)
-    rows = [r for r, parts in enumerate(attempts)
-            if all(isinstance(fits, NestedFits) for fits in parts)]
-    if not rows:
-        return records
-    if config.mode == "single":
-        batch, test_mnri = [attempts[r][0] for r in rows], inference.test_mnri_single
-    else:
-        batch = [TrainTestPair(*attempts[r]) for r in rows]
-        test_mnri = inference.test_mnri_train_test
+def _records(config: SimConfig, batch) -> list:
+    """The record of each comparison of a batch (see ``glm.as_batch``) of
+    config's n and mode, tested in one stacked pass: the mNRI and legacy NRI
+    p-values, n * smooth mNRI / k-hat and n * smooth NRI; None where the
+    mNRI test failed."""
+    batch, _ = glm.as_batch(batch)
+    single = config.mode == "single"
+    test_mnri = inference.test_mnri_single if single else inference.test_mnri_train_test
     stats = reclass.half_nris(batch)
-    k = inference.k_constant(np.array([comparison.data.ybar for comparison in batch]))
+    k = inference.k_constant(batch.data.ybar)
     columns = zip(test_mnri(batch, stats), inference.test_nri_normal_legacy(batch, stats),
                   config.n * stats.mnri_smooth / k, config.n * stats.nri_smooth)
-    for r, (mnri, legacy, *scaled) in zip(rows, columns):
-        if not isinstance(mnri, FitError):
-            records[r] = (mnri.p_value, legacy.p_value, *scaled)
+    return [None if isinstance(mnri, FitError) else (mnri.p_value, legacy.p_value, *scaled)
+            for mnri, legacy, *scaled in columns]
+
+
+def _attempt_records(keys, attempt: int) -> list:
+    """One attempt's record of each (config, cell, replicate) key, the keys
+    all of one n and mode, or None where a part did not fit or the mNRI test
+    failed: the chunk's draw, fit and tests (see the module docstring)."""
+    parts, count = (1 if keys[0][0].mode == "single" else 2), len(keys)
+    streams = [replicate_stream(config.seed, cell, rep, attempt, part)
+               for part in range(parts) for config, cell, rep in keys]
+    y, x, z, failed = _draw([config for config, _, _ in keys] * parts, streams, keys[0][0].n)
+    drawn = np.flatnonzero(~failed)
+    if drawn.size:
+        stack = (y, x, z) if drawn.size == failed.size else (y[drawn], x[drawn], z[drawn])
+        fits = glm.fit_nested(Dataset(*stack), LOGIT)
+        failed[drawn[list(fits.errors)]] = True
+    tested = np.flatnonzero(~failed.reshape(parts, count).any(axis=0))
+    records = [None] * count
+    if tested.size:
+        batch = [glm._taken(fits, np.searchsorted(drawn, part * count + tested))
+                 for part in range(parts)]
+        for key, record in zip(tested, _records(keys[0][0], TrainTestPair(*batch)
+                                                if parts == 2 else batch[0])):
+            records[key] = record
     return records
 
 
@@ -198,7 +207,7 @@ def _replicate_rejections(args) -> tuple:
         if attempt == _MAX_ATTEMPTS:
             raise ExcessiveFitFailures(
                 f"replicate {rep} failed to fit {_MAX_ATTEMPTS} times in a row")
-        (record,) = _records(config, _attempt_fits([(config, cell, rep)], attempt))
+        (record,) = _attempt_records([(config, cell, rep)], attempt)
     return (*record, attempt)
 
 
@@ -211,7 +220,7 @@ def _chunk_records(keys) -> list:
     (cell, replicate) order."""
     failed = {}
     records = []
-    for key, record in zip(keys, _records(keys[0][0], _attempt_fits(keys, 0))):
+    for key, record in zip(keys, _attempt_records(keys, 0)):
         cell = key[1]
         if cell not in failed:
             try:
@@ -249,11 +258,13 @@ def _cell_records(cells: list[tuple[int, SimConfig]], workers: int):
     cell order; each takes the cell's replicate count of records from one
     stream of the grid's chunks (``_chunks``). The chunks go to one pool (or
     run here for one worker), and leaving early drops those not started."""
-    # A pool starts all its processes up front; more than one per replicate
-    # of the largest cell or per usable CPU would sit idle.
-    workers = min(workers, max(config.replicates for _, config in cells), _usable_cpus())
+    # A pool starts all its processes up front; more than one per chunk or
+    # per usable CPU would sit idle.
+    workers = min(workers, _usable_cpus())
+    chunks = _chunks(cells, workers)
+    workers = min(workers, len(chunks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_chunk_records, _chunks(cells, workers))
+        results = (pool.map if pool else map)(_chunk_records, chunks)
         stream = (record for records in results for record in records)
         try:
             yield [islice(stream, config.replicates) for _, config in cells]

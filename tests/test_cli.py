@@ -917,6 +917,38 @@ class TestSimulateCommand:
         _, out2, _ = run(capsys, argv + ["--workers", "2"])
         assert out1 == out2
 
+    # The CSV text of one small grid per mode, recorded before the simulate
+    # chunks became stacked arrays: a nearly separated n = 60 cell with
+    # redraws inside the 1% budget, rho != 0, and a second n. Rates are counts
+    # over replicates, so the text does not hang on the last bits of a fit.
+    PINNED = {
+        "single": (("0.2", "2.0"), [
+            "60,0.2,2.0,0.3,single,enforced,200,0.05,901,0.05,0.28,"
+            "0.015411035007422441,0.03174901573277509,2",
+            "200,0.2,2.0,0.3,single,enforced,200,0.05,901,0.04,0.23,"
+            "0.013856406460551017,0.02975735203273302,0",
+        ]),
+        "train_test": (("0.15", "1.8"), [
+            "60,0.15,1.8,0.3,train_test,enforced,200,0.05,901,0.04,0.215,"
+            "0.013856406460551017,0.029049526674285075,2",
+            "200,0.15,1.8,0.3,train_test,enforced,200,0.05,901,0.04,0.11,"
+            "0.013856406460551017,0.022124646889837587,0",
+        ]),
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_pinned_grid_text(self, capsys, mode, workers):
+        (pi0, mu_x), rows = self.PINNED[mode]
+        code, out, _ = run(capsys, [
+            "simulate", "--mode", mode, "--n", "60,200", "--pi0", pi0, "--mu-x", mu_x,
+            "--rho", "0.3", "--reps", "200", "--seed", "901", "--workers", workers,
+        ])
+        assert code == 0
+        header = ("n,pi0,mu_x,rho,mode,null_style,replicates,alpha,seed,mnri_rejection_rate,"
+                  "nri_normal_rejection_rate,mnri_mc_se,nri_mc_se,redraws")
+        assert out == "\n".join([header, *rows]) + "\n"
+
     def test_invalid_grid_exit_two(self, capsys):
         code, _, _ = run(
             capsys,

@@ -19,7 +19,7 @@ from mnri.glm import (
     fit_nested,
     information_blocks,
 )
-from mnri.reclass import half_nris
+from mnri.reclass import TrainTestPair, half_nris
 
 
 def make_data(n=250, seed=42, gamma=0.5, link=LOGIT):
@@ -422,7 +422,8 @@ class TestBatch:
 
     def test_empty_batch_has_no_fits(self):
         y, stored = batch_cases()
-        assert fit(y[:0], stored[:0].transpose(0, 2, 1), LOGIT) == glm.BatchFit(rows=(), iterations=0)
+        empty = fit(y[:0], stored[:0].transpose(0, 2, 1), LOGIT)
+        assert (empty.rows, empty.iterations) == ((), 0)
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
     def test_fit_nested_rows_match_single_datasets(self, link):
@@ -479,6 +480,77 @@ class TestBatch:
             fit_nested([make_data(n=200), make_data(n=201)], LOGIT)
         with pytest.raises(ValueError, match="at least one dataset"):
             fit_nested([], LOGIT)
+
+
+def stacked(datasets):
+    """One Dataset stacking the rows of datasets of one shape."""
+    return Dataset(*(np.stack([getattr(d, name) for d in datasets]) for name in "yxz"))
+
+
+class TestStackedFitNested:
+    # fit_nested on a stacked Dataset returns stacked NestedFits: each row holds
+    # the bits fit_nested gives that row's dataset alone, and a failed row's
+    # FitError is in ``errors``.
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_rows_match_datasets_alone(self, link):
+        datasets = [make_data(n=200, seed=seed, gamma=0.4, link=link) for seed in range(4)]
+        rng = np.random.default_rng(3)
+        x1 = rng.standard_normal(200)
+        datasets[1:1] = [
+            Dataset(y=(x1 > 0).astype(float), x=np.column_stack([np.ones(200), x1]),
+                    z=rng.standard_normal((200, 1))),
+            Dataset(y=datasets[0].y, x=datasets[0].x, z=datasets[0].x[:, [1]]),
+        ]
+        fits = fit_nested(stacked(datasets), link)
+        assert sorted(fits.errors) == [1, 2]
+        for r, data in enumerate(datasets):
+            if r in fits.errors:
+                assert_same_error(fits.errors[r], raised_by(lambda: fit_nested(data, link)))
+                continue
+            alone = fit_nested(data, link)
+            for name in ("expanded", "base", "constant"):
+                got, want = getattr(fits, name), getattr(alone, name)
+                for field in ("coefficients", "linear_predictor", "fitted_probs",
+                              "expected_information"):
+                    assert getattr(got, field)[r].tobytes() == getattr(want, field).tobytes()
+                assert got.loglik[r] == want.loglik
+                assert got.iterations[r] == want.iterations
+            assert fits.scale[r].tobytes() == alone.scale.tobytes()
+
+    def test_bad_stacks_are_value_errors(self):
+        data = stacked([make_data(n=100, seed=seed) for seed in range(3)])
+        half = np.array(data.y)
+        half[1, 4] = 0.5
+        with pytest.raises(ValueError, match="0/1"):
+            fit_nested(Dataset(y=half, x=data.x, z=data.z), LOGIT)
+        for bad in (np.inf, np.nan):
+            z = np.array(data.z)
+            z[2, 7, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_nested(Dataset(y=data.y, x=data.x, z=z), LOGIT)
+        for x, z in ((data.x[:2], data.z), (data.x, data.z[:, :99]), (data.x[0], data.z)):
+            with pytest.raises(ValueError):
+                fit_nested(Dataset(y=data.y, x=x, z=z), LOGIT)
+
+    def test_train_test_change_reads_the_raw_draw(self):
+        # The train/test score change takes the raw test x and z: far from
+        # unit scale, they must come out of the in-place standardization as
+        # they went in, and a pair of stacked rows reads as the pair alone.
+        def far(seed):
+            data = make_data(n=300, seed=seed)
+            return Dataset(y=data.y, x=np.column_stack([np.ones(300), 1e3 * data.x[:, 1] + 500.0]),
+                           z=1e-3 * data.z - 7.0)
+
+        train, test = far(21), far(22)
+        data = stacked([train, test])
+        raw = data.x.tobytes(), data.z.tobytes()
+        fits = fit_nested(data, LOGIT)
+        assert (data.x.tobytes(), data.z.tobytes()) == raw
+        pair = TrainTestPair(glm._taken(fits, np.array([0])), glm._taken(fits, np.array([1])))
+        alone = half_nris(TrainTestPair(fit_nested(train, LOGIT), fit_nested(test, LOGIT)))
+        got = half_nris(pair)
+        for name, value in vars(alone).items():
+            assert getattr(got, name).tobytes() == np.float64(value).tobytes(), name
 
 
 class TestFitNested:
@@ -661,7 +733,7 @@ class TestFitNested:
 
     def test_warm_starts_save_iterations(self):
         cfg = sim.SimConfig(n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=1, seed=901)
-        ((fits,),) = sim._attempt_fits([(cfg, 0, 0)], 0)
+        fits = fit_nested(sim.gen_replicate(cfg, sim.replicate_stream(cfg.seed, 0, 0)), LOGIT)
         cold_base = fit(fits.data.y, fits.data.x, LOGIT)
         assert fits.constant.iterations == 1
         assert fits.base.iterations < cold_base.iterations

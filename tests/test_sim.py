@@ -8,8 +8,9 @@ import pytest
 from scipy import stats
 
 from mnri import glm, numerics, sim
-from mnri.errors import ExcessiveFitFailures
+from mnri.errors import DegenerateOutcome, ExcessiveFitFailures
 from mnri.glm import LOGIT, NestedFits
+from mnri.reclass import TrainTestPair
 from mnri.sim import (
     SimConfig,
     gen_replicate,
@@ -125,6 +126,62 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", FakeExecutor)
     return sizes
+
+
+# A correlation whose sqrt(1 - rho**2) differs in its last bit when rho**2 is
+# the array square rho * rho rather than the scalar pow a lone draw uses.
+POW_RHO = -0.6777158105489078
+
+
+def scalar_draw(cfg, stream):
+    """The documented draw of one dataset, with Python scalar coefficients."""
+    y = (stream.random(cfg.n) < cfg.pi0).astype(float)
+    e1, e2 = stream.standard_normal(cfg.n), stream.standard_normal(cfg.n)
+    x = cfg.mu_x * y + e1
+    z = cfg.rho * (e1 if cfg.null_style == "literal" else x) + np.sqrt(1.0 - cfg.rho**2) * e2
+    return y, np.column_stack([np.ones(cfg.n), x]), z[:, None]
+
+
+class TestStackedDraw:
+    """A chunk's draw: every row of the stack has the bytes of its lone draw,
+    ``gen_replicate``'s and the scalar formula's."""
+
+    def test_rows_are_lone_draws(self):
+        tiny = config(n=60, pi0=1e-6)
+        cfgs = [config(n=60, rho=POW_RHO, mu_x=1.3, null_style="literal"),
+                config(n=60, rho=POW_RHO, mu_x=0.7, pi0=0.3),
+                tiny,
+                config(n=60, rho=0.4, mu_x=1.0, pi0=0.25, mode="train_test"),
+                config(n=60, rho=0.4, mu_x=1.0, pi0=0.25, mode="train_test")]
+        assert np.sqrt(1.0 - np.array([POW_RHO]) ** 2)[0] != np.sqrt(1.0 - POW_RHO**2)
+        keys = [(0, 3, 0, 0), (1, 5, 2, 0), (2, 0, 0, 0), (3, 1, 1, 0), (3, 1, 1, 1)]
+
+        def streams():
+            return [replicate_stream(cfg.seed, cell, rep, attempt, part)
+                    for cfg, (cell, rep, attempt, part) in zip(cfgs, keys)]
+
+        y, x, z, constant = sim._draw(cfgs, streams(), 60)
+        assert constant.tolist() == [False, False, True, False, False]
+        for r, (cfg, stream) in enumerate(zip(cfgs, streams())):
+            if constant[r]:
+                with pytest.raises(DegenerateOutcome):
+                    gen_replicate(cfg, stream)
+                continue
+            alone = gen_replicate(cfg, stream)
+            want = [a.tobytes() for a in scalar_draw(cfg, streams()[r])]
+            assert [y[r].tobytes(), x[r].tobytes(), z[r].tobytes()] == want
+            assert [alone.y.tobytes(), alone.x.tobytes(), alone.z.tobytes()] == want
+
+    @pytest.mark.parametrize("mode", ["single", "train_test"])
+    def test_constant_outcome_is_flagged_and_neighbours_kept(self, mode):
+        # The tiny-pi0 key draws a constant outcome: it alone is left out of
+        # the batch, and its neighbours get the records they get alone.
+        cfg, tiny = config(n=60, mode=mode), config(n=60, pi0=1e-6, mode=mode)
+        keys = [(cfg, 0, 0), (tiny, 1, 0), (cfg, 0, 1)]
+        records = sim._attempt_records(keys, 0)
+        assert records[1] is None
+        for key, record in zip(keys[::2], records[::2]):
+            assert record is not None and record == sim._attempt_records([key], 0)[0]
 
 
 class TestRunCell:
@@ -273,16 +330,17 @@ class TestBatches:
                 glm.fit_nested(gen_replicate(cfg, replicate_stream(cfg.seed, 5, rep, 0, part)), LOGIT)
                 for part in range(1 if mode == "single" else 2)
             ]
-            assert sim._records(cfg, [parts]) == [tuple(column[rep] for column in columns)]
+            comparison = parts[0] if mode == "single" else TrainTestPair(*parts)
+            assert sim._records(cfg, [comparison]) == [tuple(column[rep] for column in columns)]
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
     def test_batch_records_match_records_made_alone(self, mode):
         # A chunk's attempt 0, some of whose rows fail to fit, tested as one
         # batch gives each row the record bits it gets as a batch of one.
         cfg = config(**{**REDRAW_CELL, "mode": mode})
-        attempts = sim._attempt_fits([(cfg, 2, rep) for rep in range(cfg.replicates)], 0)
-        batch = sim._records(cfg, attempts)
-        alone = [sim._records(cfg, [parts])[0] for parts in attempts]
+        keys = [(cfg, 2, rep) for rep in range(cfg.replicates)]
+        batch = sim._attempt_records(keys, 0)
+        alone = [sim._attempt_records([key], 0)[0] for key in keys]
         assert None in batch and batch.count(None) < len(batch) - 1
         assert [np.array(r).tobytes() if r else r for r in batch] == [
             np.array(r).tobytes() if r else r for r in alone
@@ -341,7 +399,7 @@ class TestCallShape:
         assert all(parent == "fit_nested" for _, parent, _ in fits)
         assert len(fits) == 3 * len(nested)
         assert len([e for e in calls if e[0] == "_replicate_rejections"]) == cfg.replicates
-        sizes = {len(args[0]) for _, _, args in nested}
+        sizes = {len(args[0].y) for _, _, args in nested}
         assert sizes == {"single": {3}, "train_test": {2, 4}}[mode]
         iterations = [value for name, _, value in events if name == "fit.result"]
         assert len(iterations) == len(fits)
@@ -370,13 +428,24 @@ class TestRunGrid:
         assert run_grid(cfgs) == run_grid(cfgs)
 
     def test_one_pool_per_grid(self, monkeypatch, pool_sizes):
-        # The grid's cells share one pool, sized by its largest cell; the
-        # rows are those of the cells run one at a time.
+        # The grid's cells share one pool, sized by its chunks: the 6 keys of
+        # one n split into 4 chunks, one per usable CPU. The rows are those of
+        # the cells run one at a time.
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
         cfgs = [config(replicates=2), config(replicates=3, pi0=0.25), config(replicates=1)]
         rows = run_grid(cfgs, workers=8)
-        assert pool_sizes == [3]
+        assert pool_sizes == [4]
         assert rows == [run_cell(cfg, cell=i) for i, cfg in enumerate(cfgs)]
+
+    def test_pool_sized_by_chunks_not_cells(self, monkeypatch, pool_sizes):
+        # Twelve one-replicate cells of one n make two chunks for two workers,
+        # and so a pool of two, though no cell has more than one replicate.
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 4)
+        cfgs = [config(replicates=1, pi0=0.2 + 0.05 * i) for i in range(12)]
+        assert len(sim._chunks(list(enumerate(cfgs)), 2)) == 2
+        rows = run_grid(cfgs, workers=2)
+        assert pool_sizes == [2]
+        assert rows == run_grid(cfgs, workers=1)
 
     def test_first_failing_cell_stops_the_grid(self, monkeypatch):
         # The middle cell's redraws exceed the failure budget: the grid raises
