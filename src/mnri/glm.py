@@ -23,18 +23,19 @@ so each row gets the bits it gets alone. A row that converges or fails leaves
 the loop; its fit goes into the BatchFit's stacked arrays, its failure into
 the BatchFit's errors, and the other rows go on.
 
-``fit_nested`` takes one Dataset, a list of them, or a stacked Dataset (y (R,
-n), x (R, n, p), z (R, n, q)), checked once when built. It fits the triple
-with three ``fit`` calls on the expanded design standardized once, in
-column-major order, so that convergence and the separation rule do not
-depend on the covariates' units, and returns stacked NestedFits: raw-column
-coefficients, linear predictors, the standardized information and each
-column's scale, with a {row: FitError} map. One Dataset or a list gets
-NestedFits built from those arrays as views. Each fit starts as close to its
-MLE as is known: the expanded fit from b = 0; the base fit from the expanded
-fit's b-part (b = 0 when q = 0); the constant fit from G^-1(ybar), so it
-stops after one step. ``as_batch`` and ``unbatched`` hold the one rule by
-which every entry that takes one comparison also takes a batch.
+``fit_nested`` takes one Dataset or a stacked one (y (R, n), x (R, n, p),
+z (R, n, q)), checked once when built. It fits the triple with three ``fit``
+calls on the expanded design standardized once, in column-major order, so
+that convergence and the separation rule do not depend on the covariates'
+units, and returns stacked NestedFits: raw-column coefficients, linear
+predictors, the standardized information and each column's scale, with a
+{row: FitError} map. One Dataset gets NestedFits built from those arrays as
+views. Each fit starts as close to its MLE as is known: the expanded fit
+from b = 0; the base fit from the expanded fit's b-part (b = 0 when q = 0);
+the constant fit from G^-1(ybar), so it stops after one step. ``as_batch``
+and ``unbatched`` hold the one rule by which every entry that takes one
+comparison also takes a batch: a stacked Dataset, or the NestedFits or
+train/test pair built on one, and nothing else.
 """
 from __future__ import annotations
 
@@ -120,6 +121,8 @@ class Dataset:
         z = np.ascontiguousarray(self.z, dtype=float)
         if y.ndim not in (1, 2):
             raise ValueError("y must be a vector, or a stack of them")
+        if y.ndim == 2 and not len(y):
+            raise ValueError("a batch needs at least one dataset")
         if x.ndim != y.ndim + 1 or z.ndim != y.ndim + 1:
             raise ValueError("x and z must be matrices")
         if x.shape[:-1] != y.shape or z.shape[:-1] != y.shape:
@@ -205,20 +208,19 @@ class BatchFit:
                      for r in range(len(self.fits.loglik)))
 
 
-def _zipped(objects: list, fn):
-    """An object of the type of ``objects[0]`` whose every array and number,
-    through dataclass fields, is ``fn`` of the objects' values there (a link is
-    the first's, an errors map empty), built without a second check."""
-    first = objects[0]
-    if isinstance(first, (np.ndarray, float, int, np.generic)):
-        return fn(objects)
-    if isinstance(first, dict):
+def _mapped(batch, fn):
+    """An object of the type of ``batch`` whose every array and number,
+    through dataclass fields, is ``fn`` of its value there (a link as it is,
+    an errors map empty), built without a second check."""
+    if isinstance(batch, (np.ndarray, float, int, np.generic)):
+        return fn(batch)
+    if isinstance(batch, dict):
         return {}
-    if isinstance(first, Link) or not is_dataclass(first):
-        return first
-    built = object.__new__(type(first))
-    for f in fields(first):
-        object.__setattr__(built, f.name, _zipped([getattr(o, f.name) for o in objects], fn))
+    if isinstance(batch, Link) or not is_dataclass(batch):
+        return batch
+    built = object.__new__(type(batch))
+    for f in fields(batch):
+        object.__setattr__(built, f.name, _mapped(getattr(batch, f.name), fn))
     return built
 
 
@@ -227,32 +229,24 @@ def _taken(batch, rows):
     one row, an int, as one comparison of views."""
     if np.ndim(rows) and rows.size and (np.diff(rows) == 1).all():
         rows = slice(rows[0], rows[-1] + 1)
-    return _zipped([batch], lambda values: values[0][rows])
+    return _mapped(batch, lambda value: value[rows])
 
 
 def as_batch(comparison) -> tuple:
     """The batch rule's first half: ``comparison`` as a batch, its arrays on a
-    leading row axis, and whether it was one. One comparison, a Dataset or
-    NestedFits or a train/test pair whose ``data`` (a pair's test sample) holds
-    one outcome vector, becomes a batch of one, of views; one whose outcomes
-    are a stack (R, n) is a batch as it is. Anything else is a list of them,
-    stacked: ValueError unless it holds at least one, all of one type, sharing
-    n, p and q and the link of fits and pairs (a pair's training n may differ)."""
+    leading row axis, and whether it was one. A batch is a Dataset whose
+    outcomes are a stack y (R, n), or the NestedFits or train/test pair built
+    on one (a pair's ``data`` is its test sample), and is taken as it is; one
+    comparison, whose ``data`` holds one outcome vector, becomes a batch of
+    one, of views. Anything else is a TypeError."""
     data = comparison if isinstance(comparison, Dataset) else getattr(comparison, "data", None)
-    if isinstance(data, Dataset):
-        if data.y.ndim == 2:
-            return comparison, True
-        return _zipped([comparison], lambda values: np.asarray(values[0])[None]), False
-    rows = list(comparison)
-    if not rows:
-        raise ValueError("a batch needs at least one dataset or comparison")
-    data = [row if isinstance(row, Dataset) else row.data for row in rows]
-    shapes = {(type(row), d.n, d.p, d.q, getattr(row, "link", None)) for d, row in zip(data, rows)}
-    if len(shapes) > 1:
-        raise ValueError("a batch's rows must be of one type and share n, p and q, and the link")
-    # A batch of pairs may differ in training n: those arrays stay a list.
-    return _zipped(rows, lambda values: np.stack(values) if len(
-        {np.shape(v) for v in values}) == 1 else values), True
+    if not isinstance(data, Dataset):
+        raise TypeError("expected one comparison or a batch: a Dataset whose y is a stack "
+                        f"(R, n), or the NestedFits or TrainTestPair built on one; got "
+                        f"{type(comparison).__name__}")
+    if data.y.ndim == 2:
+        return comparison, True
+    return _mapped(comparison, lambda value: np.asarray(value)[None]), False
 
 
 def unbatched(results: list, batch: bool):
@@ -493,9 +487,9 @@ def fit_nested(data, link: Link):
     range in any units; the base fit runs on the leading p columns, a view. The
     coefficients are restated for the raw columns (a FitError past the double
     range). Non-finite covariates are a ValueError. A stacked Dataset gives
-    stacked NestedFits; a list, a list of NestedFits or FitErrors; one dataset,
-    its NestedFits, raising at once when its expanded fit fails. The base and
-    constant fits hold only the rows whose expanded fit succeeded."""
+    stacked NestedFits; one dataset, its NestedFits, raising at once when its
+    expanded fit fails. The base and constant fits hold only the rows whose
+    expanded fit succeeded."""
     stack, batch = as_batch(data)
     count, n, p, q = len(stack.y), stack.n, stack.p, stack.q
     # Each row's design transposed, so that its columns are contiguous.
@@ -547,10 +541,9 @@ def fit_nested(data, link: Link):
     fits = NestedFits(expanded=replace(expanded.fits, coefficients=raw[0]),
                       base=replace(base, coefficients=raw[1]), constant=constant, link=link,
                       data=stack, scale=scale, errors=errors)
-    if data is stack:
+    if batch:
         return fits
-    return unbatched([errors.get(r) or replace(_taken(fits, r), data=d)
-                      for r, d in enumerate(data if batch else [data])], batch)
+    return unbatched([errors.get(0) or replace(_taken(fits, 0), data=data)], batch)
 
 
 def information_blocks(fits: NestedFits) -> np.ndarray:
@@ -564,14 +557,14 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     leave the double range are a FitError. ``fits`` may be a batch (see
     ``as_batch``)."""
     fits, batch = as_batch(fits)
-    return unbatched(_blocks(fits, fits.data.n, fits.data.p), batch)
+    return unbatched(_blocks(fits), batch)
 
 
-def _blocks(fits: NestedFits, n, p: int) -> list:
-    """``information_blocks`` of each row of batched NestedFits of p base
-    columns, whose n is a number or one per row: its block, or the FitError
-    it raises alone."""
-    info = fits.expanded.expected_information / np.reshape(n, (-1, 1, 1))
+def _blocks(fits: NestedFits) -> list:
+    """``information_blocks`` of each row of batched NestedFits: its block, or
+    the FitError it raises alone."""
+    p = fits.data.p
+    info = fits.expanded.expected_information / fits.data.n
     unit = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
     factors, singular = numerics.cholesky_spd_rows(info * (unit[:, :, None] * unit[:, None, :]))
     tail = np.array(factors)[:, p:, p:] / unit[:, p:, None]

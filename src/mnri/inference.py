@@ -18,9 +18,8 @@ Three references are implemented:
 Each TestResult carries its reference as the plain dict the ``compare``
 report writes; ``TestResult`` gives the recipe that turns that dict and
 the statistic back into the p-value, exactly. Each test also takes a batch
-(see ``glm.as_batch``): stacked fits or pairs, read on their arrays, or a
-list of comparisons, stacked first; a batch of pairs may differ in training
-n. Only the mixture tail and the results are made row by row.
+(see ``glm.as_batch``): stacked fits or pairs, read on their arrays. Only
+the mixture tail and the results are made row by row.
 """
 from __future__ import annotations
 
@@ -162,18 +161,18 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     training estimate g_train is set by n_train. At equal sizes the factor
     is exactly 1. Blocks singular in the training sample's scale raise
     RankDeficient in the expanded model. ``pair`` may be a batch (see
-    ``glm.as_batch``), whose training samples may differ in n."""
+    ``glm.as_batch``), whose training samples share one n."""
     pairs, batch = as_batch(pair)
     test, train = pairs.test_fits, pairs.train_fits
-    n, p, n_train = test.data.n, test.data.p, np.array([len(y) for y in train.data.y])
+    n = test.data.n
     statistic = n * np.atleast_1d(stats.mnri_smooth)
     # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
     results = [next((b for b in blocks if isinstance(b, FitError)), blocks)
-               for blocks in zip(_blocks(test, n, p), _blocks(train, n_train, p))]
+               for blocks in zip(_blocks(test), _blocks(train))]
     rows = [r for r, result in enumerate(results) if not isinstance(result, FitError)]
     if rows:
         weights, singular = _weights(*(np.stack([results[r][i] for r in rows]) for i in (0, 1)))
-        weights *= np.sqrt(n / n_train[rows])[:, None]
+        weights *= np.sqrt(n / train.data.n)
         scale = k_constant(test.data.ybar[rows]) / 2.0
         for i, r in enumerate(rows):
             if i in singular:

@@ -11,10 +11,9 @@ function so the statistic admits an asymptotic reference distribution.
 
 Values are reported on the half-NRI scale throughout (the doubled
 classical scale is a display concern only). One kernel gives them for one
-comparison or for each row of a batch (``glm.as_batch``): stacked NestedFits
-or a TrainTestPair of two, as ``glm.fit_nested`` returns them for a stacked
-Dataset, read on their arrays, or a list of comparisons, stacked first. A row
-gets the bits it gets alone.
+comparison or for each row of a batch (``glm.as_batch``): stacked NestedFits,
+as ``glm.fit_nested`` returns them for a stacked Dataset, or a TrainTestPair
+of two, read on their arrays. A row gets the bits it gets alone.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import numerics
 from .errors import AllTies
-from .glm import Dataset, Link, NestedFits, _dots, _times, as_batch
+from .glm import Dataset, NestedFits, _dots, _times, as_batch
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,9 @@ class ReclassReport(HalfNRIs):
 @dataclass(frozen=True)
 class TrainTestPair:
     """Nested fits from independent training and test samples sharing one
-    covariate specification; statistics are evaluated on the test data."""
+    covariate specification; statistics are evaluated on the test data. In a
+    batch, both sides are stacked fits of as many comparisons; the training
+    samples' n may differ from the test samples'."""
 
     train_fits: NestedFits
     test_fits: NestedFits
@@ -71,14 +72,12 @@ class TrainTestPair:
             or self.train_fits.data.q != self.test_fits.data.q
         ):
             raise ValueError("train and test fits must share one covariate specification")
+        if self.train_fits.data.y.shape[:-1] != self.test_fits.data.y.shape[:-1]:
+            raise ValueError("train and test fits must hold as many comparisons")
 
     @property
     def data(self) -> Dataset:
         return self.test_fits.data
-
-    @property
-    def link(self) -> Link:
-        return self.test_fits.link
 
 
 def extended_indicator(u):

@@ -157,11 +157,10 @@ def gen_replicate(config: SimConfig, stream: np.random.Generator) -> Dataset:
 
 
 def _records(config: SimConfig, batch) -> list:
-    """The record of each comparison of a batch (see ``glm.as_batch``) of
-    config's n and mode, tested in one stacked pass: the mNRI and legacy NRI
-    p-values, n * smooth mNRI / k-hat and n * smooth NRI; None where the
-    mNRI test failed."""
-    batch, _ = glm.as_batch(batch)
+    """The record of each comparison of a batch, stacked NestedFits or a
+    TrainTestPair of them, of config's n and mode, tested in one stacked
+    pass: the mNRI and legacy NRI p-values, n * smooth mNRI / k-hat and
+    n * smooth NRI; None where the mNRI test failed."""
     single = config.mode == "single"
     test_mnri = inference.test_mnri_single if single else inference.test_mnri_train_test
     stats = reclass.half_nris(batch)

@@ -1,8 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mnri import reclass
-from mnri.glm import LOGIT, Dataset, FittedModel, NestedFits
+from mnri.glm import LOGIT, Dataset, FittedModel, Link, NestedFits
+
+
+def stacked(comparisons):
+    """One batch stacking comparisons of one shape and link, field by field:
+    Datasets into a Dataset whose y is (R, n), NestedFits or TrainTestPairs
+    into stacked ones."""
+    first = comparisons[0]
+    if isinstance(first, (Link, dict)):
+        return first
+    if dataclasses.is_dataclass(first):
+        return type(first)(*(stacked([getattr(c, f.name) for c in comparisons])
+                             for f in dataclasses.fields(first)))
+    return np.stack(comparisons)
 
 
 def build_manual_fits(y, xv, zv, base_coef, expanded_coef, link=LOGIT):

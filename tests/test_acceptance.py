@@ -22,10 +22,10 @@ from scipy import stats
 from scipy.special import expit
 
 from mnri import glm, inference, numerics, reclass, sim
-from mnri.errors import FitError
 from mnri.glm import LOGIT, Dataset
 from mnri.numerics import mixture_tail, norm_cdf
 from mnri.reclass import extended_indicator
+from conftest import stacked
 from mixture_reference import chisq_cdf
 from null_statistics import collect_null_statistics, null_distribution_diagnostic
 from propriety import propriety_mc_check
@@ -202,16 +202,16 @@ def unequal_size_p_values(n_train: int, n_test: int) -> tuple[np.ndarray, int]:
     for start in range(0, REPLICATES, UNEQUAL_CHUNK):
         reps = range(start, min(start + UNEQUAL_CHUNK, REPLICATES))
         parts = [
-            glm.fit_nested([sim.gen_replicate(config, sim.replicate_stream(ACCEPT_SEED, 0, rep, 0, part))
-                            for rep in reps], LOGIT)
+            glm.fit_nested(stacked([sim.gen_replicate(
+                config, sim.replicate_stream(ACCEPT_SEED, 0, rep, 0, part)) for rep in reps]), LOGIT)
             for part, config in enumerate(configs)
         ]
-        for train_fits, test_fits in zip(*parts):
-            if isinstance(train_fits, FitError) or isinstance(test_fits, FitError):
-                failed += 1
-                continue
-            pair = reclass.TrainTestPair(train_fits=train_fits, test_fits=test_fits)
-            p_values.append(inference.test_mnri_train_test(pair, reclass.half_nris(pair)).p_value)
+        fitted = np.array([r for r in range(len(reps))
+                           if all(r not in fits.errors for fits in parts)], dtype=int)
+        failed += len(reps) - fitted.size
+        pair = reclass.TrainTestPair(*(glm._taken(fits, fitted) for fits in parts))
+        p_values += [result.p_value
+                     for result in inference.test_mnri_train_test(pair, reclass.half_nris(pair))]
     return np.array(p_values), failed
 
 

@@ -1,7 +1,8 @@
 """The batch rule, over every public entry that takes one comparison or a
-batch of them: a batch of one gives the bits of the one comparison, one
-failing comparison raises the error a batch returns in its place, and a
-batch of mixed shape or of nothing is a ValueError."""
+batch of them. A batch is a stacked Dataset, or the NestedFits or
+TrainTestPair built on one: a stacked batch of one gives the bits of the one
+comparison, a failing row holds the error the comparison raises alone, and a
+list of comparisons is no batch but a TypeError."""
 
 import dataclasses
 from typing import Callable
@@ -9,10 +10,15 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from mnri import inference
+from mnri import glm, inference
 from mnri.errors import FitError
 from mnri.glm import LOGIT, PROBIT, Dataset, fit_nested, information_blocks
 from mnri.reclass import HalfNRIs, TrainTestPair, half_nris
+
+from conftest import stacked
+
+# The TypeError's message names the stacked forms.
+STACKED_FORMS = r"a Dataset whose y is a stack \(R, n\), or the NestedFits or TrainTestPair"
 
 
 def dataset(n=300, p=2, q=1, link=LOGIT, seed=0, separated=False, wide=False):
@@ -33,17 +39,14 @@ def fits(link=LOGIT, **shape):
 
 
 def pair(link=LOGIT, train_n=300, **shape):
-    train = fits(link, **{**shape, "n": train_n, "seed": 1})
+    train = fits(link, **{**shape, "n": train_n, "seed": 1 + shape.get("seed", 0)})
     return TrainTestPair(train_fits=train, test_fits=fits(link, **shape))
 
 
 def stats(comparison):
-    """``half_nris`` of one comparison, or of a batch formed row by row, so
-    that a mixed batch reaches the test it is passed to."""
-    if isinstance(comparison, list):
-        rows = np.array([list(vars(half_nris(c)).values()) for c in comparison]).reshape(-1, 4)
-        return HalfNRIs(*rows.T)
-    return half_nris(comparison)
+    """``half_nris`` of one comparison or a batch; None for a list, so that
+    the list reaches the test it is passed to."""
+    return None if isinstance(comparison, list) else half_nris(comparison)
 
 
 def bits(value):
@@ -65,24 +68,25 @@ class Entry:
     make: Callable  # one comparison of a given shape
     call: Callable  # the entry on one comparison or a batch
     fails: dict | None = None  # make's arguments for a comparison that fails
-    first: Callable = lambda result: result[0]  # a batch result's first row
+    row: Callable = lambda result, r: result[r]  # row r of a batch's result
     links: bool = True  # whether its comparisons carry a link
 
 
 ENTRIES = {
     "fit_nested": Entry(dataset, lambda c: fit_nested(c, LOGIT), {"separated": True},
+                        row=lambda result, r: result.errors.get(r) or glm._taken(result, r),
                         links=False),
     "information_blocks": Entry(fits, information_blocks, {"wide": True}),
     "half_nris": Entry(fits, half_nris,
-                       first=lambda result: HalfNRIs(*(v[0] for v in vars(result).values()))),
+                       row=lambda result, r: HalfNRIs(*(v[r] for v in vars(result).values()))),
     "test_mnri_single": Entry(fits, lambda c: inference.test_mnri_single(c, stats(c))),
     "test_mnri_train_test": Entry(pair, lambda c: inference.test_mnri_train_test(c, stats(c)),
                                   {"wide": True}),
     "test_nri_normal_legacy": Entry(pair,
                                     lambda c: inference.test_nri_normal_legacy(c, stats(c))),
 }
-# Pairs of shapes a batch may not mix: the p case keeps p + q, the q case is
-# of one n and p, and the link case of one n, p and q, so that each stacks.
+# Pairs of shapes no stack can mix: the p case keeps p + q, the q case is
+# of one n and p, and the link case of one n, p and q.
 MIXED = {
     "n": ({"n": 300}, {"n": 320}),
     "p": ({"p": 2, "q": 2}, {"p": 3, "q": 1}),
@@ -96,23 +100,32 @@ MIXED = {
 def test_batch_of_one_gives_the_bits_of_one(name, link):
     entry = ENTRIES[name]
     comparison = entry.make(**({"link": link} if entry.links else {}))
-    assert bits(entry.first(entry.call([comparison]))) == bits(entry.call(comparison))
+    assert bits(entry.row(entry.call(stacked([comparison])), 0)) == bits(entry.call(comparison))
 
 
 @pytest.mark.parametrize("name", [name for name, entry in ENTRIES.items() if entry.fails])
 def test_one_failing_comparison_raises_what_a_batch_returns(name):
     entry = ENTRIES[name]
     failing = entry.make(**entry.fails)
-    good = entry.make()
-    batch = entry.call([good, failing])
-    assert not isinstance(batch[0], FitError)
+    batch = entry.call(stacked([entry.make(), failing]))
+    assert not isinstance(entry.row(batch, 0), FitError)
     with pytest.raises(FitError) as raised:
         entry.call(failing)
-    assert type(batch[1]) is type(raised.value)
-    assert str(batch[1]) == str(raised.value)
-    assert batch[1].model == raised.value.model
+    got = entry.row(batch, 1)
+    assert type(got) is type(raised.value)
+    assert str(got) == str(raised.value)
+    assert got.model == raised.value.model
 
 
+@pytest.mark.parametrize("name", ENTRIES)
+def test_list_is_rejected(name):
+    comparison = ENTRIES[name].make()
+    with pytest.raises(TypeError, match=STACKED_FORMS):
+        ENTRIES[name].call([comparison, comparison])
+
+
+# A stack holds one n, p, q and link by construction, so a batch that mixes
+# them, or fits and pairs, can only be a list, and a list is refused.
 @pytest.mark.parametrize(
     "name, kind",
     [(name, kind) for name, entry in ENTRIES.items() for kind in MIXED
@@ -121,30 +134,40 @@ def test_one_failing_comparison_raises_what_a_batch_returns(name):
 def test_mixed_batch_is_rejected(name, kind):
     entry = ENTRIES[name]
     batch = [entry.make(**shape) for shape in MIXED[kind]]
-    with pytest.raises(ValueError, match="share n, p and q"):
+    with pytest.raises(TypeError, match=STACKED_FORMS):
         entry.call(batch)
 
 
 @pytest.mark.parametrize("name", ["half_nris", "test_nri_normal_legacy"])
 def test_batch_of_fits_and_pairs_is_rejected(name):
-    with pytest.raises(ValueError, match="of one type"):
+    with pytest.raises(TypeError, match=STACKED_FORMS):
         ENTRIES[name].call([fits(), pair()])
 
 
 @pytest.mark.parametrize("name", ENTRIES)
 def test_empty_batch_is_rejected(name):
-    with pytest.raises(ValueError, match="at least one dataset"):
+    # An empty stack is refused where it is built, by Dataset.
+    with pytest.raises(TypeError, match=STACKED_FORMS):
         ENTRIES[name].call([])
 
 
 @pytest.mark.parametrize("name", ["half_nris", "test_mnri_train_test", "test_nri_normal_legacy"])
 def test_pairs_may_differ_in_training_n(name):
-    # A pair's shape is its test sample's: each row of a batch whose training
-    # samples differ in n gets the bits it gets alone.
+    # A stacked pair whose training samples hold 450 observations and whose
+    # test samples hold 300: each row gets the bits it gets alone.
     entry = ENTRIES[name]
-    comparisons = [pair(train_n=300), pair(train_n=450, seed=2)]
-    batch = entry.call(comparisons)
+    comparisons = [pair(train_n=450), pair(train_n=450, seed=2)]
+    batch = entry.call(stacked(comparisons))
     for r, comparison in enumerate(comparisons):
-        row = (HalfNRIs(*(v[r] for v in vars(batch).values())) if name == "half_nris"
-               else batch[r])
-        assert bits(row) == bits(entry.call(comparison))
+        assert bits(entry.row(batch, r)) == bits(entry.call(comparison))
+
+
+def test_pair_sides_hold_as_many_comparisons():
+    # Row r of a pair's training fits goes with row r of its test fits, so
+    # sides of different row counts are refused, not broadcast or cut short.
+    batches = {count: fit_nested(stacked([dataset(seed=seed) for seed in range(count)]), LOGIT)
+               for count in (1, 3, 5)}
+    for train, test in ((batches[1], batches[5]), (batches[3], batches[5]),
+                        (fits(), batches[5]), (batches[1], fits())):
+        with pytest.raises(ValueError, match="as many comparisons"):
+            TrainTestPair(train_fits=train, test_fits=test)

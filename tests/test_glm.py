@@ -21,6 +21,8 @@ from mnri.glm import (
 )
 from mnri.reclass import TrainTestPair, half_nris
 
+from conftest import stacked
+
 
 def make_data(n=250, seed=42, gamma=0.5, link=LOGIT):
     rng = np.random.default_rng(seed)
@@ -434,7 +436,8 @@ class TestBatch:
                             z=rng.standard_normal((200, 1)))
         collinear = Dataset(y=datasets[0].y, x=datasets[0].x, z=datasets[0].x[:, [1]])
         datasets[2:2] = [separated, collinear]
-        results = fit_nested(datasets, link)
+        fits = fit_nested(stacked(datasets), link)
+        results = [fits.errors.get(r) or glm._taken(fits, r) for r in range(len(datasets))]
         assert [isinstance(got, FitError) for got in results] == [False] * 2 + [True] * 2 + [False] * 2
         for data, got in zip(datasets, results):
             if isinstance(got, FitError):
@@ -444,7 +447,8 @@ class TestBatch:
             for name in ("expanded", "base", "constant"):
                 assert_same_fit(getattr(got, name), getattr(want, name))
             assert got.scale.tobytes() == want.scale.tobytes()
-            assert got.data is data
+            assert [getattr(got.data, name).tobytes() for name in "yxz"] == [
+                getattr(data, name).tobytes() for name in "yxz"]
 
     def test_fit_nested_fits_later_models_on_rows_that_fit(self, monkeypatch):
         # A row whose expanded fit fails leaves the batch: the base and
@@ -462,29 +466,27 @@ class TestBatch:
             return original(y, design, link, **kwargs)
 
         monkeypatch.setattr(glm, "fit", counted)
-        mixed = fit_nested([separated, good, collinear, good], LOGIT)
+        mixed = fit_nested(stacked([separated, good, collinear, good]), LOGIT)
         assert rows == [4, 2, 2]
-        assert [type(got) for got in mixed] == [Separation, NestedFits, RankDeficient, NestedFits]
+        assert {r: type(got) for r, got in mixed.errors.items()} == {0: Separation,
+                                                                     2: RankDeficient}
         rows.clear()
-        failed = fit_nested([separated, collinear], LOGIT)
+        failed = fit_nested(stacked([separated, collinear]), LOGIT)
         assert rows == [2, 0, 0]
-        for data, got in zip((separated, collinear), failed):
-            assert_same_error(got, raised_by(lambda: fit_nested(data, LOGIT)))
+        for r, data in enumerate((separated, collinear)):
+            assert_same_error(failed.errors[r], raised_by(lambda: fit_nested(data, LOGIT)))
         rows.clear()
         with pytest.raises(Separation, match="expanded model"):
             fit_nested(separated, LOGIT)
         assert rows == [1]
 
     def test_fit_nested_batch_needs_one_shape(self):
-        with pytest.raises(ValueError, match="share n, p and q"):
-            fit_nested([make_data(n=200), make_data(n=201)], LOGIT)
-        with pytest.raises(ValueError, match="at least one dataset"):
-            fit_nested([], LOGIT)
-
-
-def stacked(datasets):
-    """One Dataset stacking the rows of datasets of one shape."""
-    return Dataset(*(np.stack([getattr(d, name) for d in datasets]) for name in "yxz"))
+        # A batch is a stacked Dataset, of one shape by construction; a list
+        # of datasets, of one shape or not, or of none, is no batch.
+        for datasets in ([make_data(n=200), make_data(n=200)],
+                         [make_data(n=200), make_data(n=201)], []):
+            with pytest.raises(TypeError, match=r"stack \(R, n\)"):
+                fit_nested(datasets, LOGIT)
 
 
 class TestStackedFitNested:
@@ -516,6 +518,10 @@ class TestStackedFitNested:
                 assert got.loglik[r] == want.loglik
                 assert got.iterations[r] == want.iterations
             assert fits.scale[r].tobytes() == alone.scale.tobytes()
+
+    def test_empty_stack_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one dataset"):
+            Dataset(np.empty((0, 300)), np.ones((0, 300, 2)), np.empty((0, 300, 1)))
 
     def test_bad_stacks_are_value_errors(self):
         data = stacked([make_data(n=100, seed=seed) for seed in range(3)])
@@ -919,8 +925,12 @@ class TestInformationBlocks:
         fitted = [fit_nested(correlated_data(seed=seed), LOGIT) for seed in (14, 15)]
         wide = fits_with_information(data, fitted[1].expanded.expected_information,
                                      [1.0, 1.0, 1e200, 1e200])
-        batch = information_blocks([fitted[0], singular, fitted[1], wide])
-        for got, fits in zip(batch, [fitted[0], singular, fitted[1], wide]):
+        comparisons = [fitted[0], singular, fitted[1], wide]
+        # Stacked through the fields information_blocks reads.
+        batch = information_blocks(stacked([
+            fits_with_information(fits.data, fits.expanded.expected_information, fits.scale)
+            for fits in comparisons]))
+        for got, fits in zip(batch, comparisons):
             try:
                 want = information_blocks(fits)
             except FitError as exc:

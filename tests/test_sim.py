@@ -18,6 +18,7 @@ from mnri.sim import (
     run_cell,
     run_grid,
 )
+from conftest import stacked
 from null_statistics import collect_null_statistics
 from propriety import propriety_mc_check
 
@@ -331,7 +332,8 @@ class TestBatches:
                 for part in range(1 if mode == "single" else 2)
             ]
             comparison = parts[0] if mode == "single" else TrainTestPair(*parts)
-            assert sim._records(cfg, [comparison]) == [tuple(column[rep] for column in columns)]
+            assert sim._records(cfg, stacked([comparison])) == [
+                tuple(column[rep] for column in columns)]
 
     @pytest.mark.parametrize("mode", ["single", "train_test"])
     def test_batch_records_match_records_made_alone(self, mode):
