@@ -17,11 +17,11 @@ which ``information_blocks`` profiles out the base coefficients.
 blocks of ``_INFO_ROWS`` rows, so no array the size of the design is made per
 iteration. It also takes a stack of R designs of one shape, a batch, and runs
 one Fisher-scoring loop over that leading axis: every product is one BLAS
-call per row, on its column-major design, and convergence, step-halving,
-separation, the iteration cap and the Cholesky pivot rule are per-row masks,
-so each row gets the bits it gets alone. A row that converges or fails leaves
-the loop; its fit goes into the BatchFit's stacked arrays, its failure into
-the BatchFit's errors, and the other rows go on.
+call per row, on its column-major design, each step one stacked Cholesky
+solve, and convergence, step-halving, separation, the iteration cap and the
+pivot rule are per-row masks, so each row gets the bits it gets alone. A row
+that converges or fails leaves the loop; its fit goes into the BatchFit's
+stacked arrays, its failure into the BatchFit's errors, and the rest go on.
 
 ``fit_nested`` takes one Dataset or a stacked one (y (R, n), x (R, n, p),
 z (R, n, q)), checked once when built. It fits the triple with three ``fit``
@@ -129,7 +129,7 @@ class Dataset:
             raise ValueError("x, z row counts must match y")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise ValueError("y must be coded 0/1")
-        if (y.min(axis=-1) == y.max(axis=-1)).any():
+        if y.shape[-1] and (y.min(axis=-1) == y.max(axis=-1)).any():
             raise DegenerateOutcome("outcome is constant; need both events and non-events")
         if not np.all(x[..., 0] == 1.0):
             raise ValueError("first column of x must be the constant 1")
@@ -567,7 +567,7 @@ def _blocks(fits: NestedFits) -> list:
     info = fits.expanded.expected_information / fits.data.n
     unit = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
     factors, singular = numerics.cholesky_spd_rows(info * (unit[:, :, None] * unit[:, None, :]))
-    tail = np.array(factors)[:, p:, p:] / unit[:, p:, None]
+    tail = factors[:, p:, p:] / unit[:, p:, None]
     scale = fits.scale[:, p:]
     with np.errstate(over="ignore"):
         blocks = (tail @ tail.transpose(0, 2, 1)) * (scale[:, :, None] * scale[:, None, :])

@@ -1,12 +1,12 @@
 """Deterministic numerical kernels.
 
-Symmetric positive definite factorizations and solves, of one matrix or
-row by row of a stack (LAPACK Cholesky with a relative pivot check; as in
-LAPACK, only the lower triangle is read, so callers pass symmetric
-matrices), normal/chi-square distribution
-functions, and tail probabilities of weighted chi-square mixtures given
-by their weights and scale, each one trapezoid sum: a single +/- pair within
-about 1e-15 (1 + |t| / 2c) relative, any other weights by Rice's integral.
+Symmetric positive definite factorizations and solves of a stack, one matrix
+being a stack of one (numpy's stacked Cholesky with a relative pivot check,
+then substitution; only the lower triangle is read, so callers pass symmetric
+matrices), normal/chi-square distribution functions, and tail probabilities
+of weighted chi-square mixtures given by their weights and scale, each one
+trapezoid sum: a single +/- pair within about 1e-15 (1 + |t| / 2c) relative,
+any other weights by Rice's integral.
 Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
@@ -35,45 +35,11 @@ _LOG_UNDERFLOW = math.log(5e-324) - 1.0
 _DOUBLE_MAX = float(np.finfo(float).max)
 
 
-def _pivots_pass(lower, info, tol):
-    """The pivot rule on ``dpotrf``'s factors (..., m, m) and info codes:
-    every pivot above tol. A complete factor has positive diagonal entries,
-    so its smallest pivot is the square of its smallest entry. Squared as a
-    product, as the array square of ``_pivot_failure`` is: a scalar ** 2
-    goes through pow, which can round the other way."""
-    smallest = lower.diagonal(axis1=-2, axis2=-1).min(axis=-1)
-    return (info == 0) & (smallest * smallest > tol)
-
-
-def _pivot_failure(lower, info, tol) -> NotPositiveDefinite:
-    """The error naming the failing pivot of a factor that fails the rule:
-    the smallest square, or the one <= 0 or NaN at which dpotrf stopped
-    (info - 1), left there as it was."""
-    pivots = lower.diagonal() ** 2
-    if info > 0:
-        pivots[info - 1] = lower[info - 1, info - 1]
-    j = int(np.argmin(pivots > tol))
-    return NotPositiveDefinite(
-        f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}"
-    )
-
-
-def _tolerance(a):
-    """The pivot tolerance ``1e-12 * max(diag, 0)`` of a matrix, or of each
-    matrix of a stack; a largest diagonal entry of -0.0 or NaN is kept."""
-    top = a.diagonal(axis1=-2, axis2=-1).max(axis=-1)
-    return _SPD_PIVOT_RTOL * np.where(0.0 > top, 0.0, top)
-
-
 def cholesky_spd(a) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
-
-    Factored by LAPACK ``dpotrf``, which reads only the lower triangle: as
-    with ``numpy.linalg.cholesky``, the caller passes a symmetric matrix and
-    the upper triangle is not checked. Raises NotPositiveDefinite when a
-    pivot falls at or below ``1e-12 * max(diag)``, which for regression
-    information matrices signals collinear covariates.
-    """
+    """Lower Cholesky factor of a symmetric positive definite matrix, as
+    ``cholesky_spd_rows`` factors it in any stack. Raises NotPositiveDefinite
+    when a pivot falls at or below ``1e-12 * max(diag)``, which for regression
+    information matrices signals collinear covariates."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -83,36 +49,70 @@ def cholesky_spd(a) -> np.ndarray:
     return factors[0]
 
 
-def cholesky_spd_rows(a) -> tuple[list, dict]:
-    """``cholesky_spd`` of each row of a stack (R, m, m): a list of the factors as dpotrf gives
-    them, which dpotrs reads without a copy, and ``{r: NotPositiveDefinite}`` for rows failing
-    the rule. (numpy's stacked Cholesky can differ from dpotrf's in the last bit from m = 5.)"""
-    factors, info = zip(*(lapack.dpotrf(matrix, lower=1, clean=1) for matrix in a))
-    lower, info, tol = np.array(factors).reshape(a.shape), np.array(info), _tolerance(a)
-    passed = _pivots_pass(lower, info, tol)
-    failures = {r: _pivot_failure(lower[r], info[r], tol[r])
-                for r, ok in enumerate(passed.tolist()) if not ok}
-    return list(factors), failures
+def cholesky_spd_rows(a) -> tuple[np.ndarray, dict]:
+    """``cholesky_spd`` of each row of a stack (R, m, m) by numpy's stacked Cholesky,
+    one LAPACK call per matrix, so a row's bits do not depend on its neighbours:
+    the factors and ``{r: NotPositiveDefinite}`` for the rows failing the pivot
+    rule. A stack numpy refuses is factored row by row; only a row it refuses
+    meets ``dpotrf``, whose info names the pivot (<= 0 or NaN) it stopped at.
+    Pivots are squared as arrays: a scalar ** 2 goes through pow, which can round the other way."""
+    try:
+        lower, info = np.linalg.cholesky(a), {}
+    except np.linalg.LinAlgError:
+        lower, info = np.empty(a.shape), {}
+        for r, matrix in enumerate(a):
+            try:
+                lower[r] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                lower[r], info[r] = lapack.dpotrf(matrix, lower=1, clean=1)
+    top = a.diagonal(axis1=1, axis2=2).max(axis=1)
+    tol = _SPD_PIVOT_RTOL * np.where(0.0 > top, 0.0, top)  # -0.0 and NaN kept
+    pivots = lower.diagonal(axis1=1, axis2=2) ** 2
+    for r, j in ((r, k - 1) for r, k in info.items() if k):
+        pivots[r, j] = lower[r, j, j]
+    passed = pivots > tol[:, None]
+    if passed.all():
+        return lower, {}
+    failures = {}
+    for r in np.flatnonzero(~passed.all(axis=1)).tolist():
+        j = int(np.argmin(passed[r]))
+        failures[r] = NotPositiveDefinite(
+            f"Cholesky pivot {pivots[r, j]:.3e} at index {j} is below tolerance {tol[r]:.3e}")
+    return lower, failures
+
+
+def _substitute(lower, x) -> np.ndarray:
+    """Overwrite each row b of x (R, m) with y, ``lower @ lower.T @ y = b``, for factors
+    (R, m, m), or (1, m, m) for every row, by forward and back substitution, each
+    step one update of all rows. Multiplying by the inverted diagonal, as OpenBLAS's
+    dpotrs does, gives dpotrs's bits at m = 1, and more often than dividing above."""
+    m = lower.shape[-1]
+    with np.errstate(all="ignore"):  # overflow gives inf, as in LAPACK; failed rows hold 0 or NaN
+        inverse = 1.0 / lower.diagonal(axis1=1, axis2=2)
+        for i in range(m):
+            x[:, i] *= inverse[:, i]
+            if i + 1 < m:
+                x[:, i + 1:] -= lower[:, i + 1:, i] * x[:, i, None]
+        for i in reversed(range(m)):
+            x[:, i] *= inverse[:, i]
+            if i:
+                x[:, :i] -= lower[:, i, :i] * x[:, i, None]
+    return x
 
 
 def solve_spd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``, of which
-    only the lower triangle is read."""
-    x, _ = lapack.dpotrs(cholesky_spd(a), np.asarray(b, dtype=float), lower=1)
-    return x
+    only the lower triangle is read, and b of shape (m,) or (m, k)."""
+    lower, b = cholesky_spd(a)[None], np.array(b, dtype=float)
+    return _substitute(lower, b.T).T if b.ndim == 2 else _substitute(lower, b[None])[0]
 
 
 def solve_spd_rows(a, b) -> tuple[np.ndarray, dict]:
-    """Solve ``a[r] @ x[r] = b[r]`` for each row r of a stack of symmetric
-    matrices (R, m, m) and vectors (R, m), as ``solve_spd`` solves that row
-    alone, from ``cholesky_spd_rows``. Returns x and ``{r: NotPositiveDefinite}``
-    for the rows that fail, whose rows of x are unset."""
-    factors, failures = cholesky_spd_rows(a)
-    x = np.empty(b.shape)
-    for r, (factor, rhs) in enumerate(zip(factors, b)):
-        if r not in failures:
-            x[r] = lapack.dpotrs(factor, rhs, lower=1)[0]
-    return x, failures
+    """Solve ``a[r] @ x[r] = b[r]`` for each row of a stack of symmetric matrices (R, m, m)
+    and vectors (R, m), as ``solve_spd`` solves that row alone: x and
+    ``{r: NotPositiveDefinite}`` for the rows that fail, whose rows of x hold no solution."""
+    lower, failures = cholesky_spd_rows(a)
+    return _substitute(lower, np.array(b, dtype=float)), failures
 
 
 def norm_pdf(x):

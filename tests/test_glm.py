@@ -69,6 +69,13 @@ class TestDataset:
                 z=np.arange(3.0).reshape(3, 1),
             )
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_no_observations_are_too_few_rows(self, shape):
+        # The constant-outcome check has no row to read and leaves them to
+        # the row count.
+        with pytest.raises(ValueError, match="^too few rows for the covariate dimensions$"):
+            Dataset(np.empty(shape), np.ones((*shape, 2)), np.empty((*shape, 1)))
+
 
 class TestFit:
     def test_intercept_only_closed_form(self):

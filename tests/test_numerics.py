@@ -28,9 +28,14 @@ from mixture_reference import chisq_cdf, two_pair_tail
 
 def full_pivot_rule(a):
     """The relative pivot rule applied to every pivot, with no early
-    acceptance: (message, None) when it rejects, (None, factor) otherwise."""
+    acceptance: (message, None) when it rejects, (None, factor) otherwise.
+    The factor is numpy's where numpy factors the matrix; where it refuses,
+    dpotrf's, whose info names the pivot it stopped at."""
     tol = 1e-12 * max(float(np.max(np.diag(a))), 0.0)
-    lower, info = lapack.dpotrf(a, lower=1, clean=1)
+    try:
+        lower, info = np.linalg.cholesky(a), 0
+    except np.linalg.LinAlgError:
+        lower, info = lapack.dpotrf(a, lower=1, clean=1)
     pivots = np.diag(lower) ** 2
     if info > 0:
         pivots[info - 1] = lower[info - 1, info - 1]
@@ -104,7 +109,7 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
     def test_non_square_rejected(self, a):
-        # Unchecked, dpotrf would raise f2py's error, not a ValueError.
+        # Unchecked, numpy's Cholesky would raise LinAlgError or factor a stack.
         with pytest.raises(ValueError, match="^matrix must be square, got shape"):
             cholesky_spd(a)
 
@@ -152,6 +157,47 @@ class TestSolveSpd:
             else:
                 assert r not in failures
                 assert x[r].tobytes() == want.tobytes()
+
+    def test_failing_neighbour_leaves_row_bits(self):
+        # numpy refuses a stack holding a singular matrix; the healthy row
+        # is then factored alone by numpy, not by dpotrf, whose factor of
+        # this matrix can differ from numpy's in the last bit.
+        a = np.array([[2.0, 0.0, 1.0, 0.0, 2.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                      [1.0, 0.0, 3.0, 0.0, 2.0], [0.0, 0.0, 0.0, 1.0, 0.0],
+                      [2.0, 0.0, 2.0, 0.0, 6.0]])
+        stack, b = np.array([a, np.ones((5, 5))]), np.arange(10.0).reshape(2, 5)
+        lower, failures = numerics.cholesky_spd_rows(stack)
+        x, solve_failures = solve_spd_rows(stack, b)
+        assert list(failures) == list(solve_failures) == [1]
+        assert lower[0].tobytes() == cholesky_spd(a).tobytes()
+        assert x[0].tobytes() == solve_spd(a, b[0]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), rows=st.integers(1, 4))
+    def test_solve_backward_error(self, data, m, rows):
+        # The substitution is backward stable: the residual is within a
+        # fixed multiple of m * eps of |a| |x| + |b|, whatever the scale.
+        # Entries below 2^-10 in size are 0, so that x stays a normal double.
+        def floats(*shape):
+            count = int(np.prod(shape))
+            v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=count,
+                                            max_size=count))).reshape(shape)
+            return np.where(abs(v) < 2.0**-10, 0.0, v)
+
+        def scales():
+            powers = st.lists(st.sampled_from([-500, 0, 500]), min_size=rows, max_size=rows)
+            return np.ldexp(1.0, data.draw(powers))
+
+        g = floats(rows, m, m)
+        shift = data.draw(st.sampled_from([1e-3, 1e-1, 1.0]))
+        a = (g @ g.transpose(0, 2, 1) + shift * np.eye(m)) * scales()[:, None, None]
+        b = floats(rows, m) * scales()[:, None]
+        x, failures = solve_spd_rows(a, b)
+        assert not failures
+        residual = np.einsum("rij,rj->ri", a, x) - b
+        bound = (abs(a).sum(axis=2).max(axis=1) * abs(x).max(axis=1)
+                 + abs(b).max(axis=1))
+        assert (abs(residual).max(axis=1) <= 4.0 * m * np.finfo(float).eps * bound).all()
 
     def test_pivot_tolerance_relative_to_diagonal(self):
         # Collinearity at a scale far above machine noise still trips.
