@@ -19,9 +19,10 @@ iteration. It also takes a stack of R designs of one shape, a batch, and runs
 one Fisher-scoring loop over that leading axis: every product is one BLAS
 call per row, on its column-major design, each step one stacked Cholesky
 solve, and convergence, step-halving, separation, the iteration cap and the
-pivot rule are per-row masks, so each row gets the bits it gets alone. A row
-that converges or fails leaves the loop; its fit goes into the BatchFit's
-stacked arrays, its failure into the BatchFit's errors, and the rest go on.
+pivot rule are per-row masks, so each row gets the bits it gets alone. Rows
+leave the loop at one point, once converged or failed: a fit goes into the
+BatchFit's stacked arrays, a failure into its errors, and the rest go on.
+Every selection of a batch's rows is one helper's, a slice when they run.
 
 ``fit_nested`` takes one Dataset or a stacked one (y (R, n), x (R, n, p),
 z (R, n, q)), checked once when built. It fits the triple with three ``fit``
@@ -35,7 +36,8 @@ from b = 0; the base fit from the expanded fit's b-part (b = 0 when q = 0);
 the constant fit from G^-1(ybar), so it stops after one step. ``as_batch``
 and ``unbatched`` hold the one rule by which every entry that takes one
 comparison also takes a batch: a stacked Dataset, or the NestedFits or
-train/test pair built on one, and nothing else.
+train/test pair built on one, and nothing else; a row that failed in
+``fit_nested`` keeps its FitError in every entry with a result per row.
 """
 from __future__ import annotations
 
@@ -224,39 +226,49 @@ def _mapped(batch, fn):
     return built
 
 
+def _rows(selection):
+    """Rows of a batch, a mask or a sorted index, as a slice when they form one
+    run, so that what it takes is a view; else as their index."""
+    index = np.flatnonzero(selection) if selection.dtype == bool else selection
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
 def _taken(batch, rows):
-    """Rows of a batch, an index array (views when they are consecutive), or
-    one row, an int, as one comparison of views."""
-    if np.ndim(rows) and rows.size and (np.diff(rows) == 1).all():
-        rows = slice(rows[0], rows[-1] + 1)
+    """Rows of a batch, a mask or a sorted index (see ``_rows``), or one row, an
+    int, as one comparison of views."""
+    rows = _rows(rows) if np.ndim(rows) else rows
     return _mapped(batch, lambda value: value[rows])
 
 
 def as_batch(comparison) -> tuple:
     """The batch rule's first half: ``comparison`` as a batch, its arrays on a
-    leading row axis, and whether it was one. A batch is a Dataset whose
-    outcomes are a stack y (R, n), or the NestedFits or train/test pair built
-    on one (a pair's ``data`` is its test sample), and is taken as it is; one
-    comparison, whose ``data`` holds one outcome vector, becomes a batch of
-    one, of views. Anything else is a TypeError."""
+    leading row axis; whether it was one; and its failed rows, holding zeros,
+    with their FitErrors from ``fit_nested``, a pair's test side's first. A
+    batch is a Dataset whose outcomes are a stack y (R, n), or the NestedFits
+    or train/test pair built on one (a pair's ``data`` is its test sample),
+    and is taken as it is; one comparison, whose ``data`` holds one outcome
+    vector, becomes a batch of one, of views. Anything else is a TypeError."""
     data = comparison if isinstance(comparison, Dataset) else getattr(comparison, "data", None)
     if not isinstance(data, Dataset):
         raise TypeError("expected one comparison or a batch: a Dataset whose y is a stack "
                         f"(R, n), or the NestedFits or TrainTestPair built on one; got "
                         f"{type(comparison).__name__}")
-    if data.y.ndim == 2:
-        return comparison, True
-    return _mapped(comparison, lambda value: np.asarray(value)[None]), False
+    if data.y.ndim == 1:
+        return _mapped(comparison, lambda value: np.asarray(value)[None]), False, {}
+    train, test = (getattr(comparison, side, comparison) for side in ("train_fits", "test_fits"))
+    return comparison, True, {**getattr(train, "errors", {}), **getattr(test, "errors", {})}
 
 
-def unbatched(results: list, batch: bool):
-    """The batch rule's second half: a batch's list of results as it is;
-    for one comparison its one result, raised if it is a FitError."""
-    if batch:
-        return results
-    if isinstance(results[0], FitError):
-        raise results[0]
-    return results[0]
+def unbatched(results, errors: dict, batch: bool):
+    """The batch rule's second half: ``results``, one per row of a batch, with
+    each row of ``errors`` holding its FitError instead; a batch's list as it
+    is, one comparison's one result, raised if it is a FitError."""
+    if errors and not batch:
+        raise errors[0]
+    results = [errors.get(r, result) for r, result in enumerate(results)]
+    return results if batch else results[0]
 
 
 def _dots(a, b) -> np.ndarray:
@@ -293,6 +305,7 @@ def _point(cols, y, one_minus_y, link, beta):
 
 
 def _kept(keep, *arrays) -> list:
+    keep = _rows(keep)
     return [a[keep] for a in arrays]
 
 
@@ -319,40 +332,44 @@ def _scoring(y, cols, link, beta) -> BatchFit:
     """Fisher scoring from beta (R, m) for each row of a batch, on the
     transposed designs cols (R, m, n).
 
-    The arrays hold the rows still iterating. A row leaves once it converges
-    or fails, and the others go on with the arithmetic each has alone: every
-    product is one BLAS call per row, and every test and update is per row."""
+    The arrays hold the rows still in play; every product is one BLAS call per
+    row, every test and update per row, so each row has the arithmetic it has
+    alone. A row fails at a singular information, taking no step, or at
+    separation, and no later convergence or iteration-cap test reads it. Rows
+    leave at one point, after the convergence test, in one selection: those
+    that converged there and those that failed in the iteration before."""
     fitted, errors = None, {}
     count = y.shape[0]
     rows = np.arange(count)
     one_minus_y = 1.0 - y
     eta, probs, loglik = _point(cols, y, one_minus_y, link, beta)
-    last_step_norm = np.full(rows.size, np.inf)  # no fit ends before the first solve checks X'X
+    last_step_norm = np.full(count, np.inf)  # no fit ends before the first solve checks X'X
+    failed = np.zeros(count, dtype=bool)
 
     for iteration in range(_MAX_ITER + 1):
         residual, w = link.score_and_weight(eta, y, probs)
         score = _times(cols, residual)
         info = _information(cols.transpose(0, 2, 1), w)
-        done = (abs(score).max(axis=1) <= _SCORE_TOL) & (last_step_norm <= _STEP_TOL)
+        done = (abs(score).max(axis=1) <= _SCORE_TOL) & (last_step_norm <= _STEP_TOL) & ~failed
         if done.any():
-            values = (beta, eta, probs.clip(_PROB_EPS, 1.0 - _PROB_EPS), loglik, info,
-                      np.full(rows.size, iteration))
-            fitted = _stored(fitted, count, rows[done],
-                             *(values if done.all() else _kept(done, *values)))
+            fitted = _stored(fitted, count, *_kept(
+                done, rows, beta, eta, probs.clip(_PROB_EPS, 1.0 - _PROB_EPS), loglik, info,
+                np.full(rows.size, iteration)))
+        leaving = done | failed
         if iteration == _MAX_ITER:
-            for i in np.flatnonzero(~done):
+            for i in np.flatnonzero(~leaving):
                 errors[int(rows[i])] = NoConvergence(
                     f"Fisher scoring did not converge in {_MAX_ITER} iterations"
                 )
+        if iteration == _MAX_ITER or leaving.all():
             break
-        if done.all():
-            break
-        if done.any():
+        if leaving.any():
             rows, cols, y, one_minus_y, beta, loglik, score, info, w = _kept(
-                ~done, rows, cols, y, one_minus_y, beta, loglik, score, info, w
+                ~leaving, rows, cols, y, one_minus_y, beta, loglik, score, info, w
             )
 
         step, singular = numerics.solve_spd_rows(info, score)
+        failed = np.zeros(rows.size, dtype=bool)
         for i, exc in singular.items():
             # X'WX with every weight w > 0 is singular exactly when X'X is;
             # at the start, before any step, a failure is the design's.
@@ -361,14 +378,7 @@ def _scoring(y, cols, link, beta) -> BatchFit:
             else:
                 error = RankDeficient(f"singular information matrix: {exc}")
             errors[int(rows[i])] = _caused(error, exc)
-        if len(singular) == rows.size:
-            break
-        if singular:
-            keep = np.ones(rows.size, dtype=bool)
-            keep[list(singular)] = False
-            rows, cols, y, one_minus_y, beta, loglik, step = _kept(
-                keep, rows, cols, y, one_minus_y, beta, loglik, step
-            )
+            failed[i], step[i] = True, 0.0
 
         # Step-halving: never accept a likelihood decrease. The slack keeps
         # rounding noise in the log-likelihood (resolution ~ |ll| * eps)
@@ -381,37 +391,29 @@ def _scoring(y, cols, link, beta) -> BatchFit:
             halve = (new_loglik < loglik - slack) & (halvings < 30)
             if not halve.any():
                 break
+            halve = _rows(halve)
             step[halve] *= 0.5
             halvings[halve] += 1
-            if halve.all():
-                new_beta = beta + step
-                new_eta, new_probs, new_loglik = _point(cols, y, one_minus_y, link, new_beta)
-            else:
-                new_beta[halve] = beta[halve] + step[halve]
-                new_eta[halve], new_probs[halve], new_loglik[halve] = _point(
-                    *_kept(halve, cols, y, one_minus_y), link, new_beta[halve]
-                )
+            new_beta[halve] = beta[halve] + step[halve]
+            new_eta[halve], new_probs[halve], new_loglik[halve] = _point(
+                cols[halve], y[halve], one_minus_y[halve], link, new_beta[halve]
+            )
 
         improved = new_loglik > loglik
         beta, eta, probs, loglik = new_beta, new_eta, new_probs, new_loglik
         last_step_norm = np.sqrt(_dots(step, step))
 
-        separated = (np.sqrt(_dots(beta, beta)) > _SEPARATION_NORM) & improved
+        separated = (np.sqrt(_dots(beta, beta)) > _SEPARATION_NORM) & improved & ~failed
         for i in np.flatnonzero(separated):
             errors[int(rows[i])] = Separation(
                 "coefficients diverging with the likelihood still improving; "
                 "the data are (quasi-)separated and the MLE does not exist"
             )
-        if separated.all():
-            break
-        if separated.any():
-            rows, cols, y, one_minus_y, beta, eta, probs, loglik, last_step_norm = _kept(
-                ~separated, rows, cols, y, one_minus_y, beta, eta, probs, loglik, last_step_norm
-            )
+        failed |= separated
     if fitted is None:
-        fitted = _stored(None, count, rows[:0],
-                         *_kept(rows[:0], beta, eta, probs, loglik, info, rows))
-    return BatchFit(fits=fitted, errors=errors, iterations=iteration)
+        fitted = _stored(None, count, *_kept(rows[:0], rows, beta, eta, probs, loglik, info, rows))
+    # A batch whose rows in play all failed ended in the iteration before.
+    return BatchFit(fits=fitted, errors=errors, iterations=max(iteration - int(failed.all()), 0))
 
 
 def fit(y, design, link: Link, *, start=None):
@@ -460,7 +462,7 @@ def fit(y, design, link: Link, *, start=None):
     if batch and rows and not cols[0].flags.c_contiguous:
         cols = np.ascontiguousarray(cols)
     fits = _scoring(y, cols, link, beta)
-    return fits if batch else unbatched(fits.rows, batch)
+    return fits if batch else unbatched([_taken(fits.fits, 0)], fits.errors, batch)
 
 
 def _tagged(exc: FitError, model_name: str) -> FitError:
@@ -490,7 +492,7 @@ def fit_nested(data, link: Link):
     stacked NestedFits; one dataset, its NestedFits, raising at once when its
     expanded fit fails. The base and constant fits hold only the rows whose
     expanded fit succeeded."""
-    stack, batch = as_batch(data)
+    stack, batch, _ = as_batch(data)
     count, n, p, q = len(stack.y), stack.n, stack.p, stack.q
     # Each row's design transposed, so that its columns are contiguous.
     stored = np.empty((count, p + q, n))
@@ -518,16 +520,11 @@ def fit_nested(data, link: Link):
     b = expanded.fits.coefficients
     # The base and constant models are fitted on the rows whose expanded
     # fit succeeded; the others end with its error.
-    ok = np.ones(count, dtype=bool)
-    ok[list(expanded.errors)] = False
-    if ok.all():
-        ok_y, ok_design, ok_b = stack.y, design, b
-    else:
-        ok_y, ok_design, ok_b = stack.y[ok], stored[ok].transpose(0, 2, 1), b[ok]
-    base = fit(ok_y, ok_design[:, :, :p], link, start=ok_b[:, :p] if q else None)
-    constant = fit(ok_y, np.ones((len(ok_y), n, 1)), link,
-                   start=link.eta(stack.ybar[ok])[:, None])
-    errors, ok = {}, np.flatnonzero(ok)
+    ok = np.delete(np.arange(count), list(expanded.errors))
+    ok_y, ok_x, ok_b, ok_ybar = _kept(ok, stack.y, stored[:, :p], b[:, :p], stack.ybar)
+    base = fit(ok_y, ok_x.transpose(0, 2, 1), link, start=ok_b if q else None)
+    constant = fit(ok_y, np.ones((len(ok_y), n, 1)), link, start=link.eta(ok_ybar)[:, None])
+    errors = {}
     for name, fits, rows in (("expanded", expanded, np.arange(count)),
                              ("base", base, ok), ("constant", constant, ok)):
         for r, exc in fits.errors.items():
@@ -543,7 +540,7 @@ def fit_nested(data, link: Link):
                       data=stack, scale=scale, errors=errors)
     if batch:
         return fits
-    return unbatched([errors.get(0) or replace(_taken(fits, 0), data=data)], batch)
+    return unbatched([replace(_taken(fits, 0), data=data)], errors, batch)
 
 
 def information_blocks(fits: NestedFits) -> np.ndarray:
@@ -556,28 +553,31 @@ def information_blocks(fits: NestedFits) -> np.ndarray:
     A vanishing pivot is RankDeficient; z columns in units whose s_i s_j
     leave the double range are a FitError. ``fits`` may be a batch (see
     ``as_batch``)."""
-    fits, batch = as_batch(fits)
-    return unbatched(_blocks(fits), batch)
+    fits, batch, _ = as_batch(fits)
+    return unbatched(*_blocks(fits), batch)
 
 
-def _blocks(fits: NestedFits) -> list:
-    """``information_blocks`` of each row of batched NestedFits: its block, or
-    the FitError it raises alone."""
-    p = fits.data.p
-    info = fits.expanded.expected_information / fits.data.n
+def _blocks(fits: NestedFits) -> tuple[np.ndarray, dict]:
+    """``information_blocks`` of each row of batched NestedFits: the stacked
+    blocks and the {row: FitError} map of the rows that fail, which start
+    from the fits' own errors; those rows, holding zeros, are not read."""
+    p, count, errors = fits.data.p, len(fits.scale), dict(fits.errors)
+    ok = np.delete(np.arange(count), list(errors))
+    rows = _rows(ok)
+    info = fits.expanded.expected_information[rows] / fits.data.n
     unit = 1.0 / np.sqrt(info.diagonal(axis1=1, axis2=2))
     factors, singular = numerics.cholesky_spd_rows(info * (unit[:, :, None] * unit[:, None, :]))
     tail = factors[:, p:, p:] / unit[:, p:, None]
-    scale = fits.scale[:, p:]
+    scale = fits.scale[rows, p:]
+    blocks = np.zeros((count, fits.data.q, fits.data.q))
     with np.errstate(over="ignore"):
-        blocks = (tail @ tail.transpose(0, 2, 1)) * (scale[:, :, None] * scale[:, None, :])
+        blocks[rows] = (tail @ tail.transpose(0, 2, 1)) * (scale[:, :, None] * scale[:, None, :])
     in_range = (np.isfinite(blocks).all(axis=(1, 2))
                 & (blocks.diagonal(axis1=1, axis2=2) > 0.0).all(axis=1))
-    return [
-        _caused(RankDeficient(f"expanded model: singular information: {singular[r]}", "expanded"),
-                singular[r]) if r in singular
-        else block if in_range[r]
-        else FitError("expanded model: information on the new columns leaves the double range in "
-                      "their units", "expanded")
-        for r, block in enumerate(blocks)
-    ]
+    for i, exc in singular.items():
+        errors[int(ok[i])] = _caused(
+            RankDeficient(f"expanded model: singular information: {exc}", "expanded"), exc)
+    for r in np.flatnonzero(~in_range):
+        errors.setdefault(int(r), FitError("expanded model: information on the new columns "
+                                           "leaves the double range in their units", "expanded"))
+    return blocks, errors

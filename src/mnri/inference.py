@@ -29,8 +29,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import numerics
-from .errors import DegenerateOutcome, FitError, RankDeficient
-from .glm import NestedFits, _blocks, as_batch, unbatched
+from .errors import DegenerateOutcome, RankDeficient
+from .glm import NestedFits, _blocks, _caused, as_batch, unbatched
 from .reclass import HalfNRIs, TrainTestPair
 
 _PHI0 = float(numerics.norm_pdf(0.0))
@@ -68,13 +68,13 @@ def test_mnri_single(fits: NestedFits, stats: HalfNRIs) -> TestResult:
     null reference; only large positive statistics are meaningful.
     ``stats`` is ``reclass.half_nris(fits)`` or ``reclass.build_report(fits)``;
     for a batch (see ``glm.as_batch``), its ``half_nris``."""
-    fits, batch = as_batch(fits)
+    fits, batch, failed = as_batch(fits)
     statistic = fits.data.n * np.atleast_1d(stats.mnri_smooth)
     k, q = k_constant(fits.data.ybar), fits.data.q
     p_values = numerics.chisq_sf(np.maximum(statistic, 0.0) / k, q)
     results = [TestResult(float(t), {"kind": "scaled_chisq", "k": float(kr), "q": q}, float(pr))
                for t, kr, pr in zip(statistic, k, p_values)]
-    return unbatched(results, batch)
+    return unbatched(results, failed, batch)
 
 
 def _unit_max(m):
@@ -162,30 +162,30 @@ def test_mnri_train_test(pair: TrainTestPair, stats: HalfNRIs) -> TestResult:
     is exactly 1. Blocks singular in the training sample's scale raise
     RankDeficient in the expanded model. ``pair`` may be a batch (see
     ``glm.as_batch``), whose training samples share one n."""
-    pairs, batch = as_batch(pair)
+    pairs, batch, failed = as_batch(pair)
     test, train = pairs.test_fits, pairs.train_fits
     n = test.data.n
     statistic = n * np.atleast_1d(stats.mnri_smooth)
-    # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
-    results = [next((b for b in blocks if isinstance(b, FitError)), blocks)
-               for blocks in zip(_blocks(test), _blocks(train))]
-    rows = [r for r, result in enumerate(results) if not isinstance(result, FitError)]
+    (test_blocks, test_errors), (train_blocks, train_errors) = _blocks(test), _blocks(train)
+    errors = {**train_errors, **test_errors, **failed}
+    results = [None] * len(statistic)
+    rows = [r for r in range(len(statistic)) if r not in errors]
     if rows:
-        weights, singular = _weights(*(np.stack([results[r][i] for r in rows]) for i in (0, 1)))
+        # Gamma_tr v = mu Gamma_te v <=> S_te u = mu S_tr u, with u = Gamma_te v.
+        weights, singular = _weights(test_blocks[rows], train_blocks[rows])
         weights *= np.sqrt(n / train.data.n)
         scale = k_constant(test.data.ybar[rows]) / 2.0
         for i, r in enumerate(rows):
             if i in singular:
-                results[r] = RankDeficient(
+                errors[r] = _caused(RankDeficient(
                     "expanded model: singular information on the new columns in the training "
-                    f"sample's scale: {singular[i]}", "expanded")
-                results[r].__cause__ = singular[i]
+                    f"sample's scale: {singular[i]}", "expanded"), singular[i])
             else:
                 reference = {"kind": "chisq_mixture", "scale": float(scale[i]),
                              "weights": weights[i].tolist()}
                 p_value = numerics.mixture_tail(statistic[r], weights[i], scale[i], check=False)
                 results[r] = TestResult(float(statistic[r]), reference, p_value)
-    return unbatched(results, batch)
+    return unbatched(results, errors, batch)
 
 
 _LEGACY_NOTE = (
@@ -201,7 +201,7 @@ def test_nri_normal_legacy(
     (4 n1)^-1 + (4 n0)^-1 on the half-NRI scale. The reference is known to
     be wrong; the result is labeled accordingly. ``stats`` is the object
     the mNRI test of the same comparison takes, for a batch as for that test."""
-    comparisons, batch = as_batch(fits_or_pair)
+    comparisons, batch, failed = as_batch(fits_or_pair)
     # A Dataset's outcomes are 0/1 and hold both classes.
     n1 = np.count_nonzero(comparisons.data.y, axis=-1)
     n0 = comparisons.data.n - n1
@@ -210,4 +210,4 @@ def test_nri_normal_legacy(
     results = [TestResult(float(t), {"kind": "normal", "variance": float(v)}, float(p),
                           _LEGACY_NOTE)
                for t, v, p in zip(np.atleast_1d(stats.nri_hard), variance, p_values)]
-    return unbatched(results, batch)
+    return unbatched(results, failed, batch)

@@ -77,7 +77,7 @@ def cholesky_spd_rows(a) -> tuple[np.ndarray, dict]:
     for r in np.flatnonzero(~passed.all(axis=1)).tolist():
         j = int(np.argmin(passed[r]))
         failures[r] = NotPositiveDefinite(
-            f"Cholesky pivot {pivots[r, j]:.3e} at index {j} is below tolerance {tol[r]:.3e}")
+            f"Cholesky pivot at index {j} is not above tolerance {tol[r]:.3e}")
     return lower, failures
 
 

@@ -96,7 +96,7 @@ def _parts(comparisons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     comparison, or stacked (R, n) over a batch of them. A train/test pair
     takes the score change from the training coefficients on the test rows
     and everything else from the test fits."""
-    batch, stacked = as_batch(comparisons)
+    batch, stacked, _ = as_batch(comparisons)
     fits = batch.test_fits if isinstance(batch, TrainTestPair) else batch
     eta, y = fits.base.linear_predictor, fits.data.y
     if fits is batch:

@@ -181,8 +181,7 @@ def _attempt_records(keys, attempt: int) -> list:
     y, x, z, failed = _draw([config for config, _, _ in keys] * parts, streams, keys[0][0].n)
     drawn = np.flatnonzero(~failed)
     if drawn.size:
-        stack = (y, x, z) if drawn.size == failed.size else (y[drawn], x[drawn], z[drawn])
-        fits = glm.fit_nested(Dataset(*stack), LOGIT)
+        fits = glm.fit_nested(Dataset(*glm._kept(drawn, y, x, z)), LOGIT)
         failed[drawn[list(fits.errors)]] = True
     tested = np.flatnonzero(~failed.reshape(parts, count).any(axis=0))
     records = [None] * count

@@ -171,3 +171,47 @@ def test_pair_sides_hold_as_many_comparisons():
                         (fits(), batches[5]), (batches[1], fits())):
         with pytest.raises(ValueError, match="as many comparisons"):
             TrainTestPair(train_fits=train, test_fits=test)
+
+
+# A row that failed in fit_nested holds zeros; every kernel gives it that
+# FitError, a pair's test side's before its training side's, reads none of
+# its zeros (a warning is an error in this suite) and leaves the other rows
+# the bits they have in a stack without it.
+FAILED_ROW_KERNELS = {
+    "information_blocks": information_blocks,
+    "test_mnri_single": lambda c: inference.test_mnri_single(c, half_nris(c)),
+    "test_nri_normal_legacy": lambda c: inference.test_nri_normal_legacy(c, half_nris(c)),
+    "test_mnri_train_test": lambda c: inference.test_mnri_train_test(c, half_nris(c)),
+}
+
+
+def with_failed_row(failing, seed):
+    """Stacked fits of three comparisons whose middle one, ``failing``, fails
+    in fit_nested, and stacked fits of the other two."""
+    good = [dataset(seed=seed), dataset(seed=seed + 2)]
+    return (fit_nested(stacked([good[0], failing, good[1]]), LOGIT),
+            fit_nested(stacked(good), LOGIT))
+
+
+@pytest.mark.parametrize("name, side", [
+    ("information_blocks", None), ("test_mnri_single", None), ("test_nri_normal_legacy", None),
+    *((name, side) for name in ("test_nri_normal_legacy", "test_mnri_train_test")
+      for side in ("train", "test", "both")),
+])
+def test_failed_row_keeps_its_fit_error(name, side):
+    good = dataset(seed=4)
+    failed, clean = with_failed_row(dataset(seed=1, separated=True), seed=0)
+    batch, reference = failed, clean
+    if side:
+        # For "both" the training side's middle row fails too, collinear, and
+        # the test side's error is the one expected.
+        middle = Dataset(y=good.y, x=good.x, z=good.x[:, 1:]) if side == "both" else good
+        other, other_clean = with_failed_row(middle, seed=10)
+        sides = [(failed, clean), (other, other_clean)][::1 if side == "train" else -1]
+        batch = TrainTestPair(*(fits for fits, _ in sides))
+        reference = TrainTestPair(*(fits for _, fits in sides))
+    error = failed.errors[1]
+    got, want = FAILED_ROW_KERNELS[name](batch), FAILED_ROW_KERNELS[name](reference)
+    assert type(got[1]) is type(error)
+    assert (str(got[1]), got[1].model) == (str(error), error.model)
+    assert bits([got[0], got[2]]) == bits(want)

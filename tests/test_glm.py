@@ -496,6 +496,81 @@ class TestBatch:
                 fit_nested(datasets, LOGIT)
 
 
+def failing_cases(n=200):
+    """A batch of outcomes (R, n) and designs (R, n, 3) whose every row fails
+    alone: two separated rows, the second with its slope column 0.003 times
+    smaller, so that it separates at the third iteration; a collinear row
+    whose score vanishes at the start, so that its singular first step
+    leaves it with no step and no score; a collinear row; and a separated
+    row with its slope column 100 times larger, whose information turns
+    singular late."""
+    rng = np.random.default_rng(9)
+    x1, noise = rng.standard_normal((2, n))
+    one, v = np.ones(n), np.repeat(np.arange(1.0, n // 2 + 1), 2)
+    sign = (x1 > 0).astype(float)
+    y = [sign, sign, np.tile([0.0, 1.0], n // 2), (x1 > 0.5).astype(float), sign]
+    designs = [[one, x1, noise], [one, 0.003 * x1, noise], [one, v, v], [one, x1, 2.0 * x1],
+               [one, 100.0 * x1, noise]]
+    return np.array(y), np.array(designs).transpose(0, 2, 1)
+
+
+class TestOneExitPoint:
+    # A row leaves Fisher scoring once it converges or fails; a failed row
+    # holds the error fit raises on it alone, whatever fails beside it, and
+    # no later test of the loop reads it.
+    @pytest.mark.parametrize("link, iterations, separated_iterations",
+                             [(LOGIT, 49, 14), (PROBIT, 44, 20)])
+    def test_batch_whose_every_row_fails(self, link, iterations, separated_iterations):
+        y, design = failing_cases()
+        batch = fit(y, design, link)
+        assert batch.iterations == iterations
+        # A failed row holds zeros, not the point it failed at.
+        assert not batch.fits.loglik.any() and not batch.fits.iterations.any()
+        assert [type(batch.errors[r]) for r in range(len(y))] == [Separation] * 2 + [
+            RankDeficient] * 3
+        for r, got in enumerate(batch.rows):
+            assert_same_error(got, raised_by(lambda: fit(y[r], design[r], link)))
+        # Without the late singular row the batch ends with its slowest
+        # separated row, at the iteration it fails in.
+        assert fit(y[:4], design[:4], link).iterations == separated_iterations
+
+    def test_iteration_cap_ends_rows_as_alone(self, monkeypatch):
+        monkeypatch.setattr(glm, "_MAX_ITER", 3)
+        slow = make_data(n=200)
+        y, design = failing_cases()
+        y = np.concatenate([slow.y[None], y[1:4]])
+        design = np.concatenate([np.hstack([slow.x, slow.z])[None], design[1:4]])
+        batch = fit(y, design, LOGIT)
+        assert batch.iterations == 3
+        assert not batch.fits.loglik.any() and not batch.fits.iterations.any()
+        # The separated row fails in the last iteration before the cap.
+        assert [type(batch.errors[r]) for r in range(4)] == [
+            NoConvergence, Separation, RankDeficient, RankDeficient]
+        for r, got in enumerate(batch.rows):
+            assert_same_error(got, raised_by(lambda: fit(y[r], design[r], LOGIT)))
+        assert fit(y[1:], design[1:], LOGIT).iterations == 2
+
+
+class TestRows:
+    # One helper takes every selection of a batch's rows: a run of rows as a
+    # slice, so that what it takes is a view.
+    def test_one_run_is_a_slice(self):
+        assert glm._rows(np.array([False, True, True, False])) == slice(1, 3)
+        assert glm._rows(np.array([2, 3, 4])) == slice(2, 5)
+        values = np.arange(4.0)
+        assert np.shares_memory(values[glm._rows(np.array([False, True, True, False]))], values)
+
+    def test_gapped_rows_are_an_index(self):
+        taken = glm._rows(np.array([True, False, True]))
+        assert taken.tolist() == [0, 2]
+        assert glm._rows(np.array([0, 2])).tolist() == [0, 2]
+
+    def test_no_rows_are_an_empty_index(self):
+        taken = glm._rows(np.zeros(3, dtype=bool))
+        assert taken.size == 0
+        assert np.arange(3.0)[taken].shape == (0,)
+
+
 class TestStackedFitNested:
     # fit_nested on a stacked Dataset returns stacked NestedFits: each row holds
     # the bits fit_nested gives that row's dataset alone, and a failed row's

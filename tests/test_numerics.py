@@ -43,7 +43,7 @@ def full_pivot_rule(a):
     if ok.all():
         return None, lower
     j = int(np.argmin(ok))
-    return f"Cholesky pivot {pivots[j]:.3e} at index {j} is below tolerance {tol:.3e}", None
+    return f"Cholesky pivot at index {j} is not above tolerance {tol:.3e}", None
 
 
 @st.composite
