@@ -32,12 +32,15 @@ units, and returns stacked NestedFits: raw-column coefficients, linear
 predictors, the standardized information and each column's scale, with a
 {row: FitError} map. One Dataset gets NestedFits built from those arrays as
 views. Each fit starts as close to its MLE as is known: the expanded fit
-from b = 0; the base fit from the expanded fit's b-part (b = 0 when q = 0);
-the constant fit from G^-1(ybar), so it stops after one step. ``as_batch``
-and ``unbatched`` hold the one rule by which every entry that takes one
-comparison also takes a batch: a stacked Dataset, or the NestedFits or
-train/test pair built on one, and nothing else; a row that failed in
-``fit_nested`` keeps its FitError in every entry with a result per row.
+from the linear-discriminant estimate (b = 0 where that is not usable, and a
+row that fails from it is fitted again from b = 0, so every failure is the
+zero start's); the base fit from the expanded fit's b-part (from the same
+start when q = 0, repeating the expanded fit); the constant fit from
+G^-1(ybar), so it stops after one step. ``as_batch`` and ``unbatched`` hold
+the one rule by which every entry that takes one comparison also takes a
+batch: a stacked Dataset, or the NestedFits or train/test pair built on one,
+and nothing else; a row that failed in ``fit_nested`` keeps its FitError in
+every entry with a result per row.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit, logit, ndtri
+from scipy.special import logit, ndtri
 
 from . import numerics
 from .errors import (
@@ -80,10 +83,17 @@ class Link:
             raise ValueError(f"unknown link kind {self.kind!r}")
 
     def prob(self, eta):
-        """G(eta)."""
-        if self.kind == "logit":
-            return expit(eta)
-        return numerics.norm_cdf(eta)
+        """G(eta). The logistic is scipy's expit formula, 1/(1 + exp(-eta)),
+        on numpy's vectorized exp, in place; it is 0 where exp overflows."""
+        if self.kind == "probit":
+            return numerics.norm_cdf(eta)
+        out = np.negative(eta, dtype=float)
+        with np.errstate(over="ignore"):
+            if not out.ndim:
+                return 1.0 / (1.0 + np.exp(out))
+            np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
 
     def eta(self, prob):
         """G^-1(prob), the risk score whose event probability is prob."""
@@ -100,7 +110,8 @@ class Link:
             return y - probs, probs * (1.0 - probs)
         p = np.clip(probs, _PROB_EPS, 1.0 - _PROB_EPS)
         d = numerics.norm_pdf(eta)
-        return d / (p * (1.0 - p)) * (y - p), d * d / (p * (1.0 - p))
+        variance = p * (1.0 - p)
+        return d / variance * (y - p), d * d / variance
 
 
 LOGIT = Link("logit")
@@ -479,6 +490,32 @@ def _to_raw(coefficients, shift, scale) -> np.ndarray:
     return raw
 
 
+def _discriminant_start(y, ybar, cols, link: Link) -> np.ndarray:
+    """Each row's linear-discriminant estimate of the logistic coefficients
+    (Efron 1975), a near-MLE start, on its design cols (R, m, n): the
+    intercept, then columns with mean 0. With b_ols the least-squares slopes
+    of y on those columns and s2 their residual variance, the slopes are
+    b_ols / s2 and the intercept logit(ybar) - b'd (1 - 2 ybar)/2, d the
+    difference of the class means; all times 0.25/phi(0) for the probit. A
+    row keeps the zero start where those columns' Gram matrix is singular
+    or its start is not finite or not below the separation bound in norm."""
+    n, centred = y.shape[1], cols[:, 1:]
+    spread = n * ybar * (1.0 - ybar)  # sum of (y - ybar)^2
+    cross = _times(centred, y - ybar[:, None])
+    ols, singular = (numerics.solve_spd_rows(centred @ centred.transpose(0, 2, 1), cross)
+                     if centred.shape[1] else (cross, {}))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b = ols / ((spread - _dots(cross, ols)) / n)[:, None]
+        intercept = logit(ybar) - _dots(b, cross / spread[:, None]) * (1.0 - 2.0 * ybar) / 2.0
+        start = np.concatenate([intercept[:, None], b], axis=1)
+        if link.kind == "probit":
+            start *= 0.25 / numerics.norm_pdf(0.0)
+        usable = np.isfinite(start).all(axis=1) & (np.sqrt(_dots(start, start)) < _SEPARATION_NORM)
+    usable[list(singular)] = False
+    start[~usable] = 0.0
+    return start
+
+
 def fit_nested(data, link: Link):
     """Fit the expanded, base, and constant models on one dataset, or on
     each of a batch of datasets (see ``as_batch``).
@@ -488,8 +525,11 @@ def fit_nested(data, link: Link):
     0), taken after an exact power-of-two scaling that keeps its squares in
     range in any units; the base fit runs on the leading p columns, a view. The
     coefficients are restated for the raw columns (a FitError past the double
-    range). Non-finite covariates are a ValueError. A stacked Dataset gives
-    stacked NestedFits; one dataset, its NestedFits, raising at once when its
+    range). Non-finite covariates are a ValueError. The expanded fit starts
+    at each row's linear-discriminant estimate (``_discriminant_start``); a
+    row that fails from there is fitted again from b = 0 and keeps that fit or
+    error, the one it had from b = 0 alone. A stacked Dataset gives stacked
+    NestedFits; one dataset, its NestedFits, raising at once when its
     expanded fit fails. The base and constant fits hold only the rows whose
     expanded fit succeeded."""
     stack, batch, _ = as_batch(data)
@@ -514,15 +554,25 @@ def fit_nested(data, link: Link):
     scale[scale == 0.0] = 1.0
     stored /= scale[:, :, None]
     shift, scale = np.ldexp(shift, power), np.ldexp(scale, power)
-    expanded = fit(stack.y, design, link)
+    start = _discriminant_start(stack.y, stack.ybar, stored, link)
+    expanded = fit(stack.y, design, link, start=start)
+    failed = np.array(sorted(expanded.errors), dtype=int)
+    if failed.size:
+        # A row that fails from the discriminant start is fitted again from
+        # b = 0 and keeps what it gets there, so every failure is the zero start's.
+        start[failed] = 0.0
+        again = _scoring(*_kept(failed, stack.y, stored), link, start[failed])
+        _stored(expanded.fits, count, failed, *vars(again.fits).values())
+        expanded = replace(expanded, errors={int(failed[r]): e for r, e in again.errors.items()})
     if not batch and expanded.errors:
         raise _tagged(expanded.errors[0], "expanded")
     b = expanded.fits.coefficients
     # The base and constant models are fitted on the rows whose expanded
     # fit succeeded; the others end with its error.
     ok = np.delete(np.arange(count), list(expanded.errors))
-    ok_y, ok_x, ok_b, ok_ybar = _kept(ok, stack.y, stored[:, :p], b[:, :p], stack.ybar)
-    base = fit(ok_y, ok_x.transpose(0, 2, 1), link, start=ok_b if q else None)
+    ok_y, ok_x, ok_b, ok_ybar = _kept(ok, stack.y, stored[:, :p], (b if q else start)[:, :p],
+                                      stack.ybar)
+    base = fit(ok_y, ok_x.transpose(0, 2, 1), link, start=ok_b)
     constant = fit(ok_y, np.ones((len(ok_y), n, 1)), link, start=link.eta(ok_ybar)[:, None])
     errors = {}
     for name, fits, rows in (("expanded", expanded, np.arange(count)),

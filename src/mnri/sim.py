@@ -134,15 +134,18 @@ def _draw(configs: list, streams: list, n: int):
     drawn into stacked rows: y (R, n), x (R, n, 2) and z (R, n, 1); and which
     rows' outcome is constant. A row takes its stream's draws in a lone draw's
     order, with its config's coefficients as the Python scalars a lone draw
-    uses (a scalar ** 2 goes through pow), so it has the bits it has alone."""
+    uses (a scalar ** 2 goes through pow), formed once per config object, so
+    it has the bits it has alone."""
     u, e1, e2 = np.empty((3, len(configs), n))
     for r, stream in enumerate(streams):
         stream.random(out=u[r])
         stream.standard_normal(out=e1[r])
         stream.standard_normal(out=e2[r])
-    pi0, mu_x, rho, root, literal = (np.array([[value] for value in column]) for column in zip(
-        *((c.pi0, c.mu_x, c.rho, np.sqrt(1.0 - c.rho**2), c.null_style == "literal")
-          for c in configs)))
+    distinct = {}  # each config object once, with its place in the table
+    rows = [distinct.setdefault(id(c), (len(distinct), c))[0] for c in configs]
+    table = np.array([(c.pi0, c.mu_x, c.rho, np.sqrt(1.0 - c.rho**2), c.null_style == "literal")
+                      for _, c in distinct.values()])
+    pi0, mu_x, rho, root, literal = table[rows].T[:, :, None]
     y = (u < pi0).astype(float)
     x = np.stack([np.ones_like(y), mu_x * y + e1], axis=-1)
     z = rho * np.where(literal, e1, x[..., 1]) + root * e2

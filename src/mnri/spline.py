@@ -30,8 +30,10 @@ def default_knots(x, k: int = 4) -> np.ndarray:
     """Knot locations at the conventional sample quantiles for k in {3,4,5}."""
     if k not in KNOT_QUANTILES:
         raise ValueError(f"knot count must be one of {sorted(KNOT_QUANTILES)}, got {k}")
-    x = np.asarray(x, dtype=float)
-    if np.unique(x).size < k:
+    # One sort gives the distinct values, NaNs (sorted last) counting once as
+    # in np.unique, and the order statistics the quantiles interpolate.
+    x = np.sort(np.asarray(x, dtype=float), axis=None)
+    if min(x.size, 1) + np.count_nonzero((x[1:] != x[:-1]) & ~np.isnan(x[:-1])) < k:
         raise TooFewDistinctValues(
             f"need at least {k} distinct values to place {k} knots"
         )

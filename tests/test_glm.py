@@ -185,15 +185,21 @@ class TestFit:
         with pytest.raises((Separation, NoConvergence)):
             fit(y, np.column_stack([np.ones(100), x1]), LOGIT)
 
+    @staticmethod
+    def count_link_evaluations(monkeypatch) -> list:
+        """A list that gains an entry at each ``Link.prob`` call."""
+        calls, prob = [], glm.Link.prob
+
+        def counting_prob(link, eta):
+            calls.append(1)
+            return prob(link, eta)
+
+        monkeypatch.setattr(glm.Link, "prob", counting_prob)
+        return calls
+
     def test_one_link_evaluation_per_trial_point(self, monkeypatch):
         data = make_data(n=400, seed=5)
-        calls = []
-
-        def counting_expit(eta):
-            calls.append(1)
-            return expit(eta)
-
-        monkeypatch.setattr(glm, "expit", counting_expit)
+        calls = self.count_link_evaluations(monkeypatch)
         model = fit(data.y, np.hstack([data.x, data.z]), LOGIT)
         # No step is halved here, so each iteration tries one point.
         assert len(calls) == model.iterations + 1
@@ -202,13 +208,7 @@ class TestFit:
         data = make_data(n=400, seed=5)
         design = np.hstack([data.x, data.z])
         start = 0.5 * fit(data.y, design, LOGIT).coefficients
-        calls = []
-
-        def counting_expit(eta):
-            calls.append(1)
-            return expit(eta)
-
-        monkeypatch.setattr(glm, "expit", counting_expit)
+        calls = self.count_link_evaluations(monkeypatch)
         model = fit(data.y, design, LOGIT, start=start)
         assert len(calls) == model.iterations + 1
 
@@ -823,8 +823,91 @@ class TestFitNested:
         cfg = sim.SimConfig(n=200, pi0=0.5, mu_x=1.0, rho=0.0, replicates=1, seed=901)
         fits = fit_nested(sim.gen_replicate(cfg, sim.replicate_stream(cfg.seed, 0, 0)), LOGIT)
         cold_base = fit(fits.data.y, fits.data.x, LOGIT)
+        cold_expanded = fit(fits.data.y, standardized(np.hstack([fits.data.x, fits.data.z])), LOGIT)
         assert fits.constant.iterations == 1
         assert fits.base.iterations < cold_base.iterations
+        assert fits.expanded.iterations < cold_expanded.iterations
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_discriminant_start(self, link, extra):
+        # The slopes are the pooled within-class covariance's inverse times
+        # the difference of the class means, and the intercept puts the
+        # log-odds at logit(ybar) midway between the means (Efron 1975).
+        data = make_data(n=300, seed=8, link=link)
+        design = np.hstack([data.x, data.z, np.random.default_rng(8).standard_normal((300, extra))])
+        design = standardized(design)
+        y = data.y
+        ones, zeros = design[y == 1, 1:], design[y == 0, 1:]
+        pooled = (np.cov(ones.T, bias=True) * len(ones) + np.cov(zeros.T, bias=True) * len(zeros)) / 300
+        slopes = np.linalg.solve(np.atleast_2d(pooled), ones.mean(axis=0) - zeros.mean(axis=0))
+        middle = (ones.mean(axis=0) + zeros.mean(axis=0)) / 2
+        want = np.concatenate([[np.log(y.mean() / (1 - y.mean())) - slopes @ middle], slopes])
+        if link is PROBIT:
+            want *= 0.25 * math.sqrt(2 * math.pi)
+        got = glm._discriminant_start(y[None], np.array([y.mean()]), design.T[None].copy(), link)
+        np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_nearly_separated_fit_matches_zero_start(self, monkeypatch, link):
+        # x1 nearly separates the classes but an overlap remains, so the MLE
+        # exists, far from both starts (coefficient norm near 80).
+        rng = np.random.default_rng(1)
+        x1, z1 = rng.standard_normal((2, 200))
+        y = (x1 + 0.02 * rng.standard_normal(200) > 0).astype(float)
+        data = Dataset(y=y, x=np.column_stack([np.ones(200), x1]), z=z1[:, None])
+        start = glm._discriminant_start(y[None], np.array([y.mean()]),
+                                        standardized(np.hstack([data.x, data.z])).T[None].copy(), link)
+        assert 0.0 < np.linalg.norm(start) < glm._SEPARATION_NORM
+        warm = fit_nested(data, link)
+        monkeypatch.setattr(glm, "_discriminant_start",
+                            lambda y, ybar, cols, link: np.zeros(cols.shape[:2]))
+        cold = fit_nested(data, link)
+        assert warm.expanded.iterations < cold.expanded.iterations
+        for got, want in ((warm.expanded, cold.expanded), (warm.base, cold.base)):
+            gap = abs(got.coefficients - want.coefficients).max()
+            assert gap <= 1e-9 * abs(want.coefficients).max()
+            assert abs(got.loglik - want.loglik) <= 1e-9 * abs(want.loglik)
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_separated_data_past_the_bound_keep_the_zero_start(self, monkeypatch, link):
+        # y = (x1 > 0), and z is x1 with noise 1e-4: the discriminant slopes
+        # on the nearly collinear pair are past the separation bound, so the
+        # fit starts at zero and fails as it always did.
+        rng = np.random.default_rng(1)
+        x1, noise = rng.standard_normal((2, 200))
+        y = (x1 > 0).astype(float)
+        data = Dataset(y=y, x=np.column_stack([np.ones(200), x1]), z=(x1 + 1e-4 * noise)[:, None])
+        cols = standardized(np.hstack([data.x, data.z])).T[None].copy()
+        with monkeypatch.context() as patch:
+            # Without the bound, the start's norm is in the thousands.
+            patch.setattr(glm, "_SEPARATION_NORM", np.inf)
+            unbounded = glm._discriminant_start(y[None], np.array([y.mean()]), cols, link)
+        assert np.linalg.norm(unbounded) > 2 * glm._SEPARATION_NORM
+        assert not glm._discriminant_start(y[None], np.array([y.mean()]), cols, link).any()
+        with pytest.raises(Separation) as excinfo:
+            fit_nested(data, link)
+        assert str(excinfo.value) == (
+            "expanded model: coefficients diverging with the likelihood still improving; "
+            "the data are (quasi-)separated and the MLE does not exist"
+        )
+        assert excinfo.value.model == "expanded"
+
+    @pytest.mark.parametrize("link", [LOGIT, PROBIT])
+    def test_failed_rows_are_fitted_again_from_zero(self, monkeypatch, link):
+        # The separated replicates of a cell with classes 8 SDs apart fail
+        # from the discriminant start and from zero, each with its zero-start
+        # error, as in a batch that starts every row at zero.
+        cfg = sim.SimConfig(n=60, pi0=0.5, mu_x=8.0, rho=0.0, replicates=1, seed=42)
+        data = stacked([sim.gen_replicate(cfg, sim.replicate_stream(cfg.seed, 0, k))
+                        for k in range(6)])
+        got = fit_nested(data, link)
+        monkeypatch.setattr(glm, "_discriminant_start",
+                            lambda y, ybar, cols, link: np.zeros(cols.shape[:2]))
+        want = fit_nested(data, link)
+        assert got.errors and sorted(got.errors) == sorted(want.errors)
+        for r, error in want.errors.items():
+            assert_same_error(got.errors[r], error)
 
     def test_iteration_cap_tagged_expanded(self, monkeypatch):
         monkeypatch.setattr(glm, "_MAX_ITER", 1)
@@ -834,6 +917,13 @@ class TestFitNested:
             "expanded model: Fisher scoring did not converge in 1 iterations"
         )
         assert excinfo.value.model == "expanded"
+
+
+def standardized(design):
+    """The design with each column but the first centred and divided by its
+    root mean square about its mean, as ``fit_nested`` fits it."""
+    centred = design[:, 1:] - design[:, 1:].mean(axis=0)
+    return np.column_stack([design[:, 0], centred / np.sqrt((centred**2).mean(axis=0))])
 
 
 def wide_logit_data(n, m, seed=3):

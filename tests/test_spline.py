@@ -36,6 +36,17 @@ class TestDefaultKnots:
         with pytest.raises(ValueError):
             default_knots(np.arange(100.0), 6)
 
+    @pytest.mark.parametrize("values, k, message", [
+        # NaNs count as one distinct value, as in np.unique.
+        ([2.0, np.nan, 1.0, np.nan, np.nan], 4, "need at least 4 distinct values"),
+        ([2.0, np.nan, 1.0, np.nan, np.nan], 3, "quantile knots are not strictly increasing"),
+        ([0.0, -0.0, 1.0, 1.0], 3, "need at least 3 distinct values"),
+        ([], 3, "need at least 3 distinct values"),
+    ])
+    def test_distinct_count_of_unique(self, values, k, message):
+        with pytest.raises(TooFewDistinctValues, match=message):
+            default_knots(np.array(values), k)
+
 
 class TestRcsBasis:
     def test_column_count(self):
