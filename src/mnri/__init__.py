@@ -33,6 +33,7 @@ from .glm import (
     NestedFits,
     fit,
     fit_nested,
+    information_blocks,
 )
 from .inference import (
     TestResult,
@@ -62,7 +63,7 @@ __all__ = [
     "MnriError", "NoConvergence", "NotPositiveDefinite", "RankDeficient",
     "Separation", "TooFewDistinctValues",
     "LOGIT", "PROBIT", "BatchFit", "Dataset", "FittedModel", "Link", "NestedFits",
-    "fit", "fit_nested",
+    "fit", "fit_nested", "information_blocks",
     "TestResult", "k_constant", "mixture_weights", "test_mnri_single",
     "test_mnri_train_test", "test_nri_normal_legacy",
     "mixture_tail",

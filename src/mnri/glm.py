@@ -214,12 +214,6 @@ class BatchFit:
     errors: dict
     iterations: int
 
-    @property
-    def rows(self) -> tuple:
-        """Each row's FittedModel or FitError."""
-        return tuple(self.errors.get(r) or _taken(self.fits, r)
-                     for r in range(len(self.fits.loglik)))
-
 
 def _mapped(batch, fn):
     """An object of the type of ``batch`` whose every array and number,
@@ -381,10 +375,16 @@ def _scoring(y, cols, link, beta) -> BatchFit:
 
         step, singular = numerics.solve_spd_rows(info, score)
         failed = np.zeros(rows.size, dtype=bool)
+        collinear = set()
+        if iteration == 0 and singular:
+            # From a start away from zero the weights can span hundreds of orders
+            # of magnitude, so a singular X'WX at the start is the design's only
+            # where X'X fails the pivot rule too.
+            at = list(singular)
+            gram = cols[at] @ cols[at].transpose(0, 2, 1)
+            collinear = {at[k] for k in numerics.cholesky_spd_rows(gram)[1]}
         for i, exc in singular.items():
-            # X'WX with every weight w > 0 is singular exactly when X'X is;
-            # at the start, before any step, a failure is the design's.
-            if iteration == 0 and w[i].min() > 0.0:
+            if i in collinear:
                 error = RankDeficient("design matrix is rank deficient (collinear columns)")
             else:
                 error = RankDeficient(f"singular information matrix: {exc}")
@@ -438,8 +438,9 @@ def fit(y, design, link: Link, *, start=None):
     while they would decrease the log-likelihood. Raises ValueError for a
     non-finite design or a start of the wrong shape or not finite,
     Separation when the coefficients diverge (norm above 1e3 with the
-    likelihood still improving), RankDeficient for collinear designs, and
-    NoConvergence at the iteration cap.
+    likelihood still improving), RankDeficient for collinear designs, whose
+    X'X fails the pivot rule, or a singular information, and NoConvergence
+    at the iteration cap.
 
     A stack of R designs (R, n, m), with outcomes (R, n) and a start (R, m)
     if any, is a batch (copied to column-major rows unless it has them): its

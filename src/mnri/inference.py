@@ -97,8 +97,8 @@ def mixture_weights(var_gamma_train, var_gamma_test) -> np.ndarray:
     The matrices may come from outside the program, so they are checked
     here: ValueError unless both are square with equal shape, finite, and
     symmetric to within ``1e-8 * (1 + max|entry|)``; NotPositiveDefinite
-    unless both pass the pivot rule of ``numerics.cholesky_spd`` once scaled
-    to D M D, for the power-of-two diagonal D that brings the second
+    unless both pass the pivot rule of ``numerics.cholesky_spd_rows`` once
+    scaled to D M D, for the power-of-two diagonal D that brings the second
     matrix's diagonal near 1. That congruence leaves the mu_j exactly as
     they are, and the rule, relative to the largest diagonal entry, then
     holds for blocks in any units; ValueError when a weight sqrt(mu_j)

@@ -1,12 +1,12 @@
 """Deterministic numerical kernels.
 
-Symmetric positive definite factorizations and solves of a stack, one matrix
-being a stack of one (numpy's stacked Cholesky with a relative pivot check,
-then substitution; only the lower triangle is read, so callers pass symmetric
-matrices), normal/chi-square distribution functions, and tail probabilities
-of weighted chi-square mixtures given by their weights and scale, each one
-trapezoid sum: a single +/- pair within about 1e-15 (1 + |t| / 2c) relative,
-any other weights by Rice's integral.
+One factorization and one solve for a stack of symmetric positive definite
+matrices, a matrix alone being a stack of one (numpy's stacked Cholesky with
+a relative pivot check, then substitution; only the lower triangle is read,
+so callers pass symmetric matrices), normal/chi-square distribution
+functions, and tail probabilities of weighted chi-square mixtures given by
+their weights and scale, each one trapezoid sum: a single +/- pair within
+about 1e-15 (1 + |t| / 2c) relative, any other weights by Rice's integral.
 Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
@@ -35,27 +35,16 @@ _LOG_UNDERFLOW = math.log(5e-324) - 1.0
 _DOUBLE_MAX = float(np.finfo(float).max)
 
 
-def cholesky_spd(a) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix, as
-    ``cholesky_spd_rows`` factors it in any stack. Raises NotPositiveDefinite
-    when a pivot falls at or below ``1e-12 * max(diag)``, which for regression
-    information matrices signals collinear covariates."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    factors, failures = cholesky_spd_rows(a[None])
-    if failures:
-        raise failures[0]
-    return factors[0]
-
-
 def cholesky_spd_rows(a) -> tuple[np.ndarray, dict]:
-    """``cholesky_spd`` of each row of a stack (R, m, m) by numpy's stacked Cholesky,
-    one LAPACK call per matrix, so a row's bits do not depend on its neighbours:
-    the factors and ``{r: NotPositiveDefinite}`` for the rows failing the pivot
-    rule. A stack numpy refuses is factored row by row; only a row it refuses
-    meets ``dpotrf``, whose info names the pivot (<= 0 or NaN) it stopped at.
-    Pivots are squared as arrays: a scalar ** 2 goes through pow, which can round the other way."""
+    """Lower Cholesky factor of each symmetric positive definite matrix of a stack
+    (R, m, m): the factors and ``{r: NotPositiveDefinite}`` for the rows failing the
+    pivot rule, a pivot at or below ``1e-12 * max(diag)``, which for regression
+    information matrices signals collinear covariates. numpy's stacked Cholesky
+    makes one LAPACK call per matrix, so a row's bits do not depend on its
+    neighbours and a matrix alone is a stack of one. A stack numpy refuses is
+    factored row by row; only a row it refuses meets ``dpotrf``, whose info names
+    the pivot (<= 0 or NaN) it stopped at. Pivots are squared as arrays: a
+    scalar ** 2 goes through pow, which can round the other way."""
     try:
         lower, info = np.linalg.cholesky(a), {}
     except np.linalg.LinAlgError:
@@ -83,9 +72,9 @@ def cholesky_spd_rows(a) -> tuple[np.ndarray, dict]:
 
 def _substitute(lower, x) -> np.ndarray:
     """Overwrite each row b of x (R, m) with y, ``lower @ lower.T @ y = b``, for factors
-    (R, m, m), or (1, m, m) for every row, by forward and back substitution, each
-    step one update of all rows. Multiplying by the inverted diagonal, as OpenBLAS's
-    dpotrs does, gives dpotrs's bits at m = 1, and more often than dividing above."""
+    (R, m, m), by forward and back substitution, each step one update of all rows.
+    Multiplying by the inverted diagonal, as OpenBLAS's dpotrs does, gives dpotrs's
+    bits at m = 1, and more often than dividing above."""
     m = lower.shape[-1]
     with np.errstate(all="ignore"):  # overflow gives inf, as in LAPACK; failed rows hold 0 or NaN
         inverse = 1.0 / lower.diagonal(axis1=1, axis2=2)
@@ -100,16 +89,9 @@ def _substitute(lower, x) -> np.ndarray:
     return x
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``, of which
-    only the lower triangle is read, and b of shape (m,) or (m, k)."""
-    lower, b = cholesky_spd(a)[None], np.array(b, dtype=float)
-    return _substitute(lower, b.T).T if b.ndim == 2 else _substitute(lower, b[None])[0]
-
-
 def solve_spd_rows(a, b) -> tuple[np.ndarray, dict]:
     """Solve ``a[r] @ x[r] = b[r]`` for each row of a stack of symmetric matrices (R, m, m)
-    and vectors (R, m), as ``solve_spd`` solves that row alone: x and
+    and vectors (R, m), each row with the bits of that row's stack of one: x and
     ``{r: NotPositiveDefinite}`` for the rows that fail, whose rows of x hold no solution."""
     lower, failures = cholesky_spd_rows(a)
     return _substitute(lower, np.array(b, dtype=float)), failures

@@ -86,11 +86,6 @@ def extended_indicator(u):
     return out if out.ndim else float(out)
 
 
-def score_difference(fits: NestedFits) -> np.ndarray:
-    """Risk-score change from base to expanded model, per subject."""
-    return fits.expanded.linear_predictor - fits.base.linear_predictor
-
-
 def _parts(comparisons) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score change, base-model score residuals and outcomes of one
     comparison, or stacked (R, n) over a batch of them. A train/test pair

@@ -357,7 +357,8 @@ def test_criterion_8_exact_identities():
         checks.append(abs(regression - reclass.half_nris(fits).mnri_hard) <= 1e-12)
 
         # logit decomposition: mnri = cross term + scaled L1 term
-        ind = extended_indicator(reclass.score_difference(fits))
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
+        ind = extended_indicator(delta)
         cross = float((y - fits.expanded.fitted_probs) @ (ind - 0.5)) / (
             n * ybar * (1 - ybar)
         )
@@ -365,7 +366,6 @@ def test_criterion_8_exact_identities():
         checks.append(abs(reclass.half_nris(fits).mnri_hard - (cross + scaled_mad)) <= 1e-10)
 
         # smooth statistics converge to the hard ones under delta-scaling
-        delta = reclass.score_difference(fits)
         r = LOGIT.score_residual(fits.base.linear_predictor, y)
         hard = reclass._half_nris(delta, r, y)
         scaled = reclass._half_nris(1e6 * delta, r, y)

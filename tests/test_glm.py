@@ -235,6 +235,31 @@ class TestFit:
         with pytest.raises(RankDeficient, match="singular information matrix"):
             fit(y, design, LOGIT, start=np.array([0.0, 100.0]))
 
+    @staticmethod
+    def spread_weights_case():
+        """y and [1, x1] with cond(X'X) = 4.1, whose probit weights at
+        b = (0, 8) span 239 orders of magnitude."""
+        x1 = np.array([-3.0, -2.5, -2.0, -1.5, -1.0, 0.1, 1.0, 1.5, 2.0, 2.5, 3.0])
+        y = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        return y, np.column_stack([np.ones(11), x1])
+
+    def test_start_with_spread_weights_is_not_blamed_on_the_design(self):
+        # Every weight is positive, yet X'WX fails the pivot rule at the
+        # start while X'X passes it; from zero the fit converges.
+        y, design = self.spread_weights_case()
+        with pytest.raises(RankDeficient, match="^singular information matrix: Cholesky pivot "
+                                                "at index 1 is not above tolerance"):
+            fit(y, design, PROBIT, start=np.array([0.0, 8.0]))
+        np.testing.assert_allclose(fit(y, design, PROBIT).coefficients, [-0.169, 0.443],
+                                   atol=5e-4)
+
+    def test_collinear_design_from_a_start_is_the_design(self):
+        y, design = self.spread_weights_case()
+        design = np.column_stack([design, 2.0 * design[:, 1]])
+        with pytest.raises(RankDeficient,
+                           match=r"^design matrix is rank deficient \(collinear columns\)$"):
+            fit(y, design, PROBIT, start=np.array([0.0, 8.0, 0.0]))
+
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
     def test_zero_start_is_the_default(self, link):
         data = make_data(n=300, seed=6, link=link)
@@ -256,8 +281,8 @@ class TestFit:
 def reference_fit(y, design, link):
     """Fisher scoring as glm.fit does it, written with numpy's generic
     wrappers: ``np.clip``, ``1 - y`` formed at every log-likelihood,
-    ``np.linalg.norm`` and ``numerics.solve_spd``. Returns the fitted
-    model and the number of halved steps."""
+    ``np.linalg.norm`` and ``numerics.solve_spd_rows`` on a stack of one.
+    Returns the fitted model and the number of halved steps."""
 
     def loglik_of(probs):
         p = np.clip(probs, 1e-12, 1.0 - 1e-12)
@@ -276,7 +301,8 @@ def reference_fit(y, design, link):
         if np.max(np.abs(score)) <= 1e-8 and last_step_norm <= 1e-8:
             break
         assert iteration < 100, "reference fit did not converge"
-        step = numerics.solve_spd(info, score)
+        (step,), singular = numerics.solve_spd_rows(info[None], score[None])
+        assert not singular, "reference fit met a singular information"
         slack = 1e-11 * (1.0 + abs(loglik))
         halvings = 0
         while True:
@@ -371,6 +397,12 @@ def batch_cases(n=200):
     return np.array(ys), np.array(stored)
 
 
+def rows_of(batch) -> list:
+    """Each row of a BatchFit: its FittedModel, or its FitError."""
+    return [batch.errors.get(r) or glm._taken(batch.fits, r)
+            for r in range(len(batch.fits.loglik))]
+
+
 def assert_same_fit(got, want):
     for name in ("coefficients", "linear_predictor", "fitted_probs", "expected_information"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -403,16 +435,16 @@ class TestBatch:
         design = stored.transpose(0, 2, 1)
         batch = fit(y, design if layout == "column-major" else np.ascontiguousarray(design), link)
         assert type(batch.iterations) is int
-        fitted = []
-        for r, got in enumerate(batch.rows):
+        fitted, rows = [], rows_of(batch)
+        for r, got in enumerate(rows):
             alone = np.asfortranarray(design[r])
             if r < 5:
                 assert_same_fit(got, fit(y[r], alone, link))
                 fitted.append(got.iterations)
             else:
                 assert_same_error(got, raised_by(lambda: fit(y[r], alone, link)))
-        assert isinstance(batch.rows[5], (Separation, NoConvergence))
-        assert isinstance(batch.rows[6], RankDeficient)
+        assert isinstance(rows[5], (Separation, NoConvergence))
+        assert isinstance(rows[6], RankDeficient)
         assert batch.iterations >= max(fitted)
 
     def test_rows_match_single_fits_from_starts(self):
@@ -420,7 +452,7 @@ class TestBatch:
         y, design = y[:5], stored[:5].transpose(0, 2, 1)
         start = 0.5 * np.array([fit(y[r], design[r], LOGIT).coefficients for r in range(5)])
         batch = fit(y, design, LOGIT, start=start)
-        for r, got in enumerate(batch.rows):
+        for r, got in enumerate(rows_of(batch)):
             assert_same_fit(got, fit(y[r], design[r], LOGIT, start=start[r]))
 
     def test_batch_input_errors_are_raised(self):
@@ -432,7 +464,7 @@ class TestBatch:
     def test_empty_batch_has_no_fits(self):
         y, stored = batch_cases()
         empty = fit(y[:0], stored[:0].transpose(0, 2, 1), LOGIT)
-        assert (empty.rows, empty.iterations) == ((), 0)
+        assert (rows_of(empty), empty.iterations) == ([], 0)
 
     @pytest.mark.parametrize("link", [LOGIT, PROBIT])
     def test_fit_nested_rows_match_single_datasets(self, link):
@@ -528,7 +560,7 @@ class TestOneExitPoint:
         assert not batch.fits.loglik.any() and not batch.fits.iterations.any()
         assert [type(batch.errors[r]) for r in range(len(y))] == [Separation] * 2 + [
             RankDeficient] * 3
-        for r, got in enumerate(batch.rows):
+        for r, got in enumerate(rows_of(batch)):
             assert_same_error(got, raised_by(lambda: fit(y[r], design[r], link)))
         # Without the late singular row the batch ends with its slowest
         # separated row, at the iteration it fails in.
@@ -546,7 +578,7 @@ class TestOneExitPoint:
         # The separated row fails in the last iteration before the cap.
         assert [type(batch.errors[r]) for r in range(4)] == [
             NoConvergence, Separation, RankDeficient, RankDeficient]
-        for r, got in enumerate(batch.rows):
+        for r, got in enumerate(rows_of(batch)):
             assert_same_error(got, raised_by(lambda: fit(y[r], design[r], LOGIT)))
         assert fit(y[1:], design[1:], LOGIT).iterations == 2
 

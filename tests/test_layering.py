@@ -4,8 +4,9 @@ The layers run errors < numerics < glm < reclass < inference < sim < cli,
 with spline beside them, above errors and below cli. A module may import
 only modules below it, so no import cycle can form. ``cli`` alone may
 import the package itself, for ``__version__``. The package's public names,
-listed in its imports and again in ``__all__``, are pinned here too, as
-is the independence of the tests' mixture-tail references, which import
+listed in its imports and again in ``__all__``, are pinned here too, with
+every public function exported or called within the package, as is the
+independence of the tests' mixture-tail references, which import
 nothing from the package.
 """
 
@@ -77,6 +78,24 @@ def test_public_names_resolve():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public | {"__version__"} == set(mnri.__all__)
+
+
+def test_every_public_function_is_exported_or_used():
+    # A public module-level function the package neither exports nor calls
+    # is read by tests alone: a wrapper to delete, or a name to export.
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")]
+    import mnri
+
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    public = {
+        node.name for tree in trees for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    assert sorted(public - set(mnri.__all__) - referenced) == []
 
 
 def test_mixture_reference_imports_nothing_from_the_package():

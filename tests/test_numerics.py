@@ -15,11 +15,10 @@ from mnri import numerics
 from mnri.errors import NotPositiveDefinite
 from mnri.numerics import (
     chisq_sf,
-    cholesky_spd,
+    cholesky_spd_rows,
     mixture_tail,
     norm_cdf,
     norm_pdf,
-    solve_spd,
     solve_spd_rows,
 )
 from matrix_cases import random_cell, symmetric_matrix
@@ -73,50 +72,51 @@ def pivot_cases(draw):
 
 
 class TestSolveSpd:
+    # One matrix is a stack of one: the stacked entries are the only ones.
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solve_spd(np.eye(3), b), b)
+        x, failures = solve_spd_rows(np.eye(3)[None], b[None])
+        assert not failures
+        np.testing.assert_allclose(x[0], b)
 
     def test_diagonal(self):
         a = np.diag([4.0, 9.0])
-        np.testing.assert_allclose(solve_spd(a, [8.0, 9.0]), [2.0, 1.0])
+        np.testing.assert_allclose(solve_spd_rows(a[None], [[8.0, 9.0]])[0][0], [2.0, 1.0])
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(0)
         m = rng.standard_normal((5, 5))
         a = m @ m.T + 0.5 * np.eye(5)
         b = rng.standard_normal(5)
-        x = solve_spd(a, b)
+        x = solve_spd_rows(a[None], b[None])[0][0]
         assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-10
 
     def test_matrix_rhs(self):
+        # A matrix right-hand side is a stack of copies, one per column.
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 4))
         a = m @ m.T + np.eye(4)
-        inv = solve_spd(a, np.eye(4))
-        np.testing.assert_allclose(a @ inv, np.eye(4), atol=1e-12)
+        inv, failures = solve_spd_rows(np.array([a] * 4), np.eye(4))
+        assert not failures
+        np.testing.assert_allclose(a @ inv.T, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(inv, inv.T)
 
     def test_singular_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NotPositiveDefinite):
-            solve_spd(a, [1.0, 2.0])
+        _, failures = solve_spd_rows(a[None], [[1.0, 2.0]])
+        assert list(failures) == [0] and isinstance(failures[0], NotPositiveDefinite)
 
     def test_indefinite_raises(self):
         # Reports the index where the factorization stopped.
-        with pytest.raises(NotPositiveDefinite, match="at index 1"):
-            cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    @pytest.mark.parametrize("a", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
-    def test_non_square_rejected(self, a):
-        # Unchecked, numpy's Cholesky would raise LinAlgError or factor a stack.
-        with pytest.raises(ValueError, match="^matrix must be square, got shape"):
-            cholesky_spd(a)
+        _, failures = cholesky_spd_rows(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        assert isinstance(failures[0], NotPositiveDefinite)
+        assert "at index 1" in str(failures[0])
 
     def test_reads_only_the_lower_triangle(self):
         # LAPACK's contract: the caller passes a symmetric matrix.
-        expected = cholesky_spd([[4.0, 2.0], [2.0, 5.0]])
-        assert cholesky_spd([[4.0, 99.0], [2.0, 5.0]]).tobytes() == expected.tobytes()
+        expected, _ = cholesky_spd_rows(np.array([[[4.0, 2.0], [2.0, 5.0]]]))
+        lower, _ = cholesky_spd_rows(np.array([[[4.0, 99.0], [2.0, 5.0]]]))
+        assert lower.tobytes() == expected.tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(case=pivot_cases())
@@ -125,13 +125,14 @@ class TestSolveSpd:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_pivot_verdict_matches_full_rule(self, case):
         a = np.array(case)
-        message, lower = full_pivot_rule(a)
+        message, want = full_pivot_rule(a)
+        lower, failures = cholesky_spd_rows(a[None])
         if message is None:
-            assert cholesky_spd(a).tobytes() == lower.tobytes()
+            assert not failures
+            assert lower[0].tobytes() == want.tobytes()
         else:
-            with pytest.raises(NotPositiveDefinite) as raised:
-                cholesky_spd(a)
-            assert str(raised.value) == message
+            assert list(failures) == [0] and isinstance(failures[0], NotPositiveDefinite)
+            assert str(failures[0]) == message
 
     @settings(max_examples=200, deadline=None)
     @given(case=pivot_cases())
@@ -141,7 +142,7 @@ class TestSolveSpd:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_stacked_rows_solve_as_alone(self, case):
         # Between two SPD rows, each row of a stack gets the bits, or the
-        # error, that solve_spd gives it alone.
+        # error, that it gets in a stack of its own.
         a = np.array(case)
         k = a.shape[0]
         rng = np.random.default_rng(k)
@@ -150,13 +151,12 @@ class TestSolveSpd:
         stack, b = np.array([spd, a, 2.0 * spd]), rng.standard_normal((3, k))
         x, failures = solve_spd_rows(stack, b)
         for r in range(3):
-            try:
-                want = solve_spd(stack[r], b[r])
-            except NotPositiveDefinite as exc:
-                assert str(failures[r]) == str(exc)
+            want, alone = solve_spd_rows(stack[r:r + 1], b[r:r + 1])
+            if alone:
+                assert str(failures[r]) == str(alone[0])
             else:
                 assert r not in failures
-                assert x[r].tobytes() == want.tobytes()
+                assert x[r].tobytes() == want[0].tobytes()
 
     def test_failing_neighbour_leaves_row_bits(self):
         # numpy refuses a stack holding a singular matrix; the healthy row
@@ -166,11 +166,11 @@ class TestSolveSpd:
                       [1.0, 0.0, 3.0, 0.0, 2.0], [0.0, 0.0, 0.0, 1.0, 0.0],
                       [2.0, 0.0, 2.0, 0.0, 6.0]])
         stack, b = np.array([a, np.ones((5, 5))]), np.arange(10.0).reshape(2, 5)
-        lower, failures = numerics.cholesky_spd_rows(stack)
+        lower, failures = cholesky_spd_rows(stack)
         x, solve_failures = solve_spd_rows(stack, b)
         assert list(failures) == list(solve_failures) == [1]
-        assert lower[0].tobytes() == cholesky_spd(a).tobytes()
-        assert x[0].tobytes() == solve_spd(a, b[0]).tobytes()
+        assert lower[0].tobytes() == cholesky_spd_rows(a[None])[0][0].tobytes()
+        assert x[0].tobytes() == solve_spd_rows(a[None], b[:1])[0][0].tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), m=st.integers(1, 6), rows=st.integers(1, 4))
@@ -203,22 +203,24 @@ class TestSolveSpd:
         # Collinearity at a scale far above machine noise still trips.
         v = np.array([3.0, 1.0, 2.0])
         a = np.outer(v, v) * 1e6
-        with pytest.raises(NotPositiveDefinite):
-            cholesky_spd(a)
+        _, failures = cholesky_spd_rows(a[None])
+        assert isinstance(failures[0], NotPositiveDefinite)
 
     def test_factor_is_lower_triangular_and_reproduces_input(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((6, 6))
         a = m @ m.T + 0.5 * np.eye(6)
-        lower = cholesky_spd(a)
+        (lower,), failures = cholesky_spd_rows(a[None])
+        assert not failures
         assert np.all(np.triu(lower, 1) == 0.0)
         assert np.all(np.diag(lower) > 0.0)
         np.testing.assert_allclose(lower @ lower.T, a, rtol=0.0, atol=1e-12)
 
     def test_small_positive_pivot_rejected(self):
         # Positive but below 1e-12 * max(diag): LAPACK alone accepts it.
-        with pytest.raises(NotPositiveDefinite, match="at index 1"):
-            cholesky_spd(np.diag([1.0, 1e-13]))
+        _, failures = cholesky_spd_rows(np.diag([1.0, 1e-13])[None])
+        assert isinstance(failures[0], NotPositiveDefinite)
+        assert "at index 1" in str(failures[0])
 
 
 class TestNormalFunctions:

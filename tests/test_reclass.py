@@ -16,7 +16,6 @@ from mnri.reclass import (
     extended_indicator,
     half_nris,
     mad_probabilities,
-    score_difference,
     sign_decomposition,
 )
 
@@ -82,7 +81,8 @@ class TestWorkedExample:
             WORKED["y"], WORKED["xv"], WORKED["zv"],
             WORKED["base_coef"], WORKED["expanded_coef"],
         )
-        np.testing.assert_allclose(score_difference(fits), WORKED_EXPECT["delta"], atol=1e-12)
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
+        np.testing.assert_allclose(delta, WORKED_EXPECT["delta"], atol=1e-12)
         assert abs(half_nris(fits).nri_hard - WORKED_EXPECT["nri_hard"]) <= 1e-12
         assert abs(half_nris(fits).nri_smooth - WORKED_EXPECT["nri_smooth"]) <= 1e-12
         assert abs(half_nris(fits).mnri_hard - WORKED_EXPECT["mnri_hard"]) <= 1e-12
@@ -115,7 +115,8 @@ class TestHardNri:
             [1.0, 1.0, 0.0, 0.0], [1.0, -1.0, -1.0, 1.0], [0.0, 0.0, 0.0, 0.0],
             base_coef=[0.0, 0.0], expanded_coef=[0.0, 1.0, 0.0],
         )
-        np.testing.assert_array_equal(np.sign(score_difference(fits)), [1, -1, -1, 1])
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
+        np.testing.assert_array_equal(np.sign(delta), [1, -1, -1, 1])
         assert half_nris(fits).nri_hard == 0.0
 
     def test_hand_enumeration_maximal(self, manual_fits):
@@ -154,7 +155,7 @@ class TestScaleAndLimits:
     @given(st.floats(1e-3, 1e3))
     def test_hard_statistics_scale_invariant(self, c):
         fits = random_fits(seed=4)
-        delta = score_difference(fits)
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
         base = reclass._half_nris(delta, r, fits.data.y)
         scaled = reclass._half_nris(c * delta, r, fits.data.y)
@@ -163,7 +164,7 @@ class TestScaleAndLimits:
 
     def test_smooth_to_hard_limit(self):
         fits = random_fits(seed=5)
-        delta = score_difference(fits)
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
         assert np.all(delta != 0.0)
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
         hard = reclass._half_nris(delta, r, fits.data.y)
@@ -173,7 +174,7 @@ class TestScaleAndLimits:
 
     def test_smooth_approaches_hard_monotone_refinement(self):
         fits = random_fits(seed=6)
-        delta = score_difference(fits)
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
         r = fits.data.y - LOGIT.prob(fits.base.linear_predictor)
         hard = reclass._half_nris(delta, r, fits.data.y).mnri_hard
         errors = [
@@ -190,7 +191,8 @@ class TestLogitDecomposition:
         n = fits.data.n
         y = fits.data.y
         ybar = fits.data.ybar
-        ind = extended_indicator(score_difference(fits))
+        ind = extended_indicator(
+            fits.expanded.linear_predictor - fits.base.linear_predictor)
         cross = float(
             (y - fits.expanded.fitted_probs) @ (ind - 0.5)
         ) / (n * ybar * (1 - ybar))
@@ -231,7 +233,7 @@ class TestProbitPath:
         _, norm, regression = sign_decomposition(fits)
         assert norm == fits.data.n
         assert abs(regression - half_nris(fits).mnri_hard) <= 1e-12
-        delta = score_difference(fits)
+        delta = fits.expanded.linear_predictor - fits.base.linear_predictor
         r = PROBIT.score_residual(fits.base.linear_predictor, fits.data.y)
         hard = reclass._half_nris(delta, r, fits.data.y).mnri_hard
         assert abs(hard - half_nris(fits).mnri_hard) <= 1e-15
